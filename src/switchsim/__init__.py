@@ -44,7 +44,6 @@ from .geometry import (
     ValidationReport,
     envelope_diameter,
     kinematic_carry_ratio,
-    pitch_radius,
     reference_layout,
     solve_center_distance,
     solve_engagement,
@@ -58,12 +57,7 @@ from .optimizer import (
     evaluate_design,
     optimize,
 )
-from .paths import (
-    CurvedPath,
-    LinearPath,
-    TabulatedPath,
-    joint_angle_from_payout,
-)
+from .paths import CurvedPath, LinearPath, TabulatedPath
 from .plant import (
     ControlMode,
     DisturbancePulses,
@@ -83,7 +77,6 @@ from .plant import (
     step_plant,
 )
 from .switching import (
-    CouplingReport,
     Event,
     EventKind,
     Side,
@@ -91,7 +84,6 @@ from .switching import (
     SwitchState,
     TraversalModel,
     calibrate_slip,
-    coupling,
     step_switch,
 )
 

@@ -22,7 +22,7 @@ from .experiments import (
     run_speed_sweep,
     run_switching_time,
 )
-from .geometry import validate_layout
+from .geometry import kinematic_carry_ratio, validate_layout
 from .motion import trapezoid_duration
 from .optimizer import DesignConstraints, DesignSpace, optimize
 from .plant import ControlMode, run_script
@@ -363,8 +363,7 @@ def _cmd_optimize(args, cfg: Config) -> int:
 
 
 def _cmd_calibrate(args, cfg: Config) -> int:
-    layout = cfg.layout()
-    carry = 1.0 + layout.switch.pitch_radius / layout.driving.pitch_radius
+    carry = kinematic_carry_ratio(cfg.layout())
     model = calibrate_slip(args.motor_travel_deg, args.revolution_deg, carry)
     accel = calibrate_profile_accel(
         args.switch_time_ms / 1000.0, args.motor_travel_deg, cfg.max_output_speed

@@ -4,13 +4,20 @@ Format: ``[section]`` headers, ``key = value`` lines, ``#`` comments.
 Unknown sections/keys are rejected with line numbers. Every key is optional;
 an empty file yields the full reference configuration. Angles are degrees in
 files and radians internally; lengths mm; times s unless the key name says
-ms.
+ms. Every number must be finite: ``nan`` and ``inf`` are rejected with their
+line, in keys, knot tables and script arguments alike.
+
+Each key is declared once, by ``_key`` metadata on the ``Config`` or
+``PathSpec`` field it sets, and parsing, range checks and serialization loop
+over those declarations. Two spellings are extra: ``[layout] module_mm`` sets
+all three gear modules at once, and each ``[paths]`` key is a ``PathSpec``
+key prefixed with ``agonist_`` or ``antagonist_``.
 
 The ``[script]`` section is a command list, one command per line::
 
     move_to 225.0          # Profile-Position move to an absolute angle, deg
     set_velocity 360.0     # constant rate, deg/s (0 stops)
-    wait 0.5               # run the clock, s
+    wait 0.5               # run the clock, s (not negative)
     disturb disengaged 5.0 # random payout pulses: target magnitude_mm [width_s]
     disturb_off
 """
@@ -18,7 +25,8 @@ The ``[script]`` section is a command list, one command per line::
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import astuple, dataclass, field, fields
+from typing import Callable
 
 from .errors import ConfigError, SwitchSimError
 from .experiments import calibrate_profile_accel
@@ -26,6 +34,7 @@ from .geometry import (
     GearSpec,
     MechanismLayout,
     REFERENCE_TRACK_TRAVEL_DEG,
+    kinematic_carry_ratio,
     solve_center_distance,
     solve_engagement,
     validate_layout,
@@ -47,14 +56,44 @@ from .switching import TraversalModel, calibrate_slip
 
 
 @dataclass(frozen=True)
+class _Key:
+    """How one file key sets a dataclass field.
+
+    cast: int, float or str; a float must also be finite.
+    name: the file key, when it is not the field name.
+    replaces: keys of the same section that this one overrides. A file may
+        not give both, and serialization writes this key instead of them
+        whenever its value is set.
+    check: (predicate, message) applied to a given value; the message is
+        formatted with ``key`` and ``value``.
+    kind: the only path kind the key applies to.
+    """
+
+    section: str
+    cast: type = float
+    name: str | None = None
+    replaces: tuple[str, ...] = ()
+    check: tuple[Callable[[object], bool], str] | None = None
+    kind: str | None = None
+
+
+def _key(default, section: str, cast: type = float, **spec):
+    """A dataclass field with ``default`` that one file key in ``section`` sets."""
+    return field(default=default, metadata={"key": _Key(section, cast, **spec)})
+
+
+_POSITIVE = (lambda v: v > 0, "{key} must be positive, got {value!r}")
+
+
+@dataclass(frozen=True)
 class PathSpec:
     """Raw cable-path parameters as they appear in a config file."""
 
-    kind: str = "linear"                      # linear | curved | tabulated
-    reference_length: float = 300.0           # mm at zero pull angle
-    moment_arm: float = 25.0                  # mm per rad
-    bow: float = 0.0                          # mm (curved only)
-    knots: tuple[tuple[float, float], ...] | None = None  # (deg, mm), tabulated only
+    kind: str = _key("linear", "paths", str)  # linear | curved | tabulated
+    reference_length: float = _key(300.0, "paths", name="reference_length_mm")  # mm at x = 0
+    moment_arm: float = _key(25.0, "paths", name="moment_arm_mm")  # mm per rad
+    bow: float = _key(0.0, "paths", name="bow_mm", kind="curved")  # mm
+    knots: tuple[tuple[float, float], ...] | None = _key(None, "paths", str, kind="tabulated")
 
     def build(self) -> CablePath:
         if self.kind == "linear":
@@ -72,39 +111,47 @@ class PathSpec:
 class Config:
     """Validated configuration; defaults reproduce the reference rig."""
 
-    # [layout]
-    drive_teeth: int = 20
-    switch_teeth: int = 16
-    driven_teeth: int = 20
-    drive_module: float = 1.0
-    switch_module: float = 1.0
-    driven_module: float = 1.0
-    driven_half_angle_deg: float = 25.0
-    center_distance_mm: float | None = None   # None: solved from track_travel_deg
-    track_travel_deg: float = REFERENCE_TRACK_TRAVEL_DEG
-    backlash_margin_mm: float = 0.2
-    # [traversal]
-    slip: float | None = None                 # None: calibrated from the travel pair
-    motor_travel_deg: float = 122.6
-    revolution_travel_deg: float = 19.8
-    # [motor]
-    max_output_speed: float = 720.0           # deg/s
-    gearhead_ratio: float = 43.0
-    profile_accel: float | None = None        # deg/s^2; None: calibrated from target
-    target_switch_time_ms: float = 302.0
-    control_mode: str = "position"
-    # [paths]
+    drive_teeth: int = _key(20, "layout", int)
+    switch_teeth: int = _key(16, "layout", int)
+    driven_teeth: int = _key(20, "layout", int)
+    drive_module: float = _key(1.0, "layout", name="drive_module_mm")
+    switch_module: float = _key(1.0, "layout", name="switch_module_mm")
+    driven_module: float = _key(1.0, "layout", name="driven_module_mm")
+    driven_half_angle_deg: float = _key(25.0, "layout")
+    center_distance_mm: float | None = _key(  # None: solved from track_travel_deg
+        None, "layout", replaces=("track_travel_deg",)
+    )
+    track_travel_deg: float = _key(REFERENCE_TRACK_TRAVEL_DEG, "layout")
+    backlash_margin_mm: float = _key(0.2, "layout")
+    slip: float | None = _key(  # None: calibrated from the travel pair
+        None,
+        "traversal",
+        replaces=("motor_travel_deg", "revolution_travel_deg"),
+        check=(lambda v: 0.0 <= v < 1.0, "{key} {value} outside [0, 1)"),
+    )
+    motor_travel_deg: float = _key(122.6, "traversal")
+    revolution_travel_deg: float = _key(19.8, "traversal")
+    max_output_speed: float = _key(  # deg/s
+        720.0, "motor", name="max_output_speed_deg_s", check=_POSITIVE
+    )
+    profile_accel: float | None = _key(  # deg/s^2; None: calibrated from target
+        None, "motor", name="profile_accel_deg_s2", replaces=("target_switch_time_ms",)
+    )
+    target_switch_time_ms: float = _key(302.0, "motor")
+    control_mode: str = _key(
+        "position",
+        "motor",
+        str,
+        check=(lambda v: v in ("position", "velocity"), "{key} must be position or velocity"),
+    )
     agonist: PathSpec = field(default_factory=PathSpec)
     antagonist: PathSpec = field(default_factory=lambda: PathSpec(kind="curved", bow=5.0))
-    # [spools]
-    spool_radius_mm: float = 10.0
-    spring_preload_nmm: float = 5.0
-    spring_rate_nmm_per_deg: float = 0.05
-    payout_at_zero_mm: float | None = None    # None: path length at +90 deg
-    # [sim]
-    dt_s: float = 1e-3
-    seed: int = 0
-    # [script]
+    spool_radius_mm: float = _key(10.0, "spools", check=_POSITIVE)
+    spring_preload_nmm: float = _key(5.0, "spools", check=_POSITIVE)
+    spring_rate_nmm_per_deg: float = _key(0.05, "spools")
+    payout_at_zero_mm: float | None = _key(None, "spools")  # None: path length at +90 deg
+    dt_s: float = _key(1e-3, "sim", check=_POSITIVE)
+    seed: int = _key(0, "sim", int)
     script: tuple[ScriptCommand, ...] = ()
 
     # -- builders ------------------------------------------------------------
@@ -131,8 +178,7 @@ class Config:
         )
 
     def traversal(self, layout: MechanismLayout | None = None) -> TraversalModel:
-        layout = layout or self.layout()
-        carry = 1.0 + layout.switch.pitch_radius / layout.driving.pitch_radius
+        carry = kinematic_carry_ratio(layout or self.layout())
         if self.slip is not None:
             return TraversalModel(carry_ratio=carry, slip=self.slip)
         return calibrate_slip(self.motor_travel_deg, self.revolution_travel_deg, carry)
@@ -151,7 +197,6 @@ class Config:
             )
         return MotorModel(
             max_output_speed=self.max_output_speed,
-            gearhead_ratio=self.gearhead_ratio,
             profile_accel=accel,
             control_mode=ControlMode(self.control_mode),
         )
@@ -186,45 +231,45 @@ class Config:
 
 
 # -----------------------------------------------------------------------------
-# Parsing
+# Schema
 
-_LAYOUT_KEYS = {
-    "drive_teeth": int,
-    "switch_teeth": int,
-    "driven_teeth": int,
-    "module_mm": float,
-    "drive_module_mm": float,
-    "switch_module_mm": float,
-    "driven_module_mm": float,
-    "driven_half_angle_deg": float,
-    "center_distance_mm": float,
-    "track_travel_deg": float,
-    "backlash_margin_mm": float,
+
+def _keyed(cls) -> tuple[tuple[str, str, _Key], ...]:
+    """(field name, file key, key spec) of each field of ``cls`` a file key sets."""
+    return tuple(
+        (f.name, f.metadata["key"].name or f.name, f.metadata["key"])
+        for f in fields(cls)
+        if "key" in f.metadata
+    )
+
+
+_CONFIG_KEYS = _keyed(Config)
+_PATH_KEYS = _keyed(PathSpec)
+_PATHS = ("agonist", "antagonist")  # Config fields set by the [paths] keys with that prefix
+_MODULE_FIELDS = ("drive_module", "switch_module", "driven_module")  # module_mm sets all three
+_MODULE_KEYS = (*(key for name, key, _ in _CONFIG_KEYS if name in _MODULE_FIELDS), "module_mm")
+
+_SCHEMA: dict[tuple[str, str], _Key] = {
+    (spec.section, key): spec for _, key, spec in _CONFIG_KEYS
 }
-_TRAVERSAL_KEYS = {"slip": float, "motor_travel_deg": float, "revolution_travel_deg": float}
-_MOTOR_KEYS = {
-    "max_output_speed_deg_s": float,
-    "gearhead_ratio": float,
-    "profile_accel_deg_s2": float,
-    "target_switch_time_ms": float,
-    "control_mode": str,
-}
-_PATH_KEYS = {
-    "kind": str,
-    "reference_length_mm": float,
-    "moment_arm_mm": float,
-    "bow_mm": float,
-    "knots": str,
-}
-_SPOOL_KEYS = {
-    "spool_radius_mm": float,
-    "spring_preload_nmm": float,
-    "spring_rate_nmm_per_deg": float,
-    "payout_at_zero_mm": float,
-}
-_SIM_KEYS = {"dt_s": float, "seed": int}
+_SCHEMA.update(
+    ((spec.section, f"{prefix}_{key}"), spec) for prefix in _PATHS for _, key, spec in _PATH_KEYS
+)
+_SCHEMA["layout", "module_mm"] = _Key("layout")
 
 _SECTIONS = ("layout", "traversal", "motor", "paths", "spools", "sim", "script")
+
+
+# -----------------------------------------------------------------------------
+# Parsing
+
+
+def _finite(text: str) -> float:
+    """``float(text)``, rejecting nan and the infinities."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text!r} is not a finite number")
+    return value
 
 
 def _parse_knots(text: str) -> tuple[tuple[float, float], ...]:
@@ -235,23 +280,25 @@ def _parse_knots(text: str) -> tuple[tuple[float, float], ...]:
         if not token:
             continue
         angle, _, length = token.partition(":")
-        knots.append((float(angle), float(length)))
+        knots.append((_finite(angle), _finite(length)))
     return tuple(knots)
 
 
+# Script commands whose one field is their one number argument.
+_ONE_NUMBER = {"move_to": MoveMotorTo, "set_velocity": SetVelocity, "wait": Wait}
+
+
 def _parse_script_line(line: str) -> ScriptCommand:
-    tokens = line.split()
-    name, args = tokens[0], tokens[1:]
-    if name == "move_to" and len(args) == 1:
-        return MoveMotorTo(float(args[0]))
-    if name == "set_velocity" and len(args) == 1:
-        return SetVelocity(float(args[0]))
-    if name == "wait" and len(args) == 1:
-        return Wait(float(args[0]))
+    name, *args = line.split()
+    if name in _ONE_NUMBER and len(args) == 1:
+        number = _finite(args[0])
+        if name == "wait" and number < 0:
+            raise ValueError(f"wait duration must not be negative, got {args[0]!r}")
+        return _ONE_NUMBER[name](number)
     if name == "disturb" and len(args) in (2, 3):
-        width = float(args[2]) if len(args) == 3 else 0.05
+        width = _finite(args[2]) if len(args) == 3 else 0.05
         return InjectDisturbance(
-            DisturbancePulses(target=args[0], magnitude=float(args[1]), width=width)
+            DisturbancePulses(target=args[0], magnitude=_finite(args[1]), width=width)
         )
     if name == "disturb_off" and not args:
         return InjectDisturbance(None)
@@ -259,12 +306,9 @@ def _parse_script_line(line: str) -> ScriptCommand:
 
 
 def _serialize_script_command(cmd: ScriptCommand) -> str:
-    if isinstance(cmd, MoveMotorTo):
-        return f"move_to {cmd.angle!r}"
-    if isinstance(cmd, SetVelocity):
-        return f"set_velocity {cmd.rate!r}"
-    if isinstance(cmd, Wait):
-        return f"wait {cmd.duration!r}"
+    for name, cls in _ONE_NUMBER.items():
+        if isinstance(cmd, cls):
+            return f"{name} {astuple(cmd)[0]!r}"
     if isinstance(cmd, InjectDisturbance):
         if cmd.profile is None:
             return "disturb_off"
@@ -283,21 +327,6 @@ class _Parser:
 
     def fail(self, line_no: int, message: str) -> None:
         self.errors.append((line_no, message))
-
-    def _key_table(self, section: str):
-        if section == "layout":
-            return _LAYOUT_KEYS
-        if section == "traversal":
-            return _TRAVERSAL_KEYS
-        if section == "motor":
-            return _MOTOR_KEYS
-        if section == "paths":
-            return None  # handled via prefixes
-        if section == "spools":
-            return _SPOOL_KEYS
-        if section == "sim":
-            return _SIM_KEYS
-        return None
 
     def _scan(self, text: str) -> None:
         section: str | None = None
@@ -327,32 +356,23 @@ class _Parser:
             self._store(section, key, value, line_no)
 
     def _store(self, section: str, key: str, value: str, line_no: int) -> None:
-        if section == "paths":
-            prefix, _, suffix = key.partition("_")
-            if prefix not in ("agonist", "antagonist") or suffix not in _PATH_KEYS:
-                self.fail(line_no, f"unknown key {key!r} in [paths]")
-                return
-            caster = _PATH_KEYS[suffix]
-        else:
-            table = self._key_table(section)
-            if key not in table:
-                self.fail(line_no, f"unknown key {key!r} in [{section}]")
-                return
-            caster = table[key]
+        spec = _SCHEMA.get((section, key))
+        if spec is None:
+            self.fail(line_no, f"unknown key {key!r} in [{section}]")
+            return
         if (section, key) in self.values:
             self.fail(line_no, f"duplicate key {key!r} in [{section}]")
             return
         try:
-            parsed: object
-            if caster is int:
-                parsed = int(value)
-            elif caster is float:
-                parsed = float(value)
-            else:
-                parsed = value
+            parsed = spec.cast(value)
         except ValueError:
-            self.fail(line_no, f"cannot parse {key} value {value!r} as {caster.__name__}")
+            self.fail(line_no, f"cannot parse {key} value {value!r} as {spec.cast.__name__}")
             return
+        if spec.cast is float and not math.isfinite(parsed):
+            self.fail(line_no, f"{key} must be finite, got {value!r}")
+            return
+        if spec.check is not None and not spec.check[0](parsed):
+            self.fail(line_no, spec.check[1].format(key=key, value=parsed))
         self.values[(section, key)] = parsed
         self.lines[(section, key)] = line_no
 
@@ -372,36 +392,26 @@ class _Parser:
         if kind not in ("linear", "curved", "tabulated"):
             self.fail(self.line("paths", f"{prefix}_kind"), f"unknown path kind {kind!r}")
             return default
-        spec = PathSpec(
-            kind=kind,
-            reference_length=self.get(
-                "paths", f"{prefix}_reference_length_mm", default.reference_length
-            ),
-            moment_arm=self.get("paths", f"{prefix}_moment_arm_mm", default.moment_arm),
-            bow=self.get("paths", f"{prefix}_bow_mm", default.bow if kind == "curved" else 0.0),
-            knots=None,
-        )
-        if kind != "curved" and self.has("paths", f"{prefix}_bow_mm"):
-            self.fail(
-                self.line("paths", f"{prefix}_bow_mm"),
-                f"{prefix}_bow_mm only applies to the curved kind",
-            )
+        values = {}
+        for name, key, spec in _PATH_KEYS:
+            key = f"{prefix}_{key}"
+            if spec.kind in (None, kind):
+                values[name] = self.get("paths", key, getattr(default, name))
+            else:
+                values[name] = getattr(PathSpec, name)
+                if self.has("paths", key):
+                    message = f"{key} only applies to the {spec.kind} kind"
+                    self.fail(self.line("paths", key), message)
         if kind == "tabulated":
-            if not self.has("paths", f"{prefix}_knots"):
+            knots, values["knots"] = values["knots"], None
+            if knots is None:
                 self.fail(0, f"{prefix}_kind = tabulated requires {prefix}_knots")
             else:
                 try:
-                    spec = replace(
-                        spec, knots=_parse_knots(self.get("paths", f"{prefix}_knots", ""))
-                    )
+                    values["knots"] = _parse_knots(knots)
                 except ValueError as exc:
                     self.fail(self.line("paths", f"{prefix}_knots"), f"bad knot table: {exc}")
-        elif self.has("paths", f"{prefix}_knots"):
-            self.fail(
-                self.line("paths", f"{prefix}_knots"),
-                f"{prefix}_knots only applies to the tabulated kind",
-            )
-        return spec
+        return PathSpec(**values)
 
 
 def parse_config(text: str) -> Config:
@@ -414,79 +424,25 @@ def parse_config(text: str) -> Config:
     p = _Parser(text)
     defaults = Config()
 
-    shared_module = p.get("layout", "module_mm", None)
-    base_module = shared_module if shared_module is not None else defaults.drive_module
-
-    def module_for(key: str, fallback: float) -> float:
-        return p.get("layout", key, base_module if shared_module is not None else fallback)
-
-    cfg = replace(
-        defaults,
-        drive_teeth=p.get("layout", "drive_teeth", defaults.drive_teeth),
-        switch_teeth=p.get("layout", "switch_teeth", defaults.switch_teeth),
-        driven_teeth=p.get("layout", "driven_teeth", defaults.driven_teeth),
-        drive_module=module_for("drive_module_mm", defaults.drive_module),
-        switch_module=module_for("switch_module_mm", defaults.switch_module),
-        driven_module=module_for("driven_module_mm", defaults.driven_module),
-        driven_half_angle_deg=p.get(
-            "layout", "driven_half_angle_deg", defaults.driven_half_angle_deg
-        ),
-        center_distance_mm=p.get("layout", "center_distance_mm", None),
-        track_travel_deg=p.get("layout", "track_travel_deg", defaults.track_travel_deg),
-        backlash_margin_mm=p.get("layout", "backlash_margin_mm", defaults.backlash_margin_mm),
-        slip=p.get("traversal", "slip", None),
-        motor_travel_deg=p.get("traversal", "motor_travel_deg", defaults.motor_travel_deg),
-        revolution_travel_deg=p.get(
-            "traversal", "revolution_travel_deg", defaults.revolution_travel_deg
-        ),
-        max_output_speed=p.get("motor", "max_output_speed_deg_s", defaults.max_output_speed),
-        gearhead_ratio=p.get("motor", "gearhead_ratio", defaults.gearhead_ratio),
-        profile_accel=p.get("motor", "profile_accel_deg_s2", None),
-        target_switch_time_ms=p.get(
-            "motor", "target_switch_time_ms", defaults.target_switch_time_ms
-        ),
-        control_mode=p.get("motor", "control_mode", defaults.control_mode),
-        agonist=p.path_spec("agonist", defaults.agonist),
-        antagonist=p.path_spec("antagonist", defaults.antagonist),
-        spool_radius_mm=p.get("spools", "spool_radius_mm", defaults.spool_radius_mm),
-        spring_preload_nmm=p.get("spools", "spring_preload_nmm", defaults.spring_preload_nmm),
-        spring_rate_nmm_per_deg=p.get(
-            "spools", "spring_rate_nmm_per_deg", defaults.spring_rate_nmm_per_deg
-        ),
-        payout_at_zero_mm=p.get("spools", "payout_at_zero_mm", None),
-        dt_s=p.get("sim", "dt_s", defaults.dt_s),
-        seed=p.get("sim", "seed", defaults.seed),
-        script=tuple(p.script),
-    )
+    values = {
+        name: p.get(spec.section, key, None)
+        for name, key, spec in _CONFIG_KEYS
+        if p.has(spec.section, key)
+    }
+    if p.has("layout", "module_mm"):
+        for name in _MODULE_FIELDS:
+            values.setdefault(name, p.get("layout", "module_mm", None))
+    for prefix in _PATHS:
+        values[prefix] = p.path_spec(prefix, getattr(defaults, prefix))
+    cfg = Config(**values, script=tuple(p.script))
 
     # Contradictory key combinations.
-    if p.has("traversal", "slip") and (
-        p.has("traversal", "motor_travel_deg") or p.has("traversal", "revolution_travel_deg")
-    ):
-        p.fail(
-            p.line("traversal", "slip"),
-            "give either slip or the (motor_travel_deg, revolution_travel_deg) pair, not both",
-        )
-    if p.has("motor", "profile_accel_deg_s2") and p.has("motor", "target_switch_time_ms"):
-        p.fail(
-            p.line("motor", "profile_accel_deg_s2"),
-            "give either profile_accel_deg_s2 or target_switch_time_ms, not both",
-        )
-    if p.has("layout", "center_distance_mm") and p.has("layout", "track_travel_deg"):
-        p.fail(
-            p.line("layout", "center_distance_mm"),
-            "give either center_distance_mm or track_travel_deg, not both",
-        )
-
-    # Simple range checks with line attribution.
-    _check_positive(p, cfg.dt_s, "sim", "dt_s")
-    _check_positive(p, cfg.max_output_speed, "motor", "max_output_speed_deg_s")
-    _check_positive(p, cfg.spool_radius_mm, "spools", "spool_radius_mm")
-    _check_positive(p, cfg.spring_preload_nmm, "spools", "spring_preload_nmm")
-    if cfg.control_mode not in ("position", "velocity"):
-        p.fail(p.line("motor", "control_mode"), "control_mode must be position or velocity")
-    if cfg.slip is not None and not (0.0 <= cfg.slip < 1.0):
-        p.fail(p.line("traversal", "slip"), f"slip {cfg.slip} outside [0, 1)")
+    for (section, key), spec in _SCHEMA.items():
+        if p.has(section, key) and any(p.has(section, k) for k in spec.replaces):
+            other = spec.replaces[0]
+            if len(spec.replaces) > 1:
+                other = f"the ({', '.join(spec.replaces)}) pair"
+            p.fail(p.line(section, key), f"give either {key} or {other}, not both")
 
     # Cross-field geometry validation, delegated to the layout validator.
     if not p.errors:
@@ -498,11 +454,7 @@ def parse_config(text: str) -> Config:
             for violation in report.violations:
                 line = 0
                 if violation.rule == "module-mismatch":
-                    keys = [
-                        k
-                        for k in ("drive_module_mm", "switch_module_mm", "driven_module_mm", "module_mm")
-                        if p.has("layout", k)
-                    ]
+                    keys = [k for k in _MODULE_KEYS if p.has("layout", k)]
                     line = max((p.line("layout", k) for k in keys), default=0)
                     named = ", ".join(keys) or "gear modules"
                     p.fail(line, f"{violation.message} (keys: {named})")
@@ -520,86 +472,47 @@ def parse_config(text: str) -> Config:
     return cfg
 
 
-def _check_positive(p: _Parser, value, section: str, key: str) -> None:
-    if not (value > 0):
-        p.fail(p.line(section, key), f"{key} must be positive, got {value!r}")
-
-
 # -----------------------------------------------------------------------------
 # Serialization
 
 
+def _written(obj, keyed):
+    """(field name, file key, key spec, value) of each key written for ``obj``.
+
+    A key is left out when its value is None or empty, when an earlier
+    written key replaces it, or when it does not apply to the path kind.
+    """
+    replaced: set[str] = set()
+    for name, key, spec in keyed:
+        value = getattr(obj, name)
+        if value in (None, ()) or key in replaced or (spec.kind and spec.kind != obj.kind):
+            continue
+        replaced.update(spec.replaces)
+        yield name, key, spec, value
+
+
+def _format(value) -> str:
+    if isinstance(value, tuple):  # knot table
+        return ", ".join(f"{x!r}:{l!r}" for x, l in value)
+    return str(value)
+
+
 def serialize_config(cfg: Config) -> str:
     """Emit a config file that parses back to an identical Config."""
-    out: list[str] = []
-
-    out.append("[layout]")
-    out.append(f"drive_teeth = {cfg.drive_teeth}")
-    out.append(f"switch_teeth = {cfg.switch_teeth}")
-    out.append(f"driven_teeth = {cfg.driven_teeth}")
-    if cfg.drive_module == cfg.switch_module == cfg.driven_module:
-        out.append(f"module_mm = {cfg.drive_module!r}")
-    else:
-        out.append(f"drive_module_mm = {cfg.drive_module!r}")
-        out.append(f"switch_module_mm = {cfg.switch_module!r}")
-        out.append(f"driven_module_mm = {cfg.driven_module!r}")
-    out.append(f"driven_half_angle_deg = {cfg.driven_half_angle_deg!r}")
-    if cfg.center_distance_mm is not None:
-        out.append(f"center_distance_mm = {cfg.center_distance_mm!r}")
-    else:
-        out.append(f"track_travel_deg = {cfg.track_travel_deg!r}")
-    out.append(f"backlash_margin_mm = {cfg.backlash_margin_mm!r}")
-
-    out.append("")
-    out.append("[traversal]")
-    if cfg.slip is not None:
-        out.append(f"slip = {cfg.slip!r}")
-    else:
-        out.append(f"motor_travel_deg = {cfg.motor_travel_deg!r}")
-        out.append(f"revolution_travel_deg = {cfg.revolution_travel_deg!r}")
-
-    out.append("")
-    out.append("[motor]")
-    out.append(f"max_output_speed_deg_s = {cfg.max_output_speed!r}")
-    out.append(f"gearhead_ratio = {cfg.gearhead_ratio!r}")
-    if cfg.profile_accel is not None:
-        out.append(f"profile_accel_deg_s2 = {cfg.profile_accel!r}")
-    else:
-        out.append(f"target_switch_time_ms = {cfg.target_switch_time_ms!r}")
-    out.append(f"control_mode = {cfg.control_mode}")
-
-    out.append("")
-    out.append("[paths]")
-    for prefix, spec in (("agonist", cfg.agonist), ("antagonist", cfg.antagonist)):
-        out.append(f"{prefix}_kind = {spec.kind}")
-        out.append(f"{prefix}_reference_length_mm = {spec.reference_length!r}")
-        out.append(f"{prefix}_moment_arm_mm = {spec.moment_arm!r}")
-        if spec.kind == "curved":
-            out.append(f"{prefix}_bow_mm = {spec.bow!r}")
-        if spec.kind == "tabulated" and spec.knots:
-            knots = ", ".join(f"{x!r}:{l!r}" for x, l in spec.knots)
-            out.append(f"{prefix}_knots = {knots}")
-
-    out.append("")
-    out.append("[spools]")
-    out.append(f"spool_radius_mm = {cfg.spool_radius_mm!r}")
-    out.append(f"spring_preload_nmm = {cfg.spring_preload_nmm!r}")
-    out.append(f"spring_rate_nmm_per_deg = {cfg.spring_rate_nmm_per_deg!r}")
-    if cfg.payout_at_zero_mm is not None:
-        out.append(f"payout_at_zero_mm = {cfg.payout_at_zero_mm!r}")
-
-    out.append("")
-    out.append("[sim]")
-    out.append(f"dt_s = {cfg.dt_s!r}")
-    out.append(f"seed = {cfg.seed}")
-
-    if cfg.script:
-        out.append("")
-        out.append("[script]")
-        for cmd in cfg.script:
-            out.append(_serialize_script_command(cmd))
-
-    return "\n".join(out) + "\n"
+    out: dict[str, list[str]] = {section: [] for section in _SECTIONS}
+    shared_module = cfg.drive_module == cfg.switch_module == cfg.driven_module
+    for name, key, spec, value in _written(cfg, _CONFIG_KEYS):
+        if shared_module and name in _MODULE_FIELDS:  # one module_mm line for all three
+            if name != _MODULE_FIELDS[0]:
+                continue
+            key = "module_mm"
+        out[spec.section].append(f"{key} = {_format(value)}")
+    for prefix in _PATHS:
+        for _, key, _, value in _written(getattr(cfg, prefix), _PATH_KEYS):
+            out["paths"].append(f"{prefix}_{key} = {_format(value)}")
+    out["script"] = [_serialize_script_command(cmd) for cmd in cfg.script]
+    blocks = ("\n".join((f"[{section}]", *lines)) for section, lines in out.items() if lines)
+    return "\n\n".join(blocks) + "\n"
 
 
 def load_config(path: str | None) -> Config:

@@ -235,15 +235,7 @@ def run_speed_sweep(
             motor = replace(config.motor, max_output_speed=omega)
             trial = replace(config, motor=motor)
             sim = Simulator(trial, engaged=Side.MINUS, record=False)
-            n_before = len(sim.trace.events)
-            t_cmd = sim.move_motor_to(travel)
-            t_ms = None
-            for event in sim.trace.events[n_before:]:
-                if event.kind is EventKind.ENGAGED and event.side is Side.PLUS:
-                    t_ms = _ms(event.t - t_cmd)
-                    break
-            if t_ms is None:
-                raise NeverEngaged(f"sweep point omega={omega} never engaged")
+            t_ms = _timed_move(sim, travel, Side.PLUS)
             triangular = omega * omega > accel * travel
             points.append(SweepPoint(omega, t_ms, not triangular))
 

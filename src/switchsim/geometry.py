@@ -53,11 +53,6 @@ class GearSpec:
         return self.module * self.tooth_count / 2.0
 
 
-def pitch_radius(gear: GearSpec) -> float:
-    """Pitch radius of a gear, mm (r = module * tooth_count / 2)."""
-    return gear.pitch_radius
-
-
 @dataclass(frozen=True)
 class MechanismLayout:
     """Full planar layout of driving, switch and (two identical) driven gears.
@@ -122,11 +117,6 @@ class EngagementSolution:
     psi_star: float
     theta_track: float
     neutral_half_width: float
-
-    @property
-    def neutral_band(self) -> tuple[float, float]:
-        """The open neutral interval (-w, +w), rad."""
-        return (-self.neutral_half_width, self.neutral_half_width)
 
     def in_neutral_band(self, psi: float) -> bool:
         return -self.neutral_half_width < psi < self.neutral_half_width

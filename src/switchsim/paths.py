@@ -146,12 +146,3 @@ def _bounded_inverse(path, target: float, exact=None) -> float:
         rtol=8.9e-16,
         maxiter=200,
     )
-
-
-def joint_angle_from_payout(path: CablePath, payout: float) -> float:
-    """Pull angle x with L(x) = payout, in the path's own coordinate.
-
-    Raises:
-        OutOfRange: payout not attainable anywhere in [-pi/2, +pi/2].
-    """
-    return path.inverse(payout)

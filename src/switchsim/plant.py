@@ -43,7 +43,6 @@ class MotorModel:
     """Gearmotor seen at the gearhead output shaft."""
 
     max_output_speed: float = 720.0    # deg/s (120 rpm)
-    gearhead_ratio: float = 43.0
     profile_accel: float = math.inf    # deg/s^2; calibrated in the reference config
     control_mode: ControlMode = ControlMode.PROFILE_POSITION
 
@@ -52,8 +51,6 @@ class MotorModel:
             raise ValueError(f"max_output_speed must be positive, got {self.max_output_speed!r}")
         if not (self.profile_accel > 0):
             raise ValueError(f"profile_accel must be positive, got {self.profile_accel!r}")
-        if not (self.gearhead_ratio >= 1):
-            raise ValueError(f"gearhead_ratio must be >= 1, got {self.gearhead_ratio!r}")
 
 
 def profile_position_move(motor: MotorModel, delta: float) -> TrapezoidalProfile:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 from .errors import InvalidState, SubKinematicRatio
-from .geometry import EngagementSolution, MechanismLayout
+from .geometry import EngagementSolution
 
 # Endpoint snap tolerance, rad. Absorbs float roundoff of motor_delta/k_eff
 # chains so a commanded full traversal lands exactly engaged.
@@ -54,13 +54,6 @@ class EventKind(enum.Enum):
     EXITED_NEUTRAL = "exited_neutral"
     ENGAGED = "engaged"
     SPOOL_DRIVEN = "spool_driven"
-
-
-# Kinds that mark a discrete engagement transition (SPOOL_DRIVEN is a motion
-# packet whose chunking depends on step size).
-ENGAGEMENT_EVENT_KINDS = frozenset(
-    {EventKind.DISENGAGED, EventKind.ENTERED_NEUTRAL, EventKind.EXITED_NEUTRAL, EventKind.ENGAGED}
-)
 
 
 @dataclass(frozen=True, slots=True)
@@ -143,6 +136,8 @@ def calibrate_slip(
     if not (revolution_travel > 0):
         raise ValueError(f"revolution_travel must be positive, got {revolution_travel!r}")
     ratio = motor_travel / revolution_travel
+    if not math.isfinite(ratio):
+        raise ValueError(f"motor/revolution ratio must be finite, got {ratio!r}")
     if ratio < carry_ratio * (1.0 - 1e-12):
         raise SubKinematicRatio(
             f"measured motor/revolution ratio {ratio:.6g} below kinematic "
@@ -150,28 +145,6 @@ def calibrate_slip(
         )
     slip = max(0.0, 1.0 - carry_ratio / ratio)
     return TraversalModel(carry_ratio=carry_ratio, slip=slip)
-
-
-@dataclass(frozen=True)
-class CouplingReport:
-    """Which spool the motor currently drives, if any."""
-
-    driven_spool: Side | None
-    speed_ratio: float | None
-    direction_sign: int | None
-
-
-def coupling(state: SwitchState, layout: MechanismLayout) -> CouplingReport:
-    """Spool coupling for the current switch mode.
-
-    While traversing or neutral the motor drives neither spool. Engaged, the
-    spool turns at z_drive/z_driven times motor speed and in the same sense
-    (two external meshes).
-    """
-    side = state.engaged_side
-    if side is None:
-        return CouplingReport(None, None, None)
-    return CouplingReport(side, layout.driven_speed_ratio, 1)
 
 
 def _check_entry(state: SwitchState, engagement: EngagementSolution) -> None:

@@ -12,7 +12,6 @@ from switchsim import (
     TrackDegenerate,
     envelope_diameter,
     kinematic_carry_ratio,
-    pitch_radius,
     solve_center_distance,
     solve_engagement,
     validate_layout,
@@ -42,9 +41,9 @@ def brute_force_psi_star(layout, step=1e-6, chunk=200_000):
 
 class TestPitchRadius:
     def test_examples(self):
-        assert pitch_radius(GearSpec(20, 1.0)) == 10.0
-        assert pitch_radius(GearSpec(16, 1.0)) == 8.0
-        assert pitch_radius(GearSpec(24, 0.5)) == 6.0
+        assert GearSpec(20, 1.0).pitch_radius == 10.0
+        assert GearSpec(16, 1.0).pitch_radius == 8.0
+        assert GearSpec(24, 0.5).pitch_radius == 6.0
 
     @given(
         teeth=st.integers(min_value=8, max_value=200),
@@ -52,9 +51,9 @@ class TestPitchRadius:
         scale=st.integers(min_value=1, max_value=5),
     )
     def test_linear_in_teeth_and_module(self, teeth, module, scale):
-        base = pitch_radius(GearSpec(teeth, module))
-        assert pitch_radius(GearSpec(teeth * scale, module)) == pytest.approx(base * scale)
-        assert pitch_radius(GearSpec(teeth, module * scale)) == pytest.approx(base * scale)
+        base = GearSpec(teeth, module).pitch_radius
+        assert GearSpec(teeth * scale, module).pitch_radius == pytest.approx(base * scale)
+        assert GearSpec(teeth, module * scale).pitch_radius == pytest.approx(base * scale)
 
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):

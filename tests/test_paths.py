@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from switchsim import CurvedPath, LinearPath, OutOfRange, TabulatedPath, joint_angle_from_payout
+from switchsim import CurvedPath, LinearPath, OutOfRange, TabulatedPath
 
 
 LINEAR = LinearPath(300.0, 25.0)
@@ -13,18 +13,18 @@ CURVED = CurvedPath(300.0, 25.0, 5.0)
 class TestLinear:
     def test_anchor(self):
         assert LINEAR.length(0.0) == 300.0
-        assert joint_angle_from_payout(LINEAR, 300.0) == 0.0
+        assert LINEAR.inverse(300.0) == 0.0
 
     def test_closed_form_inverse_at_limit(self):
         limit = 300.0 - 25.0 * math.pi / 2
         assert limit == pytest.approx(260.73, abs=0.01)
-        assert joint_angle_from_payout(LINEAR, limit) == pytest.approx(math.pi / 2)
+        assert LINEAR.inverse(limit) == pytest.approx(math.pi / 2)
 
     def test_out_of_range(self):
         with pytest.raises(OutOfRange):
-            joint_angle_from_payout(LINEAR, 250.0)
+            LINEAR.inverse(250.0)
         with pytest.raises(OutOfRange):
-            joint_angle_from_payout(LINEAR, 345.0)
+            LINEAR.inverse(345.0)
 
     def test_rejects_non_decreasing(self):
         with pytest.raises(ValueError):
@@ -39,14 +39,14 @@ class TestCurved:
         lo, hi = CURVED.length(math.pi / 2), CURVED.length(-math.pi / 2)
         for _ in range(1000):
             target = rng.uniform(lo, hi)
-            x = joint_angle_from_payout(CURVED, target)
+            x = CURVED.inverse(target)
             assert abs(CURVED.length(x) - target) < 1e-9
 
     def test_angle_round_trip_1000(self):
         rng = random.Random(11)
         for _ in range(1000):
             x = rng.uniform(-math.pi / 2, math.pi / 2)
-            back = joint_angle_from_payout(CURVED, CURVED.length(x))
+            back = CURVED.inverse(CURVED.length(x))
             assert abs(back - x) < 1e-8
 
     def test_monotonicity_guard(self):
@@ -70,7 +70,7 @@ class TestTabulated:
         lo, hi = table.length(math.pi / 2), table.length(-math.pi / 2)
         for _ in range(200):
             target = rng.uniform(lo, hi)
-            x = joint_angle_from_payout(table, target)
+            x = table.inverse(target)
             assert abs(table.length(x) - target) < 1e-9
 
     def test_monotone_between_knots(self, table):

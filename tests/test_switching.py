@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from switchsim import (
-    CouplingReport,
     EventKind,
     GearSpec,
     InvalidState,
@@ -15,7 +14,6 @@ from switchsim import (
     SwitchState,
     TraversalModel,
     calibrate_slip,
-    coupling,
     step_switch,
 )
 
@@ -44,6 +42,13 @@ class TestCalibrateSlip:
     def test_sub_kinematic_rejected(self):
         with pytest.raises(SubKinematicRatio):
             calibrate_slip(10.0, 20.0, 1.8)
+
+    def test_non_finite_ratio_rejected(self):
+        # max(0, 1 - k/nan) would silently calibrate slip 0
+        with pytest.raises(ValueError, match="finite"):
+            calibrate_slip(math.nan, 19.8, 1.8)
+        with pytest.raises(ValueError, match="finite"):
+            calibrate_slip(math.inf, 19.8, 1.8)
 
     def test_effective_ratio_lower_bound(self):
         assert TraversalModel(1.8, 0.5).effective_ratio == pytest.approx(3.6)
@@ -192,21 +197,34 @@ class TestComposability:
 
 
 class TestCoupling:
-    def test_neutral_decoupled(self, ref_layout):
-        report = coupling(SwitchState.neutral(), ref_layout)
-        assert report == CouplingReport(None, None, None)
+    """The motor drives a spool only while engaged, at z_drive/z_driven and in its own sense."""
 
-    def test_traversing_decoupled(self, ref_layout):
-        report = coupling(SwitchState(SwitchMode.TRAVERSING, 0.05), ref_layout)
-        assert report.driven_spool is None
+    @staticmethod
+    def spool_packets(state, model, engagement, delta, ratio=1.0):
+        """Driven-spool rotation of each SPOOL_DRIVEN packet of one step."""
+        _, events = step_switch(state, model, engagement, delta, ratio)
+        return [e.spool_rotation for e in events if e.kind is EventKind.SPOOL_DRIVEN]
 
-    def test_engaged_plus_unit_ratio(self, ref_layout, ref_engagement):
-        report = coupling(SwitchState.engaged(Side.PLUS, ref_engagement), ref_layout)
-        assert report.driven_spool is Side.PLUS
-        assert report.speed_ratio == pytest.approx(1.0)
-        assert report.direction_sign == 1
+    def test_neutral_decoupled(self, model, ref_engagement):
+        state = SwitchState.neutral()
+        assert state.engaged_side is None
+        assert self.spool_packets(state, model, ref_engagement, 0.01) == []
 
-    def test_engaged_minus_reduced(self, ref_engagement):
+    def test_traversing_decoupled(self, model, ref_engagement):
+        state = SwitchState(SwitchMode.TRAVERSING, 0.05)
+        assert state.engaged_side is None
+        assert self.spool_packets(state, model, ref_engagement, 0.01) == []
+
+    def test_engaged_plus_unit_ratio(self, model, ref_layout, ref_engagement):
+        state = SwitchState.engaged(Side.PLUS, ref_engagement)
+        assert state.engaged_side is Side.PLUS
+        assert ref_layout.driven_speed_ratio == pytest.approx(1.0)
+        packets = self.spool_packets(
+            state, model, ref_engagement, 0.1, ref_layout.driven_speed_ratio
+        )
+        assert packets == [pytest.approx(0.1)]  # same sense as the motor
+
+    def test_engaged_minus_reduced(self, model, ref_engagement):
         layout = MechanismLayout(
             driving=GearSpec(20, 1.0),
             switch=GearSpec(16, 1.0),
@@ -214,7 +232,10 @@ class TestCoupling:
             driven_center_distance=40.0,
             driven_half_angle=math.radians(25.0),
         )
-        report = coupling(SwitchState.engaged(Side.MINUS, ref_engagement), layout)
-        assert report.driven_spool is Side.MINUS
-        assert report.speed_ratio == pytest.approx(0.6667, abs=1e-4)
-        assert report.direction_sign == 1
+        state = SwitchState.engaged(Side.MINUS, ref_engagement)
+        assert state.engaged_side is Side.MINUS
+        assert layout.driven_speed_ratio == pytest.approx(0.6667, abs=1e-4)
+        packets = self.spool_packets(
+            state, model, ref_engagement, -0.1, layout.driven_speed_ratio
+        )
+        assert packets == [pytest.approx(-0.1 * 20 / 30)]  # same sense as the motor
