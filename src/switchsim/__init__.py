@@ -27,6 +27,7 @@ from .errors import (
     TrackDegenerate,
 )
 from .experiments import (
+    ControlMode,
     IndependenceReport,
     SweepCurve,
     SwitchingTimeStats,
@@ -44,7 +45,6 @@ from .geometry import (
     ValidationReport,
     envelope_diameter,
     kinematic_carry_ratio,
-    reference_layout,
     solve_center_distance,
     solve_engagement,
     validate_layout,
@@ -59,7 +59,6 @@ from .optimizer import (
 )
 from .paths import CurvedPath, LinearPath, TabulatedPath
 from .plant import (
-    ControlMode,
     DisturbancePulses,
     InjectDisturbance,
     MotorModel,
@@ -72,7 +71,6 @@ from .plant import (
     Trace,
     Wait,
     initial_state,
-    profile_position_move,
     run_script,
     step_plant,
 )

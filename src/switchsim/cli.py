@@ -17,6 +17,7 @@ import sys
 from .config import Config, load_config
 from .errors import ConfigError, SwitchSimError
 from .experiments import (
+    ControlMode,
     calibrate_profile_accel,
     run_independence,
     run_speed_sweep,
@@ -25,7 +26,7 @@ from .experiments import (
 from .geometry import kinematic_carry_ratio, validate_layout
 from .motion import trapezoid_duration
 from .optimizer import DesignConstraints, DesignSpace, optimize
-from .plant import ControlMode, run_script
+from .plant import run_script
 from .switching import calibrate_slip
 
 DEFAULT_SWEEP_OMEGAS = "180,270,360,450,540,630,720"

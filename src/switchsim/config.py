@@ -41,7 +41,6 @@ from .geometry import (
 )
 from .paths import CablePath, CurvedPath, LinearPath, TabulatedPath, X_MAX
 from .plant import (
-    ControlMode,
     DisturbancePulses,
     InjectDisturbance,
     MotorModel,
@@ -138,12 +137,6 @@ class Config:
         None, "motor", name="profile_accel_deg_s2", replaces=("target_switch_time_ms",)
     )
     target_switch_time_ms: float = _key(302.0, "motor")
-    control_mode: str = _key(
-        "position",
-        "motor",
-        str,
-        check=(lambda v: v in ("position", "velocity"), "{key} must be position or velocity"),
-    )
     agonist: PathSpec = field(default_factory=PathSpec)
     antagonist: PathSpec = field(default_factory=lambda: PathSpec(kind="curved", bow=5.0))
     spool_radius_mm: float = _key(10.0, "spools", check=_POSITIVE)
@@ -188,18 +181,11 @@ class Config:
             accel = self.profile_accel
         else:
             layout = layout or self.layout()
-            travel = math.degrees(
-                self.traversal(layout).effective_ratio
-                * solve_engagement(layout).theta_track
-            )
+            travel = self.traversal(layout).motor_travel(solve_engagement(layout).theta_track)
             accel = calibrate_profile_accel(
                 self.target_switch_time_ms / 1000.0, travel, self.max_output_speed
             )
-        return MotorModel(
-            max_output_speed=self.max_output_speed,
-            profile_accel=accel,
-            control_mode=ControlMode(self.control_mode),
-        )
+        return MotorModel(max_output_speed=self.max_output_speed, profile_accel=accel)
 
     def spool(self, path: CablePath) -> SpoolModel:
         payout_at_zero = self.payout_at_zero_mm
@@ -291,10 +277,7 @@ _ONE_NUMBER = {"move_to": MoveMotorTo, "set_velocity": SetVelocity, "wait": Wait
 def _parse_script_line(line: str) -> ScriptCommand:
     name, *args = line.split()
     if name in _ONE_NUMBER and len(args) == 1:
-        number = _finite(args[0])
-        if name == "wait" and number < 0:
-            raise ValueError(f"wait duration must not be negative, got {args[0]!r}")
-        return _ONE_NUMBER[name](number)
+        return _ONE_NUMBER[name](_finite(args[0]))
     if name == "disturb" and len(args) in (2, 3):
         width = _finite(args[2]) if len(args) == 3 else 0.05
         return InjectDisturbance(

@@ -8,6 +8,7 @@ the published observations.
 
 from __future__ import annotations
 
+import enum
 import math
 import random
 import statistics
@@ -15,7 +16,6 @@ from dataclasses import dataclass, replace
 
 from .errors import BelowKinematicFloor, NeverEngaged
 from .plant import (
-    ControlMode,
     DisturbancePulses,
     InjectDisturbance,
     MoveMotorTo,
@@ -26,6 +26,11 @@ from .plant import (
 from .switching import EventKind, Side
 
 DEFAULT_JITTER_SIGMA_MS = 0.6  # emulates the bench's measured trial-to-trial spread
+
+
+class ControlMode(enum.Enum):
+    PROFILE_POSITION = "position"
+    PROFILE_VELOCITY = "velocity"
 
 
 def _ms(duration_s: float) -> float:
@@ -40,9 +45,7 @@ def _ms(duration_s: float) -> float:
 
 def motor_travel_per_traversal(config: PlantConfig) -> float:
     """Output-shaft rotation (deg) consumed by one full endpoint-to-endpoint traversal."""
-    return math.degrees(
-        config.traversal.effective_ratio * config.engagement.theta_track
-    )
+    return config.traversal.motor_travel(config.engagement.theta_track)
 
 
 @dataclass(frozen=True)
@@ -76,8 +79,6 @@ def run_switching_time(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
-    if config.motor.control_mode is not ControlMode.PROFILE_POSITION:
-        raise ValueError("switching-time trials need the motor in Profile Position mode")
     base_seed = config.seed if seed is None else seed
     travel = motor_travel_per_traversal(config)
     sim = Simulator(config, engaged=Side.MINUS, record=False)
@@ -129,7 +130,7 @@ def full_rom_script(config: PlantConfig) -> list[MoveMotorTo]:
     converts to spool rotation, then to motor rotation through the gear
     ratio, plus one full traversal where the motor reverses.
     """
-    ratio = config.spool_ratio
+    ratio = config.layout.driven_speed_ratio
     plus, minus = config.path_plus, config.path_minus
     half = math.pi / 2
 
@@ -275,6 +276,8 @@ def calibrate_profile_accel(t_measured: float, delta: float, max_speed: float) -
     """
     if not (delta > 0 and max_speed > 0):
         raise ValueError("delta and max_speed must be positive")
+    if not math.isfinite(t_measured):
+        raise ValueError(f"t_measured must be finite, got {t_measured!r}")
     floor = delta / max_speed
     if t_measured <= floor:
         raise BelowKinematicFloor(

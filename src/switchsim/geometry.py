@@ -337,28 +337,3 @@ def solve_center_distance(
     if d <= 0.0:
         raise NoEngagement("solved centre distance is not positive")
     return d
-
-
-def reference_layout(backlash_margin: float = DEFAULT_BACKLASH_MARGIN) -> MechanismLayout:
-    """The named reference mechanism all published-number reproductions use.
-
-    Module 1 mm, teeth 20/16/20, driven gears at +/-25 deg. The centre
-    distance is constructed (not tabulated) so the track travel is exactly
-    19.8 deg, the one geometric observable of the physical build.
-    """
-    driving = GearSpec(20, 1.0)
-    switch = GearSpec(16, 1.0)
-    driven = GearSpec(20, 1.0)
-    phi_d = math.radians(25.0)
-    d = solve_center_distance(
-        driving, switch, driven, phi_d,
-        math.radians(REFERENCE_TRACK_TRAVEL_DEG / 2.0),
-    )
-    return MechanismLayout(
-        driving=driving,
-        switch=switch,
-        driven=driven,
-        driven_center_distance=d,
-        driven_half_angle=phi_d,
-        backlash_margin=backlash_margin,
-    )

@@ -10,15 +10,13 @@ predictions at the measured slip.
 from __future__ import annotations
 
 import itertools
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge
 from .geometry import (
     GearSpec,
     MechanismLayout,
     MIN_TOOTH_COUNT,
-    ValidationReport,
     envelope_diameter,
     kinematic_carry_ratio,
     solve_center_distance,
@@ -28,6 +26,7 @@ from .geometry import (
 )
 from .motion import trapezoid_duration
 from .plant import MotorModel
+from .switching import TraversalModel
 
 DEFAULT_SPACE_CAP = 1_000_000
 
@@ -91,7 +90,6 @@ class DesignResult:
     k_eff: float
     driven_ratio: float
     envelope: float               # mm
-    report: ValidationReport = field(compare=False)
 
     @property
     def sort_key(self):
@@ -117,17 +115,16 @@ def evaluate_design(layout: MechanismLayout, slip: float, motor: MotorModel) -> 
     if not report.ok:
         raise InvalidDesign(report)
     solution = solve_engagement(layout)
-    k_eff = kinematic_carry_ratio(layout) / (1.0 - slip)
-    travel = math.degrees(k_eff * solution.theta_track)
+    traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
+    travel = traversal.motor_travel(solution.theta_track)
     t_switch = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
     return DesignResult(
         layout=layout,
         predicted_t_switch_ms=t_switch * 1000.0,
         theta_track=solution.theta_track,
-        k_eff=k_eff,
+        k_eff=traversal.effective_ratio,
         driven_ratio=layout.driven_speed_ratio,
         envelope=envelope_diameter(layout),
-        report=report,
     )
 
 

@@ -12,10 +12,9 @@ in radians; lengths mm; forces N; times s.
 
 from __future__ import annotations
 
-import enum
 import math
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import NeverEngaged, RangeExceeded, SlackDetected
 from .geometry import EngagementSolution, MechanismLayout
@@ -33,34 +32,18 @@ from .switching import (
 DEFAULT_DT = 1e-3  # s; resolves 300 ms phenomena to 0.3 %
 
 
-class ControlMode(enum.Enum):
-    PROFILE_POSITION = "position"
-    PROFILE_VELOCITY = "velocity"
-
-
 @dataclass(frozen=True)
 class MotorModel:
     """Gearmotor seen at the gearhead output shaft."""
 
     max_output_speed: float = 720.0    # deg/s (120 rpm)
     profile_accel: float = math.inf    # deg/s^2; calibrated in the reference config
-    control_mode: ControlMode = ControlMode.PROFILE_POSITION
 
     def __post_init__(self):
         if not (self.max_output_speed > 0):
             raise ValueError(f"max_output_speed must be positive, got {self.max_output_speed!r}")
         if not (self.profile_accel > 0):
             raise ValueError(f"profile_accel must be positive, got {self.profile_accel!r}")
-
-
-def profile_position_move(motor: MotorModel, delta: float) -> TrapezoidalProfile:
-    """Plan a Profile-Position move of ``delta`` output degrees.
-
-    Accelerates at the motor's profile acceleration to at most its speed
-    limit, cruises, and decelerates to rest, covering exactly |delta|;
-    degenerates to a triangular profile for short moves.
-    """
-    return TrapezoidalProfile.plan(delta, motor.max_output_speed, motor.profile_accel)
 
 
 @dataclass(frozen=True)
@@ -73,6 +56,9 @@ class SpoolModel:
     payout_at_zero: float = 0.0          # mm of payout at zero spring wind-up
 
     def __post_init__(self):
+        for name in ("spring_rate", "payout_at_zero"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
         if not (self.spool_radius > 0):
             raise ValueError(f"spool_radius must be positive, got {self.spool_radius!r}")
         if not (self.spring_preload_torque > 0):
@@ -99,15 +85,15 @@ class PlantConfig:
     dt: float = DEFAULT_DT
     seed: int = 0
 
+    def __post_init__(self):
+        if not (0 < self.dt < math.inf):
+            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+
     def path(self, side: Side) -> CablePath:
         return self.path_plus if side is Side.PLUS else self.path_minus
 
     def spool(self, side: Side) -> SpoolModel:
         return self.spool_plus if side is Side.PLUS else self.spool_minus
-
-    @property
-    def spool_ratio(self) -> float:
-        return self.layout.driven_speed_ratio
 
 
 @dataclass(frozen=True, slots=True)
@@ -120,8 +106,6 @@ class SimState:
     payout_minus: float       # mm
     tension_plus: float       # N
     tension_minus: float      # N
-    disturbance_plus: float = 0.0   # mm of extra payout injected on this side
-    disturbance_minus: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -164,36 +148,35 @@ def initial_state(
 def step_plant(
     state: SimState,
     config: PlantConfig,
-    dt: float,
+    t: float,
     motor_delta: float = 0.0,
-    disturbance_plus: float | None = None,
-    disturbance_minus: float | None = None,
+    disturbance_plus: float = 0.0,
+    disturbance_minus: float = 0.0,
 ) -> tuple[SimState, list[Event]]:
-    """Advance the plant by one step of ``dt`` with the given motor increment.
+    """Advance the plant to time ``t`` with the given motor increment.
 
-    Routes ``motor_delta`` (output-shaft degrees) through the switch state
-    machine; any resulting spool rotation winds/unwinds the engaged cable,
-    the engaged path law is inverted to get the new joint angle, and the
-    disengaged payout follows its own law at that angle plus any injected
-    disturbance. While traversing or neutral the joint is untouched
-    (transparency).
+    ``t`` is the end time of the step and becomes the new state's time; it
+    must lie after ``state.t``. Routes ``motor_delta`` (output-shaft
+    degrees) through the switch state machine; any resulting spool rotation
+    winds/unwinds the engaged cable, the engaged path law is inverted to get
+    the new joint angle, and the disengaged payout follows its own law at
+    that angle. ``disturbance_plus``/``disturbance_minus`` add extra payout
+    (mm) on that side for this step only. While traversing or neutral the
+    joint is untouched (transparency).
 
     Raises:
         RangeExceeded: joint driven outside [-pi/2, +pi/2] (timestamped).
-        SlackDetected: a tension reached zero (timestamped).
+        SlackDetected: a tension is not positive (timestamped).
     """
-    if not (dt > 0):
-        raise ValueError(f"dt must be positive, got {dt!r}")
-    t1 = state.t + dt
-    dist_plus = state.disturbance_plus if disturbance_plus is None else disturbance_plus
-    dist_minus = state.disturbance_minus if disturbance_minus is None else disturbance_minus
+    if not (t > state.t):
+        raise ValueError(f"step end time {t!r} must be after the state time {state.t!r}")
 
     switch, events = step_switch(
         state.switch,
         config.traversal,
         config.engagement,
         math.radians(motor_delta),
-        spool_ratio=config.spool_ratio,
+        spool_ratio=config.layout.driven_speed_ratio,
     )
 
     joint_angle = state.joint_angle
@@ -212,18 +195,18 @@ def step_plant(
             joint_angle = sign * path.inverse(length1)
         except OutOfRange as exc:
             raise RangeExceeded(
-                f"joint left [-90, +90] deg at t={t1:.6f} s: {exc}"
+                f"joint left [-90, +90] deg at t={t:.6f} s: {exc}"
             ) from exc
 
-    payout_plus, payout_minus = _payouts(config, joint_angle, dist_plus, dist_minus)
+    payout_plus, payout_minus = _payouts(config, joint_angle, disturbance_plus, disturbance_minus)
     tension_plus = config.spool_plus.tension(payout_plus)
     tension_minus = config.spool_minus.tension(payout_minus)
-    if tension_plus <= 0.0 or tension_minus <= 0.0:
-        side = "plus" if tension_plus <= 0.0 else "minus"
-        raise SlackDetected(f"{side} cable tension reached zero at t={t1:.6f} s")
+    if not (tension_plus > 0.0 and tension_minus > 0.0):
+        side, tension = ("minus", tension_minus) if tension_plus > 0.0 else ("plus", tension_plus)
+        raise SlackDetected(f"{side} cable tension {tension!r} N is not positive at t={t:.6f} s")
 
     new_state = SimState(
-        t=t1,
+        t=t,
         motor_angle=state.motor_angle + motor_delta,
         switch=switch,
         joint_angle=joint_angle,
@@ -231,8 +214,6 @@ def step_plant(
         payout_minus=payout_minus,
         tension_plus=tension_plus,
         tension_minus=tension_minus,
-        disturbance_plus=dist_plus,
-        disturbance_minus=dist_minus,
     )
     return new_state, events
 
@@ -247,6 +228,10 @@ class MoveMotorTo:
 
     angle: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.angle):
+            raise ValueError(f"move_to angle must be finite, got {self.angle!r}")
+
 
 @dataclass(frozen=True)
 class SetVelocity:
@@ -254,12 +239,22 @@ class SetVelocity:
 
     rate: float
 
+    def __post_init__(self):
+        if not math.isfinite(self.rate):
+            raise ValueError(f"set_velocity rate must be finite, got {self.rate!r}")
+
 
 @dataclass(frozen=True)
 class Wait:
     """Let the simulation run for ``duration`` seconds."""
 
     duration: float
+
+    def __post_init__(self):
+        if not math.isfinite(self.duration):
+            raise ValueError(f"wait duration must be finite, got {self.duration!r}")
+        if self.duration < 0:
+            raise ValueError(f"wait duration must not be negative, got {self.duration!r}")
 
 
 @dataclass(frozen=True)
@@ -281,7 +276,7 @@ class DisturbancePulses:
     def __post_init__(self):
         if self.target not in ("plus", "minus", "engaged", "disengaged"):
             raise ValueError(f"unknown disturbance target {self.target!r}")
-        if self.magnitude < 0:
+        if not (self.magnitude >= 0):
             raise ValueError("disturbance magnitude must be non-negative")
         if not (self.width > 0 and 0 < self.min_gap <= self.max_gap):
             raise ValueError("pulse width and gaps must be positive, min_gap <= max_gap")
@@ -416,7 +411,8 @@ class Simulator:
         t_cmd = self.t
         self._velocity = 0.0
         delta = target - self.state.motor_angle
-        profile = profile_position_move(self.config.motor, delta)
+        motor = self.config.motor
+        profile = TrapezoidalProfile.plan(delta, motor.max_output_speed, motor.profile_accel)
         self._profile = profile
         self._profile_t0 = t_cmd
         n_steps = math.ceil(profile.duration / self.config.dt - 1e-12)
@@ -526,12 +522,11 @@ class Simulator:
         state, events = step_plant(
             self.state,
             self.config,
-            dt,
+            t1,
             motor_delta=delta,
             disturbance_plus=dist_plus,
             disturbance_minus=dist_minus,
         )
-        state = replace(state, t=t1)
         for event in events:
             if event.kind is EventKind.SPOOL_DRIVEN:
                 continue

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .errors import InvalidState, SubKinematicRatio
 from .geometry import EngagementSolution
@@ -78,19 +78,14 @@ class Event:
 class SwitchState:
     mode: SwitchMode
     psi: float
-    last_motor_direction: int = 0
 
     @staticmethod
     def engaged(side: Side, engagement: EngagementSolution) -> "SwitchState":
-        return SwitchState(
-            mode=_ENGAGED_MODE[side],
-            psi=side.sign * engagement.psi_star,
-            last_motor_direction=side.sign,
-        )
+        return SwitchState(_ENGAGED_MODE[side], side.sign * engagement.psi_star)
 
     @staticmethod
     def neutral(psi: float = 0.0) -> "SwitchState":
-        return SwitchState(mode=SwitchMode.NEUTRAL, psi=psi, last_motor_direction=0)
+        return SwitchState(SwitchMode.NEUTRAL, psi)
 
     @property
     def engaged_side(self) -> Side | None:
@@ -119,6 +114,10 @@ class TraversalModel:
     def effective_ratio(self) -> float:
         """Motor rotation per unit switch revolution, k_eff = k_kin/(1-s)."""
         return self.carry_ratio / (1.0 - self.slip)
+
+    def motor_travel(self, theta_track: float) -> float:
+        """Output-shaft degrees that carry the switch across a ``theta_track`` rad track."""
+        return math.degrees(self.effective_ratio * theta_track)
 
 
 def calibrate_slip(
@@ -222,7 +221,7 @@ def step_switch(
 
     if motor_delta == 0.0:
         if state.mode is SwitchMode.TRAVERSING and engagement.in_neutral_band(state.psi):
-            return replace(state, mode=SwitchMode.NEUTRAL), []
+            return SwitchState.neutral(state.psi), []
         return state, []
 
     direction = 1 if motor_delta > 0 else -1
@@ -243,7 +242,7 @@ def step_switch(
                 spool_rotation=motor_delta * spool_ratio,
             )
         )
-        return replace(state, last_motor_direction=direction), events
+        return state, events
 
     if engaged is not None:
         events.append(Event(EventKind.DISENGAGED, engaged, psi0, motor_progress=0.0))
@@ -259,7 +258,7 @@ def step_switch(
         )
 
     if not reaches:
-        return SwitchState(SwitchMode.TRAVERSING, psi1, direction), events
+        return SwitchState(SwitchMode.TRAVERSING, psi1), events
 
     new_side = Side.from_sign(direction)
     traverse_progress = (endpoint - psi0) * k_eff
@@ -277,4 +276,4 @@ def step_switch(
                 spool_rotation=residual * spool_ratio,
             )
         )
-    return SwitchState(_ENGAGED_MODE[new_side], endpoint, direction), events
+    return SwitchState(_ENGAGED_MODE[new_side], endpoint), events

@@ -6,7 +6,6 @@ import pytest
 from switchsim import (
     Config,
     MechanismLayout,
-    reference_layout,
     solve_center_distance,
     solve_engagement,
     validate_layout,
@@ -16,7 +15,7 @@ from switchsim.geometry import GearSpec
 
 @pytest.fixture(scope="session")
 def ref_layout():
-    return reference_layout()
+    return Config().layout()
 
 @pytest.fixture(scope="session")
 def ref_engagement(ref_layout):

@@ -247,7 +247,7 @@ def test_criterion_8_neutral_transparency(capsys, ref_plant):
     delta = 0.05
     for i in range(1_000_000):
         state, _ = step_plant(
-            state, ref_plant, ref_plant.dt, motor_delta=delta if i % 2 == 0 else -delta
+            state, ref_plant, (i + 1) * ref_plant.dt, motor_delta=delta if i % 2 == 0 else -delta
         )
         if (
             state.joint_angle != joint0

@@ -138,6 +138,13 @@ class TestErrors:
         err = self.assert_errors(f"[script]\nwait 0.1\n{command}\n", "not a finite number")
         assert [line for line, _ in err.errors] == [3]
 
+    def test_removed_control_mode_key_rejected_with_line(self):
+        err = self.assert_errors(
+            "[motor]\nmax_output_speed_deg_s = 720.0\ncontrol_mode = position\n",
+            "unknown key 'control_mode' in [motor]",
+        )
+        assert [line for line, _ in err.errors] == [3]
+
     def test_negative_wait_rejected_with_line(self):
         err = self.assert_errors("[script]\nmove_to 10\nwait -1\n", "must not be negative")
         assert [line for line, _ in err.errors] == [3]
@@ -177,7 +184,6 @@ class TestRoundTrip:
             driven_half_angle_deg=30.0,
             slip=0.5,
             profile_accel=4800.0,
-            control_mode="velocity",
             antagonist=PathSpec(kind="curved", reference_length=310.0, moment_arm=22.0, bow=4.0),
             payout_at_zero_mm=250.0,
             dt_s=0.0005,
@@ -225,7 +231,6 @@ class TestSerializedText:
             "driven_half_angle_deg = 25.0\ntrack_travel_deg = 19.8\nbacklash_margin_mm = 0.2\n"
             "\n[traversal]\nmotor_travel_deg = 122.6\nrevolution_travel_deg = 19.8\n"
             "\n[motor]\nmax_output_speed_deg_s = 720.0\ntarget_switch_time_ms = 302.0\n"
-            "control_mode = position\n"
             "\n[paths]\nagonist_kind = linear\nagonist_reference_length_mm = 300.0\n"
             "agonist_moment_arm_mm = 25.0\nantagonist_kind = curved\n"
             "antagonist_reference_length_mm = 300.0\nantagonist_moment_arm_mm = 25.0\n"
@@ -244,7 +249,6 @@ class TestSerializedText:
             center_distance_mm=34.757014711652,
             slip=0.5,
             profile_accel=4800.0,
-            control_mode="velocity",
             agonist=PathSpec(kind="curved", reference_length=310.0, moment_arm=22.0, bow=-4.0),
             antagonist=PathSpec(
                 kind="tabulated", knots=((-90.0, 344.27), (0.0, 300.0), (90.0, 255.73))
@@ -267,7 +271,6 @@ class TestSerializedText:
             "backlash_margin_mm = 0.2\n"
             "\n[traversal]\nslip = 0.5\n"
             "\n[motor]\nmax_output_speed_deg_s = 720.0\nprofile_accel_deg_s2 = 4800.0\n"
-            "control_mode = velocity\n"
             "\n[paths]\nagonist_kind = curved\nagonist_reference_length_mm = 310.0\n"
             "agonist_moment_arm_mm = 22.0\nagonist_bow_mm = -4.0\nantagonist_kind = tabulated\n"
             "antagonist_reference_length_mm = 300.0\nantagonist_moment_arm_mm = 25.0\n"

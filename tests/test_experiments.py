@@ -66,14 +66,6 @@ class TestSwitchingTime:
         with pytest.raises(NeverEngaged):
             _timed_move(sim, motor_travel_per_traversal(ref_plant) / 2, Side.PLUS)
 
-    def test_requires_position_mode(self, ref_plant):
-        velocity_plant = replace(
-            ref_plant,
-            motor=replace(ref_plant.motor, control_mode=ControlMode.PROFILE_VELOCITY),
-        )
-        with pytest.raises(ValueError, match="Profile Position"):
-            run_switching_time(velocity_plant, n_trials=1, jitter=False)
-
     def test_never_engaged_on_timeout(self, ref_plant):
         from switchsim import Side, Simulator
 
@@ -156,6 +148,11 @@ class TestCalibrateProfileAccel:
     def test_published_down_time(self):
         accel = calibrate_profile_accel(0.298, 122.6, 720.0)
         assert accel == pytest.approx(5637.0, abs=0.3)
+
+    @pytest.mark.parametrize("t_measured", [math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t_measured):
+        with pytest.raises(ValueError, match="t_measured must be finite"):
+            calibrate_profile_accel(t_measured, 122.6, 720.0)
 
     def test_below_floor_rejected(self):
         with pytest.raises(BelowKinematicFloor):

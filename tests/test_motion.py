@@ -3,7 +3,7 @@ import math
 import pytest
 from hypothesis import given, strategies as st
 
-from switchsim import MotorModel, TrapezoidalProfile, profile_position_move, trapezoid_duration
+from switchsim import MotorModel, TrapezoidalProfile, trapezoid_duration
 
 
 CAL_ACCEL = 720.0 / (0.302 - 122.6 / 720.0)  # reference profile acceleration
@@ -85,6 +85,6 @@ class TestProfile:
 
 def test_profile_position_move_uses_motor_limits():
     motor = MotorModel(max_output_speed=720.0, profile_accel=CAL_ACCEL)
-    p = profile_position_move(motor, 122.6)
+    p = TrapezoidalProfile.plan(122.6, motor.max_output_speed, motor.profile_accel)
     assert p.duration == pytest.approx(0.302, abs=1e-12)
     assert p.peak_speed == 720.0

@@ -7,6 +7,7 @@ from switchsim import (
     Config,
     DisturbancePulses,
     InjectDisturbance,
+    MoveMotorTo,
     RangeExceeded,
     SetVelocity,
     Side,
@@ -37,7 +38,7 @@ class TestStepPlant:
         # antagonist pays out 10 mm along its own law.
         state = initial_state(linear_plant)
         new, _ = step_plant(
-            state, linear_plant, dt=1e-3, motor_delta=math.degrees(1.0)
+            state, linear_plant, t=1e-3, motor_delta=math.degrees(1.0)
         )
         assert new.payout_plus - state.payout_plus == pytest.approx(-10.0, abs=1e-9)
         assert new.joint_angle == pytest.approx(0.4, abs=1e-9)
@@ -47,7 +48,7 @@ class TestStepPlant:
         state = replace(
             initial_state(ref_plant, engaged=None), switch=SwitchState.neutral()
         )
-        new, _ = step_plant(state, ref_plant, dt=1e-3, motor_delta=30.0)
+        new, _ = step_plant(state, ref_plant, t=1e-3, motor_delta=30.0)
         assert new.joint_angle == state.joint_angle
         assert new.payout_plus == state.payout_plus
         assert new.payout_minus == state.payout_minus
@@ -55,9 +56,9 @@ class TestStepPlant:
 
     def test_disturbance_shifts_only_disengaged(self, linear_plant):
         state = initial_state(linear_plant)
-        base, _ = step_plant(state, linear_plant, dt=1e-3, motor_delta=10.0)
+        base, _ = step_plant(state, linear_plant, t=1e-3, motor_delta=10.0)
         shifted, _ = step_plant(
-            state, linear_plant, dt=1e-3, motor_delta=10.0, disturbance_minus=5.0
+            state, linear_plant, t=1e-3, motor_delta=10.0, disturbance_minus=5.0
         )
         assert shifted.payout_plus == base.payout_plus
         assert shifted.payout_minus == base.payout_minus + 5.0
@@ -67,7 +68,7 @@ class TestStepPlant:
         state = initial_state(linear_plant)
         # +90 deg of joint is 25*pi/2 mm of cable = ~225 deg of motor; ask for more.
         with pytest.raises(RangeExceeded):
-            step_plant(state, linear_plant, dt=1.0, motor_delta=260.0)
+            step_plant(state, linear_plant, t=1.0, motor_delta=260.0)
 
     def test_slack_detected(self, linear_plant):
         slack_spool = SpoolModel(
@@ -78,7 +79,77 @@ class TestStepPlant:
         )
         bad = replace(linear_plant, spool_plus=slack_spool)
         with pytest.raises(SlackDetected):
-            step_plant(initial_state(bad), bad, dt=1e-3, motor_delta=0.0)
+            step_plant(initial_state(bad), bad, t=1e-3, motor_delta=0.0)
+
+
+    def test_end_time_must_follow_state_time(self, linear_plant):
+        state = initial_state(linear_plant)
+        with pytest.raises(ValueError, match="end time"):
+            step_plant(state, linear_plant, t=0.0, motor_delta=1.0)
+
+    def test_end_time_becomes_state_time(self, linear_plant):
+        state, _ = step_plant(initial_state(linear_plant), linear_plant, t=0.25)
+        assert state.t == 0.25
+
+    def test_disturbance_holds_for_one_step_only(self, linear_plant):
+        state = initial_state(linear_plant)
+        shifted, _ = step_plant(state, linear_plant, t=1e-3, disturbance_plus=5.0)
+        after, _ = step_plant(shifted, linear_plant, t=2e-3)
+        assert shifted.payout_plus == state.payout_plus + 5.0
+        assert after.payout_plus == state.payout_plus
+
+    def test_nan_tension_detected_as_slack(self, linear_plant):
+        spool = SpoolModel()
+        object.__setattr__(spool, "spring_rate", math.nan)  # past the constructor's check
+        bad = replace(linear_plant, spool_minus=spool)
+        with pytest.raises(SlackDetected, match="minus"):
+            step_plant(initial_state(linear_plant), bad, t=1e-3)
+
+
+class TestNonFiniteApiInput:
+    """The Python API rejects what a config file may not set, naming the argument."""
+
+    @pytest.mark.parametrize("name", ["spring_rate", "payout_at_zero"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_spool_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            SpoolModel(**{name: value})
+
+    @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0])
+    def test_plant_dt(self, ref_plant, dt):
+        with pytest.raises(ValueError, match="dt must be finite and positive"):
+            replace(ref_plant, dt=dt)
+
+    def test_config_nan_spring_rate(self):
+        with pytest.raises(ValueError, match="spring_rate must be finite"):
+            Config(spring_rate_nmm_per_deg=math.nan).plant()
+
+    def test_config_infinite_dt(self):
+        with pytest.raises(ValueError, match="dt must be finite"):
+            Config(dt_s=math.inf).plant()
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_move_to_angle(self, value):
+        with pytest.raises(ValueError, match="angle must be finite"):
+            MoveMotorTo(value)
+
+    @pytest.mark.parametrize("value", [math.nan, -math.inf])
+    def test_set_velocity_rate(self, value):
+        with pytest.raises(ValueError, match="rate must be finite"):
+            SetVelocity(value)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_wait_non_finite(self, value):
+        with pytest.raises(ValueError, match="wait duration must be finite"):
+            Wait(value)
+
+    def test_wait_negative(self):
+        with pytest.raises(ValueError, match="wait duration must not be negative"):
+            Wait(-1.0)
+
+    def test_disturbance_magnitude_nan(self):
+        with pytest.raises(ValueError, match="magnitude"):
+            DisturbancePulses(magnitude=math.nan)
 
 
 class TestRunScript:
@@ -109,7 +180,7 @@ class TestRunScript:
                 assert b.payout_plus == a.payout_plus
             elif side is Side.MINUS:
                 assert b.payout_minus == a.payout_minus
-            if b.disturbance_plus or b.disturbance_minus:
+            if b.payout_plus != a.payout_plus or b.payout_minus != a.payout_minus:
                 saw_disturbance = True
         assert saw_disturbance
 
