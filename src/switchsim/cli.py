@@ -315,12 +315,13 @@ def _cmd_optimize(args, cfg: Config) -> int:
         psi_star_targets=psi_targets,
         center_distances=distances,
         envelope_max_diameter=args.envelope_max,
+        backlash_margin=cfg.backlash_margin_mm,
     )
     constraints = DesignConstraints(
         driven_ratio_min=args.ratio_min, driven_ratio_max=args.ratio_max, cap=args.cap
     )
-    layout = cfg.layout()
-    results = optimize(space, constraints, cfg.traversal(layout).slip, cfg.motor(layout))
+    plant = cfg.plant()
+    results = optimize(space, constraints, plant.traversal.slip, plant.motor)
     if args.top:
         results = results[: args.top]
     rows = [

@@ -28,7 +28,7 @@ import math
 from dataclasses import astuple, dataclass, field, fields
 from typing import Callable
 
-from .errors import ConfigError, SwitchSimError
+from .errors import ConfigError, InvalidDesign, SwitchSimError
 from .experiments import calibrate_profile_accel
 from .geometry import (
     GearSpec,
@@ -36,7 +36,6 @@ from .geometry import (
     REFERENCE_TRACK_TRAVEL_DEG,
     kinematic_carry_ratio,
     solve_center_distance,
-    solve_engagement,
     validate_layout,
 )
 from .paths import CablePath, CurvedPath, LinearPath, TabulatedPath, X_MAX
@@ -170,47 +169,50 @@ class Config:
             backlash_margin=self.backlash_margin_mm,
         )
 
-    def traversal(self, layout: MechanismLayout | None = None) -> TraversalModel:
-        carry = kinematic_carry_ratio(layout or self.layout())
-        if self.slip is not None:
-            return TraversalModel(carry_ratio=carry, slip=self.slip)
-        return calibrate_slip(self.motor_travel_deg, self.revolution_travel_deg, carry)
-
-    def motor(self, layout: MechanismLayout | None = None) -> MotorModel:
-        if self.profile_accel is not None:
-            accel = self.profile_accel
-        else:
-            layout = layout or self.layout()
-            travel = self.traversal(layout).motor_travel(solve_engagement(layout).theta_track)
-            accel = calibrate_profile_accel(
-                self.target_switch_time_ms / 1000.0, travel, self.max_output_speed
-            )
-        return MotorModel(max_output_speed=self.max_output_speed, profile_accel=accel)
-
-    def spool(self, path: CablePath) -> SpoolModel:
-        payout_at_zero = self.payout_at_zero_mm
-        if payout_at_zero is None:
-            payout_at_zero = path.length(X_MAX)  # fully wound end: spring taut over the RoM
-        return SpoolModel(
-            spool_radius=self.spool_radius_mm,
-            spring_preload_torque=self.spring_preload_nmm,
-            spring_rate=self.spring_rate_nmm_per_deg,
-            payout_at_zero=payout_at_zero,
-        )
-
     def plant(self) -> PlantConfig:
+        """The runtime plant; the one place a config's layout is validated.
+
+        Raises:
+            InvalidDesign: the layout fails ``validate_layout`` (wraps the report).
+        """
         layout = self.layout()
+        report = validate_layout(layout)
+        if not report.ok:
+            raise InvalidDesign(report)
         path_plus = self.agonist.build()
         path_minus = self.antagonist.build()
+        carry = kinematic_carry_ratio(layout)
+        if self.slip is not None:
+            traversal = TraversalModel(carry_ratio=carry, slip=self.slip)
+        else:
+            traversal = calibrate_slip(self.motor_travel_deg, self.revolution_travel_deg, carry)
+        accel = self.profile_accel
+        if accel is None:
+            accel = calibrate_profile_accel(
+                self.target_switch_time_ms / 1000.0,
+                traversal.motor_travel(report.engagement.theta_track),
+                self.max_output_speed,
+            )
+        motor = MotorModel(max_output_speed=self.max_output_speed, profile_accel=accel)
+        zero = self.payout_at_zero_mm  # None: the fully wound end, spring taut over the RoM
+        spool_plus, spool_minus = (
+            SpoolModel(
+                spool_radius=self.spool_radius_mm,
+                spring_preload_torque=self.spring_preload_nmm,
+                spring_rate=self.spring_rate_nmm_per_deg,
+                payout_at_zero=path.length(X_MAX) if zero is None else zero,
+            )
+            for path in (path_plus, path_minus)
+        )
         return PlantConfig(
             layout=layout,
-            engagement=solve_engagement(layout),
-            traversal=self.traversal(layout),
-            motor=self.motor(layout),
+            engagement=report.engagement,
+            traversal=traversal,
+            motor=motor,
             path_plus=path_plus,
             path_minus=path_minus,
-            spool_plus=self.spool(path_plus),
-            spool_minus=self.spool(path_minus),
+            spool_plus=spool_plus,
+            spool_minus=spool_minus,
             dt=self.dt_s,
             seed=self.seed,
         )
@@ -427,26 +429,19 @@ def parse_config(text: str) -> Config:
                 other = f"the ({', '.join(spec.replaces)}) pair"
             p.fail(p.line(section, key), f"give either {key} or {other}, not both")
 
-    # Cross-field geometry validation, delegated to the layout validator.
+    # Cross-field checks: the plant build validates the layout first.
     if not p.errors:
         try:
-            report = validate_layout(cfg.layout())
-        except (SwitchSimError, ValueError) as exc:
-            p.fail(0, f"layout insoluble: {exc}")
-        else:
-            for violation in report.violations:
-                line = 0
+            cfg.plant()
+        except InvalidDesign as exc:
+            for violation in exc.report.violations:
                 if violation.rule == "module-mismatch":
                     keys = [k for k in _MODULE_KEYS if p.has("layout", k)]
                     line = max((p.line("layout", k) for k in keys), default=0)
                     named = ", ".join(keys) or "gear modules"
                     p.fail(line, f"{violation.message} (keys: {named})")
                 else:
-                    p.fail(line, str(violation))
-
-    if not p.errors:
-        try:
-            cfg.plant()
+                    p.fail(0, str(violation))
         except (SwitchSimError, ValueError) as exc:
             p.fail(0, f"configuration cannot be instantiated: {exc}")
 

@@ -42,7 +42,7 @@ class BelowKinematicFloor(SwitchSimError):
 
 
 class InvalidDesign(SwitchSimError):
-    """A candidate layout failed geometric validation."""
+    """A layout, a config's or an optimizer candidate's, failed ``validate_layout``."""
 
     def __init__(self, report):
         super().__init__(str(report))

@@ -213,6 +213,9 @@ def run_speed_sweep(
     """
     if not omegas:
         raise ValueError("omega list must be non-empty")
+    for omega in omegas:
+        if not math.isfinite(omega):
+            raise ValueError(f"omega values must be finite, got {omega!r}")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega values must strictly increase")
     if omegas[0] <= 0:

@@ -133,7 +133,11 @@ class Violation:
 
 @dataclass(frozen=True)
 class ValidationReport:
+    """Every rule a layout breaks, plus the ``solve_engagement`` result the
+    check computed: None when the layout has no engagement."""
+
     violations: tuple[Violation, ...]
+    engagement: EngagementSolution | None
 
     @property
     def ok(self) -> bool:
@@ -209,7 +213,7 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
 
 
 def validate_layout(layout: MechanismLayout) -> ValidationReport:
-    """Check physical realizability; returns a report instead of raising.
+    """Check physical realizability; returns a report, engagement included, instead of raising.
 
     Rules reported: invalid-parameter, module-mismatch, driving-driven
     interference, switch-driven interference (at the midline), no-engagement
@@ -229,6 +233,7 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
     d = layout.driven_center_distance
     phi = layout.driven_half_angle
     structural_ok = True
+    sol = None
     if not (math.isfinite(d) and d > 0):
         violations.append(
             Violation("invalid-parameter", f"driven_center_distance {d!r} not positive")
@@ -281,7 +286,7 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
             Violation("no-engagement", "engagement insoluble for the given parameters")
         )
 
-    return ValidationReport(tuple(violations))
+    return ValidationReport(tuple(violations), sol)
 
 
 def kinematic_carry_ratio(layout: MechanismLayout) -> float:

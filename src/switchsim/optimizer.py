@@ -20,7 +20,6 @@ from .geometry import (
     envelope_diameter,
     kinematic_carry_ratio,
     solve_center_distance,
-    solve_engagement,
     validate_layout,
     DEFAULT_BACKLASH_MARGIN,
 )
@@ -114,14 +113,14 @@ def evaluate_design(layout: MechanismLayout, slip: float, motor: MotorModel) -> 
     report = validate_layout(layout)
     if not report.ok:
         raise InvalidDesign(report)
-    solution = solve_engagement(layout)
+    theta_track = report.engagement.theta_track
     traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
-    travel = traversal.motor_travel(solution.theta_track)
+    travel = traversal.motor_travel(theta_track)
     t_switch = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
     return DesignResult(
         layout=layout,
         predicted_t_switch_ms=t_switch * 1000.0,
-        theta_track=solution.theta_track,
+        theta_track=theta_track,
         k_eff=traversal.effective_ratio,
         driven_ratio=layout.driven_speed_ratio,
         envelope=envelope_diameter(layout),

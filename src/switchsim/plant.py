@@ -30,6 +30,8 @@ from .switching import (
 )
 
 DEFAULT_DT = 1e-3  # s; resolves 300 ms phenomena to 0.3 %
+PULSE_MIN_GAP = 0.05  # s between disturbance pulses, lower bound
+PULSE_MAX_GAP = 0.25  # s between disturbance pulses, upper bound
 
 
 @dataclass(frozen=True)
@@ -40,8 +42,10 @@ class MotorModel:
     profile_accel: float = math.inf    # deg/s^2; calibrated in the reference config
 
     def __post_init__(self):
-        if not (self.max_output_speed > 0):
-            raise ValueError(f"max_output_speed must be positive, got {self.max_output_speed!r}")
+        if not (0 < self.max_output_speed < math.inf):
+            raise ValueError(
+                f"max_output_speed must be finite and positive, got {self.max_output_speed!r}"
+            )
         if not (self.profile_accel > 0):
             raise ValueError(f"profile_accel must be positive, got {self.profile_accel!r}")
 
@@ -59,10 +63,9 @@ class SpoolModel:
         for name in ("spring_rate", "payout_at_zero"):
             if not math.isfinite(getattr(self, name)):
                 raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        if not (self.spool_radius > 0):
-            raise ValueError(f"spool_radius must be positive, got {self.spool_radius!r}")
-        if not (self.spring_preload_torque > 0):
-            raise ValueError("spring_preload_torque must be positive (tension never zero)")
+        for name in ("spool_radius", "spring_preload_torque"):  # preload > 0: tension never zero
+            if not (0 < getattr(self, name) < math.inf):
+                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
 
     def tension(self, payout: float) -> float:
         """Cable tension (N) with ``payout`` mm paid out."""
@@ -122,22 +125,18 @@ def _payouts(config: PlantConfig, joint_angle: float, dist_plus: float, dist_min
     return payout_plus, payout_minus
 
 
-def initial_state(
-    config: PlantConfig,
-    joint_angle: float = 0.0,
-    engaged: Side | None = Side.PLUS,
-) -> SimState:
-    """Rest state: motor at zero, cables taut at the given joint angle."""
+def initial_state(config: PlantConfig, engaged: Side | None = Side.PLUS) -> SimState:
+    """Rest state: motor and joint at zero, cables taut."""
     if engaged is None:
         switch = SwitchState.neutral()
     else:
         switch = SwitchState.engaged(engaged, config.engagement)
-    payout_plus, payout_minus = _payouts(config, joint_angle, 0.0, 0.0)
+    payout_plus, payout_minus = _payouts(config, 0.0, 0.0, 0.0)
     return SimState(
         t=0.0,
         motor_angle=0.0,
         switch=switch,
-        joint_angle=joint_angle,
+        joint_angle=0.0,
         payout_plus=payout_plus,
         payout_minus=payout_minus,
         tension_plus=config.spool_plus.tension(payout_plus),
@@ -269,16 +268,14 @@ class DisturbancePulses:
 
     target: str = "disengaged"
     magnitude: float = 5.0   # mm
-    width: float = 0.05      # s each pulse lasts
-    min_gap: float = 0.05    # s between pulses, lower bound
-    max_gap: float = 0.25    # s between pulses, upper bound
+    width: float = 0.05      # s each pulse lasts; PULSE_MIN_GAP..PULSE_MAX_GAP s between pulses
 
     def __post_init__(self):
         if self.target not in ("plus", "minus", "engaged", "disengaged"):
             raise ValueError(f"unknown disturbance target {self.target!r}")
         if not (self.magnitude >= 0):
             raise ValueError("disturbance magnitude must be non-negative")
-        if not (self.width > 0 and 0 < self.min_gap <= self.max_gap):
+        if not (self.width > 0):
             raise ValueError("pulse width and gaps must be positive, min_gap <= max_gap")
 
 
@@ -298,7 +295,7 @@ class _PulseState:
     def __init__(self, profile: DisturbancePulses, seed: int):
         self.profile = profile
         self._rng = random.Random(seed)
-        self._remaining = self._rng.uniform(profile.min_gap, profile.max_gap)
+        self._remaining = self._rng.uniform(PULSE_MIN_GAP, PULSE_MAX_GAP)
         self._on = False
 
     def step(self, dt: float) -> float:
@@ -308,9 +305,7 @@ class _PulseState:
             if self._on:
                 self._remaining += self.profile.width
             else:
-                self._remaining += self._rng.uniform(
-                    self.profile.min_gap, self.profile.max_gap
-                )
+                self._remaining += self._rng.uniform(PULSE_MIN_GAP, PULSE_MAX_GAP)
         return self.profile.magnitude if self._on else 0.0
 
 
@@ -385,12 +380,11 @@ class Simulator:
     def __init__(
         self,
         config: PlantConfig,
-        joint_angle: float = 0.0,
         engaged: Side | None = Side.PLUS,
         record: bool = True,
     ):
         self.config = config
-        self.state = initial_state(config, joint_angle, engaged)
+        self.state = initial_state(config, engaged)
         self.record = record
         self.trace = Trace(dt=config.dt, rows=[self.state] if record else [], events=[])
         self._step_index = 0
@@ -543,15 +537,16 @@ def run_script(
     config: PlantConfig,
     script: list[ScriptCommand] | tuple[ScriptCommand, ...],
     duration: float | None = None,
-    joint_angle: float = 0.0,
     engaged: Side | None = Side.PLUS,
 ) -> Trace:
     """Execute script commands in order; identical inputs give bit-identical traces.
 
-    ``duration`` extends the run (with whatever motion mode is active) until
-    at least that much simulated time has elapsed.
+    ``duration`` (finite, not negative) extends the run (with whatever motion
+    mode is active) until at least that much simulated time has elapsed.
     """
-    sim = Simulator(config, joint_angle=joint_angle, engaged=engaged)
+    if duration is not None and not (0 <= duration < math.inf):
+        raise ValueError(f"duration must be finite and not negative, got {duration!r}")
+    sim = Simulator(config, engaged=engaged)
     for command in script:
         sim.execute(command)
     if duration is not None and duration > sim.t:

@@ -30,6 +30,20 @@ def ref_plant(ref_config):
     return ref_config.plant()
 
 
+@pytest.fixture()
+def solve_engagement_calls(monkeypatch):
+    """Layouts passed to ``solve_engagement`` from any module, in call order."""
+    calls = []
+
+    def counted(layout):
+        calls.append(layout)
+        return solve_engagement(layout)
+
+    for module in ("geometry", "config", "optimizer"):
+        monkeypatch.setattr(f"switchsim.{module}.solve_engagement", counted, raising=False)
+    return calls
+
+
 def random_valid_layout(rng: random.Random) -> MechanismLayout:
     """A validated layout with the centre distance solved for a random endpoint."""
     while True:

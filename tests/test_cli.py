@@ -112,6 +112,19 @@ class TestOptimize:
         times = [float(r["predicted_t_switch_ms"]) for r in rows]
         assert times == sorted(times)
 
+    def test_uses_config_backlash_margin(self, capsys, tmp_path):
+        cfg = tmp_path / "margin.cfg"
+        cfg.write_text("[layout]\nbacklash_margin_mm = 1.5\n")
+        code, default_out, _ = run_cli(capsys, "optimize", "--switch-teeth", "8:16")
+        assert code == 0
+        code, margin_out, _ = run_cli(
+            capsys, "--config", str(cfg), "optimize", "--switch-teeth", "8:16"
+        )
+        assert code == 0
+        # A wider margin empties the neutral band of some designs.
+        assert len(parse_csv(default_out)) == 729
+        assert len(parse_csv(margin_out)) == 596
+
     def test_cap_enforcement(self, capsys):
         code, _, err = run_cli(
             capsys,

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 from pathlib import Path
 
@@ -10,12 +11,14 @@ from switchsim import (
     ConfigError,
     DisturbancePulses,
     InjectDisturbance,
+    InvalidDesign,
     MoveMotorTo,
     PathSpec,
     SetVelocity,
     Wait,
     parse_config,
     serialize_config,
+    validate_layout,
 )
 
 
@@ -38,6 +41,50 @@ class TestDefaults:
         assert math.degrees(plant.engagement.theta_track) == pytest.approx(19.8, abs=1e-9)
         assert plant.traversal.effective_ratio == pytest.approx(122.6 / 19.8)
         assert plant.motor.profile_accel == pytest.approx(5466.05, abs=0.01)
+
+
+class TestPlantValidates:
+    """``Config.plant()`` is the one place a config's layout is validated."""
+
+    @pytest.mark.parametrize(
+        "overrides, rule",
+        [
+            ({"switch_module": 1.5}, "module-mismatch"),
+            ({"backlash_margin_mm": 5.0}, "empty-neutral-band"),
+            ({"backlash_margin_mm": -1.0}, "invalid-parameter"),
+        ],
+    )
+    def test_invalid_layout_raises(self, overrides, rule):
+        with pytest.raises(InvalidDesign) as exc:
+            Config(**overrides).plant()
+        assert rule in exc.value.report.rules()
+
+    def test_raises_for_every_layout_the_validator_rejects(self):
+        rng = random.Random(6)
+        outcomes = set()
+        for _ in range(300):
+            cfg = Config(
+                switch_teeth=rng.randint(8, 30),
+                driven_teeth=rng.randint(8, 30),
+                switch_module=rng.choice((1.0, 1.0, 1.0, 0.8)),
+                driven_half_angle_deg=rng.uniform(5.0, 60.0),
+                center_distance_mm=rng.uniform(20.0, 60.0),
+                backlash_margin_mm=rng.uniform(-0.5, 3.0),
+                profile_accel=5466.0,  # no calibration: long tracks miss the 302 ms target
+            )
+            report = validate_layout(cfg.layout())
+            if report.ok:
+                assert cfg.plant().engagement == report.engagement
+            else:
+                with pytest.raises(InvalidDesign) as exc:
+                    cfg.plant()
+                assert exc.value.report == report
+            outcomes.add(report.ok)
+        assert outcomes == {True, False}
+
+    def test_parse_solves_the_engagement_once(self, solve_engagement_calls):
+        assert parse_config("") == Config()
+        assert len(solve_engagement_calls) == 1
 
 
 class TestErrors:

@@ -169,6 +169,21 @@ class TestValidateLayout:
         assert report.ok
         assert str(report) == "0 violations"
 
+    def test_report_carries_the_engagement(self, ref_layout):
+        assert validate_layout(ref_layout).engagement == solve_engagement(ref_layout)
+
+    def test_insoluble_report_has_no_engagement(self, ref_layout):
+        layout = MechanismLayout(
+            driving=ref_layout.driving,
+            switch=ref_layout.switch,
+            driven=ref_layout.driven,
+            driven_center_distance=100.0,
+            driven_half_angle=ref_layout.driven_half_angle,
+        )
+        report = validate_layout(layout)
+        assert "no-engagement" in report.rules()
+        assert report.engagement is None
+
     def test_zero_center_distance(self, ref_layout):
         layout = MechanismLayout(
             driving=ref_layout.driving,
@@ -177,9 +192,10 @@ class TestValidateLayout:
             driven_center_distance=0.0,
             driven_half_angle=ref_layout.driven_half_angle,
         )
-        rules = validate_layout(layout).rules()
-        assert "no-engagement" in rules
-        assert "driving-driven-interference" in rules
+        report = validate_layout(layout)
+        assert "no-engagement" in report.rules()
+        assert "driving-driven-interference" in report.rules()
+        assert report.engagement is None
 
     def test_mixed_modules(self, ref_layout):
         layout = MechanismLayout(

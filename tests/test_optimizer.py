@@ -41,6 +41,10 @@ def singleton_space(**overrides):
 
 
 class TestEvaluateDesign:
+    def test_solves_the_engagement_once(self, ref_layout, motor, solve_engagement_calls):
+        evaluate_design(ref_layout, SLIP_REF, motor)
+        assert solve_engagement_calls == [ref_layout]
+
     def test_reference_time(self, ref_layout, motor):
         result = evaluate_design(ref_layout, SLIP_REF, motor)
         assert result.predicted_t_switch_ms == pytest.approx(302.0, abs=1e-6)

@@ -1,0 +1,29 @@
+"""pyproject.toml declares exactly the third-party packages the package imports."""
+
+import ast
+import re
+import sys
+import tomllib
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def declared_runtime_dependencies() -> set[str]:
+    project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
+    return {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower() for dep in project["dependencies"]}
+
+
+def third_party_imports() -> set[str]:
+    names = set()
+    for path in sorted((ROOT / "src" / "switchsim").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Import):
+                names.update(alias.name.split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names.add(node.module.split(".")[0])
+    return {name for name in names if name not in sys.stdlib_module_names}
+
+
+def test_runtime_dependencies_are_the_imports():
+    assert declared_runtime_dependencies() == third_party_imports()

@@ -7,6 +7,7 @@ from switchsim import (
     Config,
     DisturbancePulses,
     InjectDisturbance,
+    MotorModel,
     MoveMotorTo,
     RangeExceeded,
     SetVelocity,
@@ -19,6 +20,7 @@ from switchsim import (
     Wait,
     initial_state,
     run_script,
+    run_speed_sweep,
     step_plant,
 )
 from switchsim.experiments import full_rom_script
@@ -114,6 +116,27 @@ class TestNonFiniteApiInput:
     def test_spool_fields(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             SpoolModel(**{name: value})
+
+    @pytest.mark.parametrize("name", ["spool_radius", "spring_preload_torque"])
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_spool_finite_positive_fields(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite and positive"):
+            SpoolModel(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.inf, math.nan, 0.0])
+    def test_motor_max_output_speed(self, value):
+        with pytest.raises(ValueError, match="max_output_speed must be finite and positive"):
+            MotorModel(max_output_speed=value)
+
+    @pytest.mark.parametrize("duration", [math.inf, math.nan, -1.0])
+    def test_run_script_duration(self, ref_plant, duration):
+        with pytest.raises(ValueError, match="duration must be finite and not negative"):
+            run_script(ref_plant, [], duration=duration)
+
+    @pytest.mark.parametrize("omegas", [[math.nan], [180.0, math.nan, 360.0], [180.0, math.inf]])
+    def test_sweep_omega(self, ref_plant, omegas):
+        with pytest.raises(ValueError, match="omega values must be finite, got (nan|inf)"):
+            run_speed_sweep(ref_plant, omegas)
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0])
     def test_plant_dt(self, ref_plant, dt):
