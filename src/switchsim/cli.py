@@ -141,9 +141,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("calibrate", help="pin motor/friction parameters to measurements")
     p.add_argument("--out", default="-")
-    p.add_argument("--switch-time-ms", type=float, default=302.0)
-    p.add_argument("--motor-travel-deg", type=float, default=122.6)
-    p.add_argument("--revolution-deg", type=float, default=19.8)
+    p.add_argument("--switch-time-ms", type=float, help="default: target_switch_time_ms")
+    p.add_argument("--motor-travel-deg", type=float, help="default: motor_travel_deg")
+    p.add_argument("--revolution-deg", type=float, help="default: revolution_travel_deg")
 
     return parser
 
@@ -365,14 +365,13 @@ def _cmd_optimize(args, cfg: Config) -> int:
 
 
 def _cmd_calibrate(args, cfg: Config) -> int:
+    time_ms = cfg.target_switch_time_ms if args.switch_time_ms is None else args.switch_time_ms
+    motor_travel = cfg.motor_travel_deg if args.motor_travel_deg is None else args.motor_travel_deg
+    revolution = cfg.revolution_travel_deg if args.revolution_deg is None else args.revolution_deg
     carry = kinematic_carry_ratio(cfg.layout())
-    model = calibrate_slip(args.motor_travel_deg, args.revolution_deg, carry)
-    accel = calibrate_profile_accel(
-        args.switch_time_ms / 1000.0, args.motor_travel_deg, cfg.max_output_speed
-    )
-    check_ms = (
-        trapezoid_duration(args.motor_travel_deg, cfg.max_output_speed, accel) * 1000.0
-    )
+    model = calibrate_slip(motor_travel, revolution, carry)
+    accel = calibrate_profile_accel(time_ms / 1000.0, motor_travel, cfg.max_output_speed)
+    check_ms = trapezoid_duration(motor_travel, cfg.max_output_speed, accel) * 1000.0
     _write(
         args.out,
         _csv(

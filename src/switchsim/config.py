@@ -32,6 +32,7 @@ from .errors import ConfigError, InvalidDesign, SwitchSimError
 from .experiments import calibrate_profile_accel
 from .geometry import (
     GearSpec,
+    MIN_TOOTH_COUNT,
     MechanismLayout,
     REFERENCE_TRACK_TRAVEL_DEG,
     kinematic_carry_ratio,
@@ -81,6 +82,7 @@ def _key(default, section: str, cast: type = float, **spec):
 
 
 _POSITIVE = (lambda v: v > 0, "{key} must be positive, got {value!r}")
+_TEETH = (lambda v: v >= MIN_TOOTH_COUNT, f"{{key}} must be >= {MIN_TOOTH_COUNT}, got {{value!r}}")
 
 
 @dataclass(frozen=True)
@@ -109,12 +111,12 @@ class PathSpec:
 class Config:
     """Validated configuration; defaults reproduce the reference rig."""
 
-    drive_teeth: int = _key(20, "layout", int)
-    switch_teeth: int = _key(16, "layout", int)
-    driven_teeth: int = _key(20, "layout", int)
-    drive_module: float = _key(1.0, "layout", name="drive_module_mm")
-    switch_module: float = _key(1.0, "layout", name="switch_module_mm")
-    driven_module: float = _key(1.0, "layout", name="driven_module_mm")
+    drive_teeth: int = _key(20, "layout", int, check=_TEETH)
+    switch_teeth: int = _key(16, "layout", int, check=_TEETH)
+    driven_teeth: int = _key(20, "layout", int, check=_TEETH)
+    drive_module: float = _key(1.0, "layout", name="drive_module_mm", check=_POSITIVE)
+    switch_module: float = _key(1.0, "layout", name="switch_module_mm", check=_POSITIVE)
+    driven_module: float = _key(1.0, "layout", name="driven_module_mm", check=_POSITIVE)
     driven_half_angle_deg: float = _key(25.0, "layout")
     center_distance_mm: float | None = _key(  # None: solved from track_travel_deg
         None, "layout", replaces=("track_travel_deg",)
@@ -128,12 +130,13 @@ class Config:
         check=(lambda v: 0.0 <= v < 1.0, "{key} {value} outside [0, 1)"),
     )
     motor_travel_deg: float = _key(122.6, "traversal")
-    revolution_travel_deg: float = _key(19.8, "traversal")
+    revolution_travel_deg: float = _key(19.8, "traversal", check=_POSITIVE)
     max_output_speed: float = _key(  # deg/s
         720.0, "motor", name="max_output_speed_deg_s", check=_POSITIVE
     )
     profile_accel: float | None = _key(  # deg/s^2; None: calibrated from target
-        None, "motor", name="profile_accel_deg_s2", replaces=("target_switch_time_ms",)
+        None, "motor", name="profile_accel_deg_s2", replaces=("target_switch_time_ms",),
+        check=_POSITIVE,
     )
     target_switch_time_ms: float = _key(302.0, "motor")
     agonist: PathSpec = field(default_factory=PathSpec)
@@ -243,7 +246,7 @@ _SCHEMA: dict[tuple[str, str], _Key] = {
 _SCHEMA.update(
     ((spec.section, f"{prefix}_{key}"), spec) for prefix in _PATHS for _, key, spec in _PATH_KEYS
 )
-_SCHEMA["layout", "module_mm"] = _Key("layout")
+_SCHEMA["layout", "module_mm"] = _Key("layout", check=_POSITIVE)
 
 _SECTIONS = ("layout", "traversal", "motor", "paths", "spools", "sim", "script")
 

@@ -72,17 +72,6 @@ class TrapezoidalProfile:
             covered = dist - 0.5 * self.accel * remaining * remaining
         return self.sign * min(covered, dist)
 
-    def velocity(self, t: float) -> float:
-        if abs(self.delta) == 0.0 or t <= 0.0 or t >= self.duration:
-            return 0.0
-        if t < self.t_accel:
-            v = self.accel * t
-        elif t < self.t_accel + self.t_cruise:
-            v = self.peak_speed
-        else:
-            v = self.accel * (self.duration - t)
-        return self.sign * v
-
     def time_at_distance(self, distance: float) -> float:
         """First time at which |covered displacement| reaches ``distance``."""
         dist = abs(self.delta)

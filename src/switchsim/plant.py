@@ -16,7 +16,7 @@ import math
 import random
 from dataclasses import dataclass
 
-from .errors import NeverEngaged, RangeExceeded, SlackDetected
+from .errors import NeverEngaged, RangeExceeded, SlackDetected, SwitchSimError
 from .geometry import EngagementSolution, MechanismLayout
 from .motion import TrapezoidalProfile
 from .paths import CablePath, OutOfRange
@@ -32,6 +32,7 @@ from .switching import (
 DEFAULT_DT = 1e-3  # s; resolves 300 ms phenomena to 0.3 %
 PULSE_MIN_GAP = 0.05  # s between disturbance pulses, lower bound
 PULSE_MAX_GAP = 0.25  # s between disturbance pulses, upper bound
+STEP_BUDGET = 10_000_000  # steps one command may take
 
 
 @dataclass(frozen=True)
@@ -119,29 +120,45 @@ class TimedEvent:
     psi: float
 
 
-def _payouts(config: PlantConfig, joint_angle: float, dist_plus: float, dist_minus: float):
-    payout_plus = config.path_plus.length(joint_angle) + dist_plus
-    payout_minus = config.path_minus.length(-joint_angle) + dist_minus
-    return payout_plus, payout_minus
+def _state(
+    config: PlantConfig,
+    t: float,
+    motor_angle: float,
+    switch: SwitchState,
+    joint_angle: float,
+    disturbances: tuple[float, float],
+) -> SimState:
+    """The state at ``t``, with ``disturbances`` mm of extra (plus, minus) payout.
+
+    Raises:
+        SlackDetected: a tension is not positive (timestamped).
+    """
+    payout_plus = config.path_plus.length(joint_angle) + disturbances[0]
+    payout_minus = config.path_minus.length(-joint_angle) + disturbances[1]
+    tension_plus = config.spool_plus.tension(payout_plus)
+    tension_minus = config.spool_minus.tension(payout_minus)
+    if not (tension_plus > 0.0 and tension_minus > 0.0):
+        side, tension = ("minus", tension_minus) if tension_plus > 0.0 else ("plus", tension_plus)
+        raise SlackDetected(f"{side} cable tension {tension!r} N is not positive at t={t:.6f} s")
+    return SimState(
+        t=t,
+        motor_angle=motor_angle,
+        switch=switch,
+        joint_angle=joint_angle,
+        payout_plus=payout_plus,
+        payout_minus=payout_minus,
+        tension_plus=tension_plus,
+        tension_minus=tension_minus,
+    )
 
 
 def initial_state(config: PlantConfig, engaged: Side | None = Side.PLUS) -> SimState:
-    """Rest state: motor and joint at zero, cables taut."""
+    """Rest state: motor and joint at zero, cables taut (else SlackDetected at t=0)."""
     if engaged is None:
         switch = SwitchState.neutral()
     else:
         switch = SwitchState.engaged(engaged, config.engagement)
-    payout_plus, payout_minus = _payouts(config, 0.0, 0.0, 0.0)
-    return SimState(
-        t=0.0,
-        motor_angle=0.0,
-        switch=switch,
-        joint_angle=0.0,
-        payout_plus=payout_plus,
-        payout_minus=payout_minus,
-        tension_plus=config.spool_plus.tension(payout_plus),
-        tension_minus=config.spool_minus.tension(payout_minus),
-    )
+    return _state(config, 0.0, 0.0, switch, 0.0, (0.0, 0.0))
 
 
 def step_plant(
@@ -179,17 +196,14 @@ def step_plant(
     )
 
     joint_angle = state.joint_angle
-    spool_rotation = 0.0
-    driven_side: Side | None = None
-    for event in events:
-        if event.kind is EventKind.SPOOL_DRIVEN:
-            spool_rotation += event.spool_rotation
-            driven_side = event.side
-    if driven_side is not None and spool_rotation != 0.0:
-        sign = driven_side.sign
-        path = config.path(driven_side)
+    # The one SPOOL_DRIVEN packet, if any, is the last event; no other event
+    # carries spool rotation.
+    packet = events[-1] if events else None
+    if packet is not None and packet.spool_rotation != 0.0:
+        sign = packet.side.sign
+        path = config.path(packet.side)
         length0 = path.length(sign * joint_angle)
-        length1 = length0 - sign * config.spool(driven_side).spool_radius * spool_rotation
+        length1 = length0 - sign * config.spool(packet.side).spool_radius * packet.spool_rotation
         try:
             joint_angle = sign * path.inverse(length1)
         except OutOfRange as exc:
@@ -197,24 +211,9 @@ def step_plant(
                 f"joint left [-90, +90] deg at t={t:.6f} s: {exc}"
             ) from exc
 
-    payout_plus, payout_minus = _payouts(config, joint_angle, disturbance_plus, disturbance_minus)
-    tension_plus = config.spool_plus.tension(payout_plus)
-    tension_minus = config.spool_minus.tension(payout_minus)
-    if not (tension_plus > 0.0 and tension_minus > 0.0):
-        side, tension = ("minus", tension_minus) if tension_plus > 0.0 else ("plus", tension_plus)
-        raise SlackDetected(f"{side} cable tension {tension!r} N is not positive at t={t:.6f} s")
-
-    new_state = SimState(
-        t=t,
-        motor_angle=state.motor_angle + motor_delta,
-        switch=switch,
-        joint_angle=joint_angle,
-        payout_plus=payout_plus,
-        payout_minus=payout_minus,
-        tension_plus=tension_plus,
-        tension_minus=tension_minus,
-    )
-    return new_state, events
+    motor_angle = state.motor_angle + motor_delta
+    disturbances = (disturbance_plus, disturbance_minus)
+    return _state(config, t, motor_angle, switch, joint_angle, disturbances), events
 
 
 # --------------------------------------------------------------------------
@@ -332,7 +331,6 @@ EVENT_COLUMNS = ("t_s", "kind", "detail")
 class Trace:
     """Fixed-step samples plus the engagement event log."""
 
-    dt: float
     rows: list[SimState]
     events: list[TimedEvent]
 
@@ -386,7 +384,7 @@ class Simulator:
         self.config = config
         self.state = initial_state(config, engaged)
         self.record = record
-        self.trace = Trace(dt=config.dt, rows=[self.state] if record else [], events=[])
+        self.trace = Trace(rows=[self.state] if record else [], events=[])
         self._step_index = 0
         self._profile: TrapezoidalProfile | None = None
         self._profile_t0 = 0.0
@@ -409,9 +407,7 @@ class Simulator:
         profile = TrapezoidalProfile.plan(delta, motor.max_output_speed, motor.profile_accel)
         self._profile = profile
         self._profile_t0 = t_cmd
-        n_steps = math.ceil(profile.duration / self.config.dt - 1e-12)
-        for _ in range(max(n_steps, 0)):
-            self._step()
+        self._run(profile.duration)
         self._profile = None
         return t_cmd
 
@@ -425,8 +421,8 @@ class Simulator:
         self._velocity = rate
 
     def wait(self, duration: float) -> None:
-        for _ in range(max(round(duration / self.config.dt), 0)):
-            self._step()
+        """Run the active motion for ``duration`` s, rounded up to whole steps."""
+        self._run(duration)
 
     def inject(self, profile: DisturbancePulses | None) -> None:
         if profile is None:
@@ -451,30 +447,44 @@ class Simulator:
         """Step (velocity mode) until the switch engages ``side``; event time.
 
         Raises:
-            NeverEngaged: timeout elapsed first.
+            NeverEngaged: timeout elapsed first, or ``side`` was engaged
+                already (the run stops after one step).
         """
-        deadline = self.t + timeout
         start = len(self.trace.events)
-        while self.t < deadline:
-            self._step()
-            for event in self.trace.events[start:]:
-                if event.kind is EventKind.ENGAGED and event.side is side:
-                    return event.t
-            start = len(self.trace.events)
+        self._run(timeout, until=side)
+        for event in self.trace.events[start:]:
+            if event.kind is EventKind.ENGAGED and event.side is side:
+                return event.t
         raise NeverEngaged(
             f"switch did not engage {side.value} within {timeout} s"
         )
 
     # -- stepping ----------------------------------------------------------
 
+    def _run(self, duration: float, until: Side | None = None) -> None:
+        """Take ``duration`` s of steps, rounded up; stop once ``until`` is engaged.
+
+        Raises:
+            SwitchSimError: the steps exceed ``STEP_BUDGET``; nothing is stepped.
+        """
+        dt = self.config.dt
+        steps = duration / dt - 1e-12
+        if steps > STEP_BUDGET:
+            raise SwitchSimError(
+                f"{duration!r} s takes {steps:.6g} steps of dt={dt!r} s, "
+                f"over the budget of {STEP_BUDGET} steps per command"
+            )
+        for _ in range(math.ceil(steps)):
+            self._step()
+            if until is not None and self.state.switch.engaged_side is until:
+                return
+
     def _motor_delta(self, t0: float, t1: float) -> float:
         if self._profile is not None:
             return self._profile.position(t1 - self._profile_t0) - self._profile.position(
                 t0 - self._profile_t0
             )
-        if self._velocity != 0.0:
-            return self._velocity * self.config.dt
-        return 0.0
+        return self._velocity * self.config.dt
 
     def _disturbances(self, value: float) -> tuple[float, float]:
         """Map the signal value onto (plus, minus) per target and gating."""
@@ -502,9 +512,7 @@ class Simulator:
         if self._profile is not None:
             covered = abs(self._profile.position(t0 - self._profile_t0))
             return self._profile_t0 + self._profile.time_at_distance(covered + progress_deg)
-        if self._velocity != 0.0:
-            return t0 + progress_deg / abs(self._velocity)
-        return t0
+        return t0 + progress_deg / abs(self._velocity)  # an event needs motor motion
 
     def _step(self) -> None:
         dt = self.config.dt

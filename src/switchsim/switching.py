@@ -177,17 +177,13 @@ def _band_crossings(
     w = engagement.neutral_half_width
     if w <= 0.0:
         return []
+    # Mirror a negative move onto a positive one; negation is exact.
+    a, b = direction * psi0, direction * psi1
     out: list[tuple[EventKind, float]] = []
-    if direction > 0:
-        if psi0 <= -w and psi1 > -w:
-            out.append((EventKind.ENTERED_NEUTRAL, -w))
-        if psi0 < w and psi1 >= w:
-            out.append((EventKind.EXITED_NEUTRAL, w))
-    else:
-        if psi0 >= w and psi1 < w:
-            out.append((EventKind.ENTERED_NEUTRAL, w))
-        if psi0 > -w and psi1 <= -w:
-            out.append((EventKind.EXITED_NEUTRAL, -w))
+    if a <= -w < b:
+        out.append((EventKind.ENTERED_NEUTRAL, -direction * w))
+    if a < w <= b:
+        out.append((EventKind.EXITED_NEUTRAL, direction * w))
     return out
 
 
@@ -204,7 +200,8 @@ def step_switch(
     unchanged and the whole delta becomes a SPOOL_DRIVEN packet. Otherwise
     the switch traverses: psi advances by motor_delta/k_eff, clamped at the
     far endpoint; crossing the neutral band and reaching an endpoint emit
-    events, and rotation left over after engaging drives the new spool.
+    events, and rotation left over after engaging drives the new spool. A
+    step emits at most one SPOOL_DRIVEN packet, and it is the last event.
 
     A zero delta is the explicit halt signal: halting inside the neutral
     band parks the state in NEUTRAL.

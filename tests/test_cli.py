@@ -148,6 +148,22 @@ class TestCalibrate:
         assert float(row["slip"]) == pytest.approx(0.7093, abs=1e-4)
         assert float(row["reproduced_time_ms"]) == pytest.approx(302.0, abs=1e-6)
 
+    def test_defaults_come_from_the_config(self, capsys, tmp_path):
+        cfg = tmp_path / "bench.cfg"
+        cfg.write_text(
+            "[traversal]\nmotor_travel_deg = 120.0\nrevolution_travel_deg = 20.0\n"
+            "[motor]\ntarget_switch_time_ms = 290.0\n"
+        )
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "calibrate")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert float(row["reproduced_time_ms"]) == pytest.approx(290.0, abs=1e-6)
+        assert float(row["k_eff"]) == pytest.approx(6.0, abs=1e-12)
+        code, out, _ = run_cli(
+            capsys, "--config", str(cfg), "calibrate", "--switch-time-ms", "300"
+        )
+        assert float(parse_csv(out)[0]["reproduced_time_ms"]) == pytest.approx(300.0, abs=1e-6)
+
 
 class TestSimulate:
     SCRIPT_CFG = "[script]\nset_velocity 360.0\nwait 0.05\n"

@@ -192,6 +192,24 @@ class TestErrors:
         )
         assert [line for line, _ in err.errors] == [3]
 
+    @pytest.mark.parametrize(
+        "section, key, value, message",
+        [
+            ("layout", "drive_teeth", "7", "drive_teeth must be >= 8, got 7"),
+            ("layout", "switch_teeth", "7", "switch_teeth must be >= 8, got 7"),
+            ("layout", "driven_teeth", "0", "driven_teeth must be >= 8, got 0"),
+            ("layout", "drive_module_mm", "0", "drive_module_mm must be positive, got 0.0"),
+            ("layout", "switch_module_mm", "-1", "switch_module_mm must be positive, got -1.0"),
+            ("layout", "driven_module_mm", "0", "driven_module_mm must be positive, got 0.0"),
+            ("layout", "module_mm", "-0.5", "module_mm must be positive, got -0.5"),
+            ("traversal", "revolution_travel_deg", "0", "revolution_travel_deg must be positive, got 0.0"),
+            ("motor", "profile_accel_deg_s2", "0", "profile_accel_deg_s2 must be positive, got 0.0"),
+        ],
+    )
+    def test_out_of_range_value_rejected_at_its_line(self, section, key, value, message):
+        err = self.assert_errors(f"[{section}]\n{key} = {value}\n", message)
+        assert err.errors == [(2, message)]
+
     def test_negative_wait_rejected_with_line(self):
         err = self.assert_errors("[script]\nmove_to 10\nwait -1\n", "must not be negative")
         assert [line for line, _ in err.errors] == [3]

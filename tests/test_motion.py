@@ -34,7 +34,6 @@ class TestProfile:
         p = TrapezoidalProfile.plan(-122.6, 720.0, CAL_ACCEL)
         assert p.position(p.duration) == -122.6
         assert p.position(p.duration + 1.0) == -122.6
-        assert p.velocity(p.duration + 1.0) == 0.0
 
     def test_duration_matches_closed_form(self):
         p = TrapezoidalProfile.plan(122.6, 720.0, CAL_ACCEL)

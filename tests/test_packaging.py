@@ -1,4 +1,5 @@
-"""pyproject.toml declares exactly the third-party packages the package imports."""
+"""pyproject.toml declares exactly the third-party packages the package imports,
+and each module uses every name it imports."""
 
 import ast
 import re
@@ -27,3 +28,26 @@ def third_party_imports() -> set[str]:
 
 def test_runtime_dependencies_are_the_imports():
     assert declared_runtime_dependencies() == third_party_imports()
+
+
+def unused_imports(path: Path) -> set[str]:
+    """Names bound by the module-level imports of ``path`` that nothing reads."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    imported = set()
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            imported.update((a.asname or a.name).split(".")[0] for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported.update(a.asname or a.name for a in node.names)
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return imported - used
+
+
+def test_every_import_is_used():
+    modules = sorted((ROOT / "src" / "switchsim").glob("*.py"))
+    unused = {
+        path.name: sorted(names)
+        for path in modules
+        if path.name != "__init__.py" and (names := unused_imports(path))
+    }
+    assert unused == {}

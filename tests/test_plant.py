@@ -9,6 +9,7 @@ from switchsim import (
     InjectDisturbance,
     MotorModel,
     MoveMotorTo,
+    NeverEngaged,
     RangeExceeded,
     SetVelocity,
     Side,
@@ -16,6 +17,7 @@ from switchsim import (
     SlackDetected,
     SpoolModel,
     SwitchMode,
+    SwitchSimError,
     SwitchState,
     Wait,
     initial_state,
@@ -24,6 +26,7 @@ from switchsim import (
     step_plant,
 )
 from switchsim.experiments import full_rom_script
+from switchsim.plant import STEP_BUDGET
 
 
 @pytest.fixture()
@@ -81,8 +84,12 @@ class TestStepPlant:
         )
         bad = replace(linear_plant, spool_plus=slack_spool)
         with pytest.raises(SlackDetected):
-            step_plant(initial_state(bad), bad, t=1e-3, motor_delta=0.0)
+            step_plant(initial_state(linear_plant), bad, t=1e-3, motor_delta=0.0)
 
+    def test_slack_rest_state_detected(self):
+        plant = Config(payout_at_zero_mm=1000.0).plant()
+        with pytest.raises(SlackDetected, match=r"plus cable .* at t=0\.000000 s"):
+            run_script(plant, [])
 
     def test_end_time_must_follow_state_time(self, linear_plant):
         state = initial_state(linear_plant)
@@ -236,6 +243,15 @@ class TestRunScript:
         with pytest.raises(ValueError):
             run_script(ref_plant, [SetVelocity(1000.0)])
 
+    def test_short_wait_takes_a_whole_step(self, ref_plant):
+        trace = run_script(ref_plant, [Wait(0.0004)])
+        assert [row.t for row in trace.rows] == [0.0, ref_plant.dt]
+
+    def test_duration_runs_at_least_that_long(self, ref_plant):
+        trace = run_script(ref_plant, [], duration=0.0504)
+        assert trace.rows[-1].t >= 0.0504
+        assert trace.rows[-2].t < 0.0504
+
     def test_trace_csv_schema(self, ref_plant):
         trace = run_script(ref_plant, [], duration=0.002)
         header = trace.to_csv().splitlines()[0]
@@ -257,9 +273,37 @@ class TestEventTiming:
         assert t == pytest.approx(expected, abs=1e-9)
         assert abs(t * 1000.0 - 170.2778) < 1e-3
 
+    def test_already_engaged_side_fails_after_one_step(self, ref_plant):
+        sim = Simulator(ref_plant, engaged=Side.PLUS)
+        sim.set_velocity(720.0)
+        with pytest.raises(NeverEngaged):
+            sim.run_until_engaged(Side.PLUS, timeout=1.0)
+        assert sim.t == ref_plant.dt
+
     def test_move_records_command_time(self, ref_plant):
         sim = Simulator(ref_plant)
         sim.wait(0.05)
         t_cmd = sim.move_motor_to(30.0)
         assert t_cmd == pytest.approx(0.05)
         assert sim.state.motor_angle == pytest.approx(30.0, abs=1e-9)
+
+
+class TestStepBudget:
+    """A command over the step budget raises before it takes a step."""
+
+    def assert_refused(self, plant, command):
+        sim = Simulator(plant)
+        with pytest.raises(SwitchSimError, match=f"over the budget of {STEP_BUDGET} steps"):
+            sim.execute(command)
+        assert sim.t == 0.0
+        assert len(sim.trace.rows) == 1
+
+    def test_tiny_dt(self, ref_plant):
+        self.assert_refused(replace(ref_plant, dt=1e-12), Wait(0.5))
+
+    def test_huge_move(self, ref_plant):
+        self.assert_refused(ref_plant, MoveMotorTo(1e12))
+
+    def test_message_names_steps_and_dt(self, ref_plant):
+        with pytest.raises(SwitchSimError, match=r"5e\+11 steps of dt=1e-12 s"):
+            run_script(replace(ref_plant, dt=1e-12), [Wait(0.5)])

@@ -16,6 +16,7 @@ from switchsim import (
     calibrate_slip,
     step_switch,
 )
+from switchsim.switching import _band_crossings
 
 K_EFF_REF = 122.6 / 19.8
 
@@ -160,6 +161,56 @@ class TestStepSwitch:
         outside = SwitchState(SwitchMode.TRAVERSING, ref_engagement.psi_star + 0.01)
         with pytest.raises(InvalidState):
             step_switch(outside, model, ref_engagement, 0.1)
+
+
+class TestEventStream:
+    @settings(deadline=None, max_examples=200)
+    @given(
+        start=st.sampled_from(["plus", "minus", "traversing"]),
+        psi_frac=st.floats(min_value=-1.0, max_value=1.0),
+        delta_deg=st.floats(min_value=-260.0, max_value=260.0),
+    )
+    def test_one_spool_packet_and_it_is_last(
+        self, model, ref_engagement, start, psi_frac, delta_deg
+    ):
+        if start == "traversing":
+            state = SwitchState(SwitchMode.TRAVERSING, psi_frac * ref_engagement.psi_star)
+        else:
+            state = SwitchState.engaged(Side(start), ref_engagement)
+        _, events = step_switch(state, model, ref_engagement, math.radians(delta_deg))
+        assert EventKind.SPOOL_DRIVEN not in [e.kind for e in events[:-1]]
+        assert all(
+            e.spool_rotation == 0.0 for e in events if e.kind is not EventKind.SPOOL_DRIVEN
+        )
+
+    def test_band_crossings_match_the_two_sided_rule(self, ref_engagement):
+        w = ref_engagement.neutral_half_width
+        psi_star = ref_engagement.psi_star
+
+        def two_sided(psi0, psi1, direction):
+            out = []
+            if direction > 0:
+                if psi0 <= -w and psi1 > -w:
+                    out.append((EventKind.ENTERED_NEUTRAL, -w))
+                if psi0 < w and psi1 >= w:
+                    out.append((EventKind.EXITED_NEUTRAL, w))
+            else:
+                if psi0 >= w and psi1 < w:
+                    out.append((EventKind.ENTERED_NEUTRAL, w))
+                if psi0 > -w and psi1 <= -w:
+                    out.append((EventKind.EXITED_NEUTRAL, -w))
+            return out
+
+        points = [0.0, psi_star, -psi_star, 0.5 * w, -0.5 * w]
+        for edge in (w, -w):
+            points += [edge, math.nextafter(edge, math.inf), math.nextafter(edge, -math.inf)]
+        for psi0 in points:
+            for psi1 in points:
+                if psi0 == psi1:
+                    continue
+                direction = 1 if psi1 > psi0 else -1
+                got = _band_crossings(ref_engagement, psi0, psi1, direction)
+                assert got == two_sided(psi0, psi1, direction)
 
 
 class TestComposability:
