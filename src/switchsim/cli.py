@@ -13,21 +13,20 @@ import argparse
 import math
 import os
 import sys
+from dataclasses import replace
 
 from .config import Config, load_config
 from .errors import ConfigError, SwitchSimError
 from .experiments import (
     ControlMode,
-    calibrate_profile_accel,
+    motor_travel_per_traversal,
     run_independence,
     run_speed_sweep,
     run_switching_time,
 )
-from .geometry import kinematic_carry_ratio, validate_layout
 from .motion import trapezoid_duration
 from .optimizer import DesignConstraints, DesignSpace, optimize
-from .plant import run_script
-from .switching import calibrate_slip
+from .plant import PlantConfig, run_script
 
 DEFAULT_SWEEP_OMEGAS = "180,270,360,450,540,630,720"
 
@@ -69,6 +68,13 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.split(","))
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchsim",
@@ -78,14 +84,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check the configured layout")
+    p.set_defaults(run=_cmd_validate)
     p.add_argument("--out", default="-")
 
     p = sub.add_parser("simulate", help="run the [script] section and emit the trace")
+    p.set_defaults(run=_cmd_simulate)
     p.add_argument("--out", default="-")
     p.add_argument("--events", help="also write the event log CSV here")
     p.add_argument("--duration", type=float, help="minimum simulated time, s")
 
     p = sub.add_parser("switching-time", help="repeated traversal timing trials")
+    p.set_defaults(run=_cmd_switching_time)
     p.add_argument("--out", default="-")
     p.add_argument("--trials", type=int, default=10)
     p.add_argument("--no-jitter", action="store_true")
@@ -101,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("independence", help="full-RoM sweep with disturbances")
+    p.set_defaults(run=_cmd_independence)
     p.add_argument("--out", default="-")
     p.add_argument("--magnitude", type=float, default=5.0)
     p.add_argument(
@@ -116,8 +126,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("sweep", help="switching time vs motor speed")
+    p.set_defaults(run=_cmd_sweep)
     p.add_argument("--out", default="-")
-    p.add_argument("--omegas", default=DEFAULT_SWEEP_OMEGAS, help="comma list, deg/s")
+    p.add_argument(
+        "--omegas", default=DEFAULT_SWEEP_OMEGAS, type=_parse_float_list, help="comma list, deg/s"
+    )
     p.add_argument(
         "--position-mode",
         action="store_true",
@@ -125,6 +138,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     p = sub.add_parser("optimize", help="rank gear sizings by predicted switching time")
+    p.set_defaults(run=_cmd_optimize)
     p.add_argument("--out", default="-")
     p.add_argument("--drive-teeth", default="16:24", type=_parse_int_range)
     p.add_argument("--switch-teeth", default="8:20", type=_parse_int_range)
@@ -137,13 +151,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratio-min", type=float)
     p.add_argument("--ratio-max", type=float)
     p.add_argument("--cap", type=int, default=1_000_000)
-    p.add_argument("--top", type=int, help="emit only the best N designs")
+    p.add_argument("--top", type=_positive_int, help="emit only the best N designs")
 
     p = sub.add_parser("calibrate", help="pin motor/friction parameters to measurements")
+    p.set_defaults(run=_cmd_calibrate)
     p.add_argument("--out", default="-")
-    p.add_argument("--switch-time-ms", type=float, help="default: target_switch_time_ms")
-    p.add_argument("--motor-travel-deg", type=float, help="default: motor_travel_deg")
-    p.add_argument("--revolution-deg", type=float, help="default: revolution_travel_deg")
+    p.add_argument("--switch-time-ms", dest="target_switch_time_ms", type=float)
+    p.add_argument("--motor-travel-deg", dest="motor_travel_deg", type=float)
+    p.add_argument("--revolution-deg", dest="revolution_travel_deg", type=float)
 
     return parser
 
@@ -156,8 +171,8 @@ def main(argv: list[str] | None = None) -> int:
         return int(exc.code or 0)
 
     try:
-        cfg = load_config(args.config)
-        return _dispatch(args, cfg)
+        cfg, plant = load_config(args.config)
+        return args.run(args, cfg, plant)
     except ConfigError as exc:
         for line_no, message in exc.errors:
             where = f"line {line_no}: " if line_no else ""
@@ -168,41 +183,23 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def _dispatch(args: argparse.Namespace, cfg: Config) -> int:
-    if args.command == "validate":
-        return _cmd_validate(args, cfg)
-    if args.command == "simulate":
-        return _cmd_simulate(args, cfg)
-    if args.command == "switching-time":
-        return _cmd_switching_time(args, cfg)
-    if args.command == "independence":
-        return _cmd_independence(args, cfg)
-    if args.command == "sweep":
-        return _cmd_sweep(args, cfg)
-    if args.command == "optimize":
-        return _cmd_optimize(args, cfg)
-    if args.command == "calibrate":
-        return _cmd_calibrate(args, cfg)
-    raise AssertionError(f"unhandled command {args.command}")
+def _cmd_validate(args, cfg: Config, plant: PlantConfig) -> int:
+    # Building the plant validated its layout; a failed check never gets here.
+    _write(args.out, "0 violations\n")
+    return 0
 
 
-def _cmd_validate(args, cfg: Config) -> int:
-    report = validate_layout(cfg.layout())
-    _write(args.out, str(report) + "\n")
-    return 0 if report.ok else 1
-
-
-def _cmd_simulate(args, cfg: Config) -> int:
-    trace = run_script(cfg.plant(), cfg.script, duration=args.duration)
+def _cmd_simulate(args, cfg: Config, plant: PlantConfig) -> int:
+    trace = run_script(plant, cfg.script, duration=args.duration)
     _write(args.out, trace.to_csv())
     if args.events:
         _write(args.events, trace.events_to_csv())
     return 0
 
 
-def _cmd_switching_time(args, cfg: Config) -> int:
+def _cmd_switching_time(args, cfg: Config, plant: PlantConfig) -> int:
     stats = run_switching_time(
-        cfg.plant(),
+        plant,
         n_trials=args.trials,
         jitter=not args.no_jitter,
         jitter_sigma_ms=args.jitter_sigma_ms,
@@ -241,9 +238,9 @@ def _cmd_switching_time(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_independence(args, cfg: Config) -> int:
+def _cmd_independence(args, cfg: Config, plant: PlantConfig) -> int:
     report = run_independence(
-        cfg.plant(), magnitude=args.magnitude, target=args.target, seed=args.seed
+        plant, magnitude=args.magnitude, target=args.target, seed=args.seed
     )
     _write(
         args.out,
@@ -273,9 +270,9 @@ def _cmd_independence(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_sweep(args, cfg: Config) -> int:
+def _cmd_sweep(args, cfg: Config, plant: PlantConfig) -> int:
     mode = ControlMode.PROFILE_POSITION if args.position_mode else ControlMode.PROFILE_VELOCITY
-    curve = run_speed_sweep(cfg.plant(), _parse_float_list(args.omegas), mode=mode)
+    curve = run_speed_sweep(plant, args.omegas, mode=mode)
     rows = [
         (
             p.omega,
@@ -297,7 +294,7 @@ def _cmd_sweep(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_optimize(args, cfg: Config) -> int:
+def _cmd_optimize(args, cfg: Config, plant: PlantConfig) -> int:
     if args.psi_star_deg and args.center_distance_mm:
         print("give either --psi-star-deg or --center-distance-mm, not both", file=sys.stderr)
         return 2
@@ -320,10 +317,8 @@ def _cmd_optimize(args, cfg: Config) -> int:
     constraints = DesignConstraints(
         driven_ratio_min=args.ratio_min, driven_ratio_max=args.ratio_max, cap=args.cap
     )
-    plant = cfg.plant()
     results = optimize(space, constraints, plant.traversal.slip, plant.motor)
-    if args.top:
-        results = results[: args.top]
+    results = results[: args.top]
     rows = [
         (
             rank,
@@ -364,14 +359,16 @@ def _cmd_optimize(args, cfg: Config) -> int:
     return 0
 
 
-def _cmd_calibrate(args, cfg: Config) -> int:
-    time_ms = cfg.target_switch_time_ms if args.switch_time_ms is None else args.switch_time_ms
-    motor_travel = cfg.motor_travel_deg if args.motor_travel_deg is None else args.motor_travel_deg
-    revolution = cfg.revolution_travel_deg if args.revolution_deg is None else args.revolution_deg
-    carry = kinematic_carry_ratio(cfg.layout())
-    model = calibrate_slip(motor_travel, revolution, carry)
-    accel = calibrate_profile_accel(time_ms / 1000.0, motor_travel, cfg.max_output_speed)
-    check_ms = trapezoid_duration(motor_travel, cfg.max_output_speed, accel) * 1000.0
+def _cmd_calibrate(args, cfg: Config, plant: PlantConfig) -> int:
+    measured = {
+        name: getattr(args, name)
+        for name in ("target_switch_time_ms", "motor_travel_deg", "revolution_travel_deg")
+        if getattr(args, name) is not None
+    }
+    calibrated = replace(cfg, slip=None, profile_accel=None, **measured).plant()
+    accel, model = calibrated.motor.profile_accel, calibrated.traversal
+    travel = motor_travel_per_traversal(calibrated)
+    check_ms = trapezoid_duration(travel, cfg.max_output_speed, accel) * 1000.0
     _write(
         args.out,
         _csv(

@@ -29,7 +29,7 @@ from dataclasses import astuple, dataclass, field, fields
 from typing import Callable
 
 from .errors import ConfigError, InvalidDesign, SwitchSimError
-from .experiments import calibrate_profile_accel
+from .experiments import calibrate_profile_accel, motor_travel_per_traversal
 from .geometry import (
     GearSpec,
     MIN_TOOTH_COUNT,
@@ -39,6 +39,7 @@ from .geometry import (
     solve_center_distance,
     validate_layout,
 )
+from .motion import trapezoid_duration
 from .paths import CablePath, CurvedPath, LinearPath, TabulatedPath, X_MAX
 from .plant import (
     DisturbancePulses,
@@ -50,6 +51,8 @@ from .plant import (
     SetVelocity,
     SpoolModel,
     Wait,
+    initial_state,
+    steps_to_cover,
 )
 from .switching import TraversalModel, calibrate_slip
 
@@ -310,7 +313,7 @@ class _Parser:
         self.errors: list[tuple[int, str]] = []
         self.values: dict[tuple[str, str], object] = {}
         self.lines: dict[tuple[str, str], int] = {}
-        self.script: list[ScriptCommand] = []
+        self.script: list[tuple[int, ScriptCommand]] = []  # (line, command)
         self._scan(text)
 
     def fail(self, line_no: int, message: str) -> None:
@@ -333,7 +336,7 @@ class _Parser:
                 continue
             if section == "script":
                 try:
-                    self.script.append(_parse_script_line(line))
+                    self.script.append((line_no, _parse_script_line(line)))
                 except ValueError as exc:
                     self.fail(line_no, str(exc))
                 continue
@@ -402,13 +405,8 @@ class _Parser:
         return PathSpec(**values)
 
 
-def parse_config(text: str) -> Config:
-    """Parse and validate a configuration; all keys optional.
-
-    Raises:
-        ConfigError: every syntax, unknown-key, range and cross-field
-            problem found, each with its line number.
-    """
+def _parse(text: str) -> tuple[Config, PlantConfig]:
+    """``parse_config``, returning the plant its cross-field check built as well."""
     p = _Parser(text)
     defaults = Config()
 
@@ -422,7 +420,7 @@ def parse_config(text: str) -> Config:
             values.setdefault(name, p.get("layout", "module_mm", None))
     for prefix in _PATHS:
         values[prefix] = p.path_spec(prefix, getattr(defaults, prefix))
-    cfg = Config(**values, script=tuple(p.script))
+    cfg = Config(**values, script=tuple(cmd for _, cmd in p.script))
 
     # Contradictory key combinations.
     for (section, key), spec in _SCHEMA.items():
@@ -432,10 +430,21 @@ def parse_config(text: str) -> Config:
                 other = f"the ({', '.join(spec.replaces)}) pair"
             p.fail(p.line(section, key), f"give either {key} or {other}, not both")
 
-    # Cross-field checks: the plant build validates the layout first.
+    # Cross-field checks: script rates within the speed limit, then the plant
+    # build (which validates the layout first), a taut rest state, and one
+    # traversal within the step budget.
     if not p.errors:
+        for line_no, cmd in p.script:
+            if isinstance(cmd, SetVelocity) and abs(cmd.rate) > cfg.max_output_speed:
+                message = f"set_velocity {cmd.rate!r} deg/s exceeds max_output_speed_deg_s"
+                p.fail(line_no, f"{message} = {cfg.max_output_speed!r}")
         try:
-            cfg.plant()
+            plant = cfg.plant()
+            initial_state(plant)
+            motor = plant.motor
+            travel = motor_travel_per_traversal(plant)
+            travel_s = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
+            steps_to_cover(travel_s, plant.dt)
         except InvalidDesign as exc:
             for violation in exc.report.violations:
                 if violation.rule == "module-mismatch":
@@ -450,7 +459,17 @@ def parse_config(text: str) -> Config:
 
     if p.errors:
         raise ConfigError(sorted(p.errors))
-    return cfg
+    return cfg, plant
+
+
+def parse_config(text: str) -> Config:
+    """Parse and validate a configuration; all keys optional.
+
+    Raises:
+        ConfigError: every syntax, unknown-key, range and cross-field
+            problem found, each with its line number.
+    """
+    return _parse(text)[0]
 
 
 # -----------------------------------------------------------------------------
@@ -496,9 +515,10 @@ def serialize_config(cfg: Config) -> str:
     return "\n\n".join(blocks) + "\n"
 
 
-def load_config(path: str | None) -> Config:
-    """Config from a file path, or the reference defaults when ``path`` is None."""
+def load_config(path: str | None) -> tuple[Config, PlantConfig]:
+    """Config and its plant from a file path, or the reference rig when ``path`` is None."""
     if path is None:
-        return Config()
+        cfg = Config()
+        return cfg, cfg.plant()
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_config(fh.read())
+        return _parse(fh.read())

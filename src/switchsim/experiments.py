@@ -79,6 +79,10 @@ def run_switching_time(
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
+    if not (0.0 <= jitter_sigma_ms < math.inf):
+        raise ValueError(
+            f"jitter_sigma_ms must be finite and not negative, got {jitter_sigma_ms!r}"
+        )
     base_seed = config.seed if seed is None else seed
     travel = motor_travel_per_traversal(config)
     sim = Simulator(config, engaged=Side.MINUS, record=False)

@@ -10,6 +10,7 @@ predictions at the measured slip.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge
@@ -60,6 +61,9 @@ class DesignSpace:
             raise ValueError(
                 "provide exactly one of psi_star_targets or center_distances"
             )
+        limit = self.envelope_max_diameter
+        if limit is not None and not (0 < limit < math.inf):
+            raise ValueError(f"envelope_max_diameter must be finite and positive, got {limit!r}")
 
     @property
     def size(self) -> int:
@@ -79,6 +83,12 @@ class DesignConstraints:
     driven_ratio_min: float | None = None   # bound on z_drive/z_driven (torque proxy)
     driven_ratio_max: float | None = None
     cap: int = DEFAULT_SPACE_CAP
+
+    def __post_init__(self):
+        for name in ("driven_ratio_min", "driven_ratio_max"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)

@@ -132,14 +132,19 @@ def _state(
 
     Raises:
         SlackDetected: a tension is not positive (timestamped).
+        SwitchSimError: a tension overflows to infinity (timestamped).
     """
     payout_plus = config.path_plus.length(joint_angle) + disturbances[0]
     payout_minus = config.path_minus.length(-joint_angle) + disturbances[1]
     tension_plus = config.spool_plus.tension(payout_plus)
     tension_minus = config.spool_minus.tension(payout_minus)
-    if not (tension_plus > 0.0 and tension_minus > 0.0):
-        side, tension = ("minus", tension_minus) if tension_plus > 0.0 else ("plus", tension_plus)
-        raise SlackDetected(f"{side} cable tension {tension!r} N is not positive at t={t:.6f} s")
+    if not (0.0 < tension_plus < math.inf and 0.0 < tension_minus < math.inf):
+        for side, tension in (("plus", tension_plus), ("minus", tension_minus)):
+            where = f"{side} cable tension {tension!r} N is not"
+            if not (tension > 0.0):
+                raise SlackDetected(f"{where} positive at t={t:.6f} s")
+            if tension == math.inf:
+                raise SwitchSimError(f"{where} finite at t={t:.6f} s")
     return SimState(
         t=t,
         motor_angle=motor_angle,
@@ -183,6 +188,7 @@ def step_plant(
     Raises:
         RangeExceeded: joint driven outside [-pi/2, +pi/2] (timestamped).
         SlackDetected: a tension is not positive (timestamped).
+        SwitchSimError: a tension overflows to infinity (timestamped).
     """
     if not (t > state.t):
         raise ValueError(f"step end time {t!r} must be after the state time {state.t!r}")
@@ -272,8 +278,10 @@ class DisturbancePulses:
     def __post_init__(self):
         if self.target not in ("plus", "minus", "engaged", "disengaged"):
             raise ValueError(f"unknown disturbance target {self.target!r}")
-        if not (self.magnitude >= 0):
-            raise ValueError("disturbance magnitude must be non-negative")
+        if not (0 <= self.magnitude < math.inf):
+            raise ValueError(
+                f"disturbance magnitude must be finite and non-negative, got {self.magnitude!r}"
+            )
         if not (self.width > 0):
             raise ValueError("pulse width and gaps must be positive, min_gap <= max_gap")
 
@@ -467,14 +475,7 @@ class Simulator:
         Raises:
             SwitchSimError: the steps exceed ``STEP_BUDGET``; nothing is stepped.
         """
-        dt = self.config.dt
-        steps = duration / dt - 1e-12
-        if steps > STEP_BUDGET:
-            raise SwitchSimError(
-                f"{duration!r} s takes {steps:.6g} steps of dt={dt!r} s, "
-                f"over the budget of {STEP_BUDGET} steps per command"
-            )
-        for _ in range(math.ceil(steps)):
+        for _ in range(steps_to_cover(duration, self.config.dt)):
             self._step()
             if until is not None and self.state.switch.engaged_side is until:
                 return
@@ -539,6 +540,21 @@ class Simulator:
         self._step_index += 1
         if self.record:
             self.trace.rows.append(state)
+
+
+def steps_to_cover(duration: float, dt: float) -> int:
+    """Whole steps of ``dt`` s that one command takes to run ``duration`` s.
+
+    Raises:
+        SwitchSimError: the steps exceed ``STEP_BUDGET``.
+    """
+    steps = duration / dt - 1e-12
+    if steps > STEP_BUDGET:
+        raise SwitchSimError(
+            f"{duration!r} s takes {steps:.6g} steps of dt={dt!r} s, "
+            f"over the budget of {STEP_BUDGET} steps per command"
+        )
+    return math.ceil(steps)
 
 
 def run_script(

@@ -1,9 +1,11 @@
+import argparse
 import csv
 import io
 
 import pytest
 
-from switchsim.cli import main
+from switchsim.cli import _parse_float_list, build_parser, main
+from switchsim.config import Config
 
 
 def run_cli(capsys, *argv):
@@ -148,6 +150,19 @@ class TestCalibrate:
         assert float(row["slip"]) == pytest.approx(0.7093, abs=1e-4)
         assert float(row["reproduced_time_ms"]) == pytest.approx(302.0, abs=1e-6)
 
+    def test_reports_the_plant_the_config_builds(self, capsys, tmp_path):
+        cfg = tmp_path / "rev.cfg"
+        cfg.write_text("[traversal]\nrevolution_travel_deg = 20.5\n")
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "calibrate")
+        assert code == 0
+        row = parse_csv(out)[0]
+        assert float(row["profile_accel_deg_s2"]) == pytest.approx(5234.97, abs=0.01)
+        code, out, _ = run_cli(capsys, "--config", str(cfg), "switching-time", "--no-jitter")
+        assert code == 0
+        mean_up_ms = float(parse_csv(out)[0]["mean_up_ms"])
+        assert mean_up_ms == 302.0
+        assert float(row["reproduced_time_ms"]) == pytest.approx(mean_up_ms, abs=1e-6)
+
     def test_defaults_come_from_the_config(self, capsys, tmp_path):
         cfg = tmp_path / "bench.cfg"
         cfg.write_text(
@@ -196,6 +211,22 @@ class TestSimulate:
             outputs.append(path.read_bytes())
         assert outputs[0] == outputs[1]
 
+    def test_builds_one_plant(self, capsys, tmp_path, monkeypatch):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(self.SCRIPT_CFG)
+        calls = []
+        build = Config.plant
+
+        def counted(config):
+            calls.append(config)
+            return build(config)
+
+        monkeypatch.setattr(Config, "plant", counted)
+        out = tmp_path / "t.csv"
+        code, _, _ = run_cli(capsys, "--config", str(cfg), "simulate", "--out", str(out))
+        assert code == 0
+        assert len(calls) == 1
+
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SWITCHSIM_OUT_DIR", str(tmp_path))
         code, _, _ = run_cli(capsys, "simulate", "--duration", "0.01", "--out", "t.csv")
@@ -223,6 +254,34 @@ class TestUsage:
         assert code == 2
         assert "not both" in err
 
+    @pytest.mark.parametrize("top", ["0", "-1"])
+    def test_top_must_be_positive(self, capsys, top):
+        code, _, err = run_cli(capsys, "optimize", "--top", top)
+        assert code == 2
+        assert "must be a positive integer" in err
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "validate")
         assert code == 1
+
+
+def _float_flags():
+    """(subcommand, flag, value count) of every float-valued flag the parser declares."""
+    (commands,) = [
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    ]
+    return [
+        (command, action.option_strings[0], action.nargs or 1)
+        for command, parser in commands.choices.items()
+        for action in parser._actions
+        if action.type in (float, _parse_float_list)
+    ]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("command, flag, count", _float_flags())
+def test_non_finite_float_flag_fails_cleanly(capsys, command, flag, count, value):
+    code, _, err = run_cli(capsys, command, flag, *[value] * count)
+    assert code != 0
+    assert err

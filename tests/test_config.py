@@ -1,10 +1,11 @@
 import math
 import random
 import re
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from switchsim import (
     Config,
@@ -15,11 +16,15 @@ from switchsim import (
     MoveMotorTo,
     PathSpec,
     SetVelocity,
+    SwitchSimError,
     Wait,
     parse_config,
+    run_script,
+    run_switching_time,
     serialize_config,
     validate_layout,
 )
+from switchsim.config import _SCHEMA
 
 
 class TestDefaults:
@@ -214,6 +219,39 @@ class TestErrors:
         err = self.assert_errors("[script]\nmove_to 10\nwait -1\n", "must not be negative")
         assert [line for line, _ in err.errors] == [3]
 
+    def test_set_velocity_above_speed_limit_rejected_at_its_line(self):
+        text = (
+            "[motor]\nmax_output_speed_deg_s = 500.0\n"
+            "[script]\nwait 0.1\nset_velocity -600.0\n"
+        )
+        message = "set_velocity -600.0 deg/s exceeds max_output_speed_deg_s = 500.0"
+        assert self.assert_errors(text, message).errors == [(5, message)]
+
+    def test_set_velocity_at_speed_limit_accepted(self):
+        cfg = parse_config("[script]\nset_velocity -720.0\n")
+        assert cfg.script == (SetVelocity(-720.0),)
+
+    def test_traversal_over_the_step_budget_rejected(self):
+        self.assert_errors(
+            "[motor]\nprofile_accel_deg_s2 = 1e-12\n",
+            "configuration cannot be instantiated",
+            "over the budget of",
+        )
+
+    def test_infinite_rest_tension_rejected(self):
+        self.assert_errors(
+            "[spools]\nspool_radius_mm = 3e-208\n",
+            "configuration cannot be instantiated: plus cable tension inf N is not finite",
+        )
+
+    def test_slack_rest_state_rejected(self):
+        err = self.assert_errors(
+            "[spools]\npayout_at_zero_mm = 1000.0\n",
+            "configuration cannot be instantiated: plus cable tension",
+            "at t=0.000000 s",
+        )
+        assert [line for line, _ in err.errors] == [0]
+
 
 class TestScript:
     def test_commands_parse(self):
@@ -346,6 +384,152 @@ class TestSerializedText:
             "\n[script]\nmove_to 100.0\nset_velocity -90.0\nwait 0.25\n"
             "disturb disengaged 5.0 0.1\ndisturb_off\n"
         )
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi).map(repr)
+
+
+_MODULES = st.sampled_from(["0.5", "0.8", "1.0", "1.25"])
+_MODULE_KEYS = {
+    ("layout", key) for key in ("drive_module_mm", "switch_module_mm", "driven_module_mm")
+}
+
+
+@st.composite
+def _knot_tables(draw):
+    """Knot tables near the valid ones: about -90..+90 deg, lengths mostly decreasing."""
+    inner = draw(st.lists(st.floats(-80.0, 80.0), max_size=4, unique=True))
+    angles = [draw(st.floats(-92.0, -88.0)), *sorted(inner), draw(st.floats(88.0, 92.0))]
+    length = draw(st.floats(200.0, 400.0))
+    knots = []
+    for angle in angles:
+        knots.append(f"{angle!r}:{length!r}")
+        length -= draw(st.floats(-2.0, 40.0))
+    return ", ".join(knots)
+
+
+_PATH_VALUES = {
+    "kind": st.sampled_from(["linear", "curved", "tabulated"]),
+    "reference_length_mm": _floats(200.0, 400.0),
+    "moment_arm_mm": _floats(0.0, 40.0),
+    "bow_mm": _floats(-10.0, 10.0),
+    "knots": _knot_tables(),
+}
+
+# A value strategy for every config file key, around its valid range.
+_VALUES = {
+    ("layout", "drive_teeth"): st.integers(7, 40).map(str),
+    ("layout", "switch_teeth"): st.integers(7, 30).map(str),
+    ("layout", "driven_teeth"): st.integers(7, 40).map(str),
+    ("layout", "drive_module_mm"): _MODULES,
+    ("layout", "switch_module_mm"): _MODULES,
+    ("layout", "driven_module_mm"): _MODULES,
+    ("layout", "module_mm"): _MODULES,
+    ("layout", "driven_half_angle_deg"): _floats(15.0, 40.0),
+    ("layout", "center_distance_mm"): _floats(30.0, 40.0),
+    ("layout", "track_travel_deg"): _floats(10.0, 30.0),
+    ("layout", "backlash_margin_mm"): _floats(-0.05, 0.5),
+    ("traversal", "slip"): _floats(-0.05, 0.95),
+    ("traversal", "motor_travel_deg"): _floats(60.0, 200.0),
+    ("traversal", "revolution_travel_deg"): _floats(-1.0, 30.0),
+    ("motor", "max_output_speed_deg_s"): _floats(-1.0, 2000.0),
+    ("motor", "profile_accel_deg_s2"): _floats(-1.0, 50000.0),
+    ("motor", "target_switch_time_ms"): _floats(150.0, 600.0),
+    **{
+        ("paths", f"{prefix}_{key}"): values
+        for prefix in ("agonist", "antagonist")
+        for key, values in _PATH_VALUES.items()
+    },
+    ("spools", "spool_radius_mm"): _floats(0.0, 30.0),
+    ("spools", "spring_preload_nmm"): _floats(0.0, 20.0),
+    ("spools", "spring_rate_nmm_per_deg"): _floats(-0.05, 0.2),
+    ("spools", "payout_at_zero_mm"): _floats(200.0, 350.0),
+    ("sim", "dt_s"): _floats(-1e-3, 5e-3),
+    ("sim", "seed"): st.integers(0, 2**31).map(str),
+}
+
+_COMMANDS = st.one_of(
+    _floats(-400.0, 400.0).map("move_to {}".format),
+    _floats(-900.0, 900.0).map("set_velocity {}".format),
+    _floats(0.0, 0.3).map("wait {}".format),
+    st.builds(
+        "disturb {} {} {}".format,
+        st.sampled_from(["plus", "minus", "engaged", "disengaged"]),
+        _floats(0.0, 20.0),
+        _floats(0.01, 0.2),
+    ),
+    st.just("disturb_off"),
+)
+
+
+@st.composite
+def _config_texts(draw):
+    """Config texts over every key, each given about one time in six.
+
+    Keys a file may not give together are not drawn together, so that most
+    texts parse: a key that replaces others drops them, the module keys are
+    given together with one value, and the path keys follow the path kind.
+    """
+    given = {key for key in _VALUES if draw(st.integers(0, 5)) == 0}
+    for section, key in sorted(given):
+        given -= {(section, other) for other in _SCHEMA[section, key].replaces}
+    if given & _MODULE_KEYS:
+        given |= _MODULE_KEYS
+    module = draw(_MODULES)
+    values = {
+        (section, key): module if key.endswith("module_mm") else draw(_VALUES[section, key])
+        for section, key in _VALUES
+        if (section, key) in given
+    }
+    for prefix, default_kind in (("agonist", "linear"), ("antagonist", "curved")):
+        kind = values.get(("paths", f"{prefix}_kind"), default_kind)
+        bow, knots = ("paths", f"{prefix}_bow_mm"), ("paths", f"{prefix}_knots")
+        if kind != "curved":
+            values.pop(bow, None)
+        if kind != "tabulated":
+            values.pop(knots, None)
+        elif knots not in values:
+            values[knots] = draw(_VALUES[knots])
+    sections: dict[str, list[str]] = {}
+    for (section, key), value in values.items():
+        sections.setdefault(section, []).append(f"{key} = {value}")
+    sections["script"] = draw(st.lists(_COMMANDS, max_size=5))
+    return "".join(
+        f"[{section}]\n" + "".join(f"{line}\n" for line in lines)
+        for section, lines in sections.items()
+    )
+
+
+class TestAcceptedConfigsRun:
+    """Any config ``parse_config`` accepts runs, or fails with a SwitchSimError."""
+
+    def test_strategy_covers_every_key(self):
+        assert set(_VALUES) == set(_SCHEMA)
+
+    @settings(deadline=None, max_examples=100)
+    @given(text=_config_texts())
+    def test_switching_trial_and_short_simulate(self, text):
+        # Parsing and running share the step budget; a small one bounds each run's time.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr("switchsim.plant.STEP_BUDGET", 20_000)
+            self.check_runs(text)
+
+    def check_runs(self, text):
+        try:
+            cfg = parse_config(text)
+        except ConfigError:
+            return
+        plant = cfg.plant()
+        stats = run_switching_time(plant, n_trials=1, jitter=False)
+        assert all(math.isfinite(t) for t in stats.up_ms + stats.down_ms)
+        try:
+            trace = run_script(plant, cfg.script, duration=0.1)
+        except SwitchSimError:
+            return
+        for row in trace.rows:
+            values = [getattr(row, f.name) for f in fields(row) if f.name != "switch"]
+            assert all(math.isfinite(v) for v in (*values, row.switch.psi)), row
 
 
 def test_readme_example_is_reference_config():

@@ -58,6 +58,11 @@ class TestSwitchingTime:
         )
         assert stats.sigma_up_ms == pytest.approx(0.6, abs=0.15)
 
+    @pytest.mark.parametrize("sigma", [math.nan, math.inf, -1.0])
+    def test_rejects_bad_jitter_sigma(self, ref_plant, sigma):
+        with pytest.raises(ValueError, match="jitter_sigma_ms must be finite and not negative"):
+            run_switching_time(ref_plant, n_trials=1, jitter_sigma_ms=sigma)
+
     def test_never_engaged_when_move_stops_short(self, ref_plant):
         from switchsim import Side, Simulator
         from switchsim.experiments import _timed_move

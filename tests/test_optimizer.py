@@ -181,6 +181,17 @@ class TestDesignSpace:
                 half_angles=(math.radians(25.0),),
             )
 
+    @pytest.mark.parametrize("limit", [math.nan, math.inf, 0.0, -1.0])
+    def test_rejects_bad_envelope_limit(self, limit):
+        with pytest.raises(ValueError, match="envelope_max_diameter must be finite and positive"):
+            singleton_space(envelope_max_diameter=limit)
+
+    @pytest.mark.parametrize("name", ["driven_ratio_min", "driven_ratio_max"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_constraints_reject_non_finite_ratio_bounds(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            DesignConstraints(**{name: value})
+
     def test_center_distance_grid_mode(self, motor):
         space = singleton_space(
             psi_star_targets=None,

@@ -91,6 +91,11 @@ class TestStepPlant:
         with pytest.raises(SlackDetected, match=r"plus cable .* at t=0\.000000 s"):
             run_script(plant, [])
 
+    def test_infinite_rest_tension_detected(self):
+        plant = Config(spool_radius_mm=3e-208).plant()
+        with pytest.raises(SwitchSimError, match=r"plus cable tension inf N is not finite"):
+            initial_state(plant)
+
     def test_end_time_must_follow_state_time(self, linear_plant):
         state = initial_state(linear_plant)
         with pytest.raises(ValueError, match="end time"):
@@ -180,6 +185,10 @@ class TestNonFiniteApiInput:
     def test_disturbance_magnitude_nan(self):
         with pytest.raises(ValueError, match="magnitude"):
             DisturbancePulses(magnitude=math.nan)
+
+    def test_disturbance_magnitude_inf(self):
+        with pytest.raises(ValueError, match="magnitude must be finite and non-negative, got inf"):
+            DisturbancePulses(magnitude=math.inf)
 
 
 class TestRunScript:
