@@ -198,6 +198,15 @@ def _cmd_simulate(args, cfg: Config, plant: PlantConfig) -> int:
 
 
 def _cmd_switching_time(args, cfg: Config, plant: PlantConfig) -> int:
+    if args.check:
+        lo, hi = args.check
+        for name, bound in (("LO", lo), ("HI", hi)):
+            if not math.isfinite(bound):
+                print(f"--check {name} must be finite, got {bound!r}", file=sys.stderr)
+                return 2
+        if lo > hi:
+            print(f"--check LO {lo!r} exceeds HI {hi!r}", file=sys.stderr)
+            return 2
     stats = run_switching_time(
         plant,
         n_trials=args.trials,
@@ -227,7 +236,6 @@ def _cmd_switching_time(args, cfg: Config, plant: PlantConfig) -> int:
         ]
         _write(args.per_trial, _csv(("trial", "up_ms", "down_ms"), rows))
     if args.check:
-        lo, hi = args.check
         if not (lo <= stats.mean_up_ms <= hi and lo <= stats.mean_down_ms <= hi):
             print(
                 f"check failed: means {stats.mean_up_ms}/{stats.mean_down_ms} ms "

@@ -92,14 +92,6 @@ class MechanismLayout:
         """Driven-gear speed per unit motor speed, z_drive / z_driven."""
         return self.driving.tooth_count / self.driven.tooth_count
 
-    def driven_center_gap(self, psi: float) -> float:
-        """Distance from the switch centre at angle ``psi`` to the +phi_d driven centre, mm."""
-        r = self.track_radius
-        d = self.driven_center_distance
-        return math.sqrt(
-            r * r + d * d - 2.0 * r * d * math.cos(psi - self.driven_half_angle)
-        )
-
 
 @dataclass(frozen=True)
 class EngagementSolution:
@@ -169,8 +161,9 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
     switch approaches from the midline side).
 
     Raises:
-        NoEngagement: the tangency equation has no real solution.
-        TrackDegenerate: psi* <= 0 (switch meshes a driven gear at the midline).
+        NoEngagement: the track never comes within mesh distance of a driven gear.
+        TrackDegenerate: the switch is within mesh distance of a driven gear at
+            the midline (psi* <= 0, or at every track angle).
         ValueError: structurally unusable fields (non-positive D, phi_d
             outside (0, pi/2)).
     """
@@ -187,22 +180,21 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
             "switch track never comes within mesh distance of a driven gear"
         )
     if c < -1.0:
-        raise NoEngagement(
+        raise TrackDegenerate(
             "switch is inside mesh distance of a driven gear at every track angle"
         )
     psi_star = phi - math.acos(c)
     if psi_star <= 0.0:
         raise TrackDegenerate(
-            "switch meshes a driven gear at the midline (psi* <= 0); no usable track"
+            f"switch meshes a driven gear at the midline "
+            f"(psi* = {math.degrees(psi_star):.4f} deg <= 0); no usable track"
         )
 
     margin = layout.backlash_margin
     half_width = 0.0
     if margin >= 0.0:
         cm = _engagement_cosine(layout, layout.mesh_distance + margin)
-        if cm >= 1.0:  # clearance everywhere; cannot happen when engagement exists
-            half_width = psi_star
-        elif cm > -1.0:
+        if cm > -1.0:
             half_width = max(0.0, phi - math.acos(cm))
 
     return EngagementSolution(
@@ -217,7 +209,8 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
 
     Rules reported: invalid-parameter, module-mismatch, driving-driven
     interference, switch-driven interference (at the midline), no-engagement
-    and empty-neutral-band.
+    and empty-neutral-band. The last three come from ``solve_engagement``'s
+    outcome, so a layout breaks at most one of them.
     """
     violations: list[Violation] = []
 
@@ -232,18 +225,14 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
 
     d = layout.driven_center_distance
     phi = layout.driven_half_angle
-    structural_ok = True
-    sol = None
     if not (math.isfinite(d) and d > 0):
         violations.append(
             Violation("invalid-parameter", f"driven_center_distance {d!r} not positive")
         )
-        structural_ok = False
     if not (0.0 < phi < math.pi / 2):
         violations.append(
             Violation("invalid-parameter", f"driven_half_angle {phi!r} outside (0, pi/2)")
         )
-        structural_ok = False
     if not (math.isfinite(layout.backlash_margin) and layout.backlash_margin >= 0.0):
         violations.append(
             Violation("invalid-parameter", f"backlash_margin {layout.backlash_margin!r} negative")
@@ -259,32 +248,21 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
             )
         )
 
-    if structural_ok:
-        gap0 = layout.driven_center_gap(0.0)
-        if gap0 <= layout.mesh_distance:
+    sol = None
+    try:
+        sol = solve_engagement(layout)
+    except TrackDegenerate as exc:
+        violations.append(Violation("switch-driven-interference", str(exc)))
+    except (NoEngagement, ValueError) as exc:
+        violations.append(Violation("no-engagement", str(exc)))
+    else:
+        if sol.neutral_half_width <= 0.0:
             violations.append(
                 Violation(
-                    "switch-driven-interference",
-                    f"switch at the midline is within mesh distance of a driven gear "
-                    f"(gap {gap0:.4f} mm <= {layout.mesh_distance} mm)",
+                    "empty-neutral-band",
+                    "no track angle clears both driven gears by the backlash margin",
                 )
             )
-        try:
-            sol = solve_engagement(layout)
-        except (NoEngagement, TrackDegenerate, ValueError) as exc:
-            violations.append(Violation("no-engagement", str(exc)))
-        else:
-            if sol.neutral_half_width <= 0.0:
-                violations.append(
-                    Violation(
-                        "empty-neutral-band",
-                        "no track angle clears both driven gears by the backlash margin",
-                    )
-                )
-    else:
-        violations.append(
-            Violation("no-engagement", "engagement insoluble for the given parameters")
-        )
 
     return ValidationReport(tuple(violations), sol)
 

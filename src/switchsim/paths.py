@@ -10,7 +10,7 @@ the two sides pay out/in antagonistically along geometrically different laws.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import cached_property
 
 from scipy.interpolate import PchipInterpolator
@@ -26,6 +26,13 @@ X_MAX = math.pi / 2
 _RANGE_TOL = 1e-9
 
 
+def _require_finite_fields(path) -> None:
+    for field in fields(path):
+        value = getattr(path, field.name)
+        if not math.isfinite(value):
+            raise ValueError(f"{field.name} must be finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class LinearPath:
     """Constant moment arm: L(x) = reference_length - moment_arm * x."""
@@ -34,6 +41,7 @@ class LinearPath:
     moment_arm: float        # mm per rad
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not (self.moment_arm > 0):
             raise ValueError(f"moment_arm must be positive, got {self.moment_arm!r}")
         if self.length(X_MAX) <= 0:
@@ -62,6 +70,7 @@ class CurvedPath:
     bow: float
 
     def __post_init__(self):
+        _require_finite_fields(self)
         if not (self.moment_arm > 0 and self.moment_arm + min(0.0, self.bow) > 0):
             raise ValueError(
                 f"curved path not strictly decreasing: moment_arm={self.moment_arm!r}, "
@@ -91,6 +100,9 @@ class TabulatedPath:
     def __post_init__(self):
         if len(self.knots) < 2:
             raise ValueError("tabulated path needs at least two knots")
+        for knot in self.knots:
+            if not all(math.isfinite(v) for v in knot):
+                raise ValueError(f"knots must be finite, got {knot!r}")
         xs = [x for x, _ in self.knots]
         ls = [l for _, l in self.knots]
         if any(b <= a for a, b in zip(xs, xs[1:])):

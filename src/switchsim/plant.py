@@ -282,8 +282,10 @@ class DisturbancePulses:
             raise ValueError(
                 f"disturbance magnitude must be finite and non-negative, got {self.magnitude!r}"
             )
-        if not (self.width > 0):
-            raise ValueError("pulse width and gaps must be positive, min_gap <= max_gap")
+        if not (0 < self.width < math.inf):
+            raise ValueError(
+                f"disturbance width must be finite and positive, got {self.width!r}"
+            )
 
 
 @dataclass(frozen=True)

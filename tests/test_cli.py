@@ -260,6 +260,20 @@ class TestUsage:
         assert code == 2
         assert "must be a positive integer" in err
 
+    @pytest.mark.parametrize(
+        "bounds, message",
+        [
+            (("nan", "400"), "--check LO must be finite, got nan"),
+            (("100", "inf"), "--check HI must be finite, got inf"),
+            (("400", "100"), "--check LO 400.0 exceeds HI 100.0"),
+        ],
+    )
+    def test_bad_check_bounds_exit_2(self, capsys, bounds, message):
+        code, out, err = run_cli(capsys, "switching-time", "--check", *bounds)
+        assert code == 2
+        assert message in err
+        assert out == ""
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "validate")
         assert code == 1

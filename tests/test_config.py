@@ -146,6 +146,20 @@ class TestErrors:
             "[layout]\ncenter_distance_mm = 100.0\n", "no-engagement"
         )
 
+    def test_midline_mesh_reported_once(self):
+        err = self.assert_errors(
+            "[layout]\ncenter_distance_mm = 30.5\ndriven_half_angle_deg = 8.0\n",
+            "switch-driven-interference: switch meshes a driven gear at the midline",
+        )
+        assert len(err.errors) == 1
+
+    def test_zero_disturbance_width_names_the_width(self):
+        err = self.assert_errors(
+            "[script]\ndisturb plus 5.0 0\n",
+            "disturbance width must be finite and positive, got 0.0",
+        )
+        assert err.errors[0][0] == 2
+
     def test_slip_range(self):
         self.assert_errors("[traversal]\nslip = 1.5\n", "outside [0, 1)")
 

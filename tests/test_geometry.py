@@ -215,7 +215,40 @@ class TestValidateLayout:
             driven_center_distance=30.5,
             driven_half_angle=math.radians(8.0),
         )
-        assert "switch-driven-interference" in validate_layout(layout).rules()
+        report = validate_layout(layout)
+        assert report.rules() == {"switch-driven-interference"}
+        assert "psi* = -24.0892 deg" in str(report)
+
+    def test_inside_mesh_distance_everywhere(self):
+        layout = MechanismLayout(
+            driving=GearSpec(20, 1.0),
+            switch=GearSpec(16, 1.0),
+            driven=GearSpec(60, 1.0),
+            driven_center_distance=19.0,
+            driven_half_angle=math.radians(25.0),
+        )
+        assert validate_layout(layout).rules() == {
+            "driving-driven-interference",
+            "switch-driven-interference",
+        }
+        with pytest.raises(TrackDegenerate):
+            solve_engagement(layout)
+
+    def test_each_engagement_failure_reported_once(self):
+        # Oracle: the law-of-cosines gap from the switch at the midline to the
+        # +phi_d driven centre.
+        rng = random.Random(20261018)
+        for _ in range(4000):
+            layout = _corpus_layout(rng)
+            rules = validate_layout(layout).rules()
+            assert not {"switch-driven-interference", "no-engagement"} <= rules
+            d = layout.driven_center_distance
+            phi = layout.driven_half_angle
+            if not (math.isfinite(d) and d > 0 and 0.0 < phi < math.pi / 2):
+                continue
+            r = layout.track_radius
+            gap0 = math.sqrt(r * r + d * d - 2.0 * r * d * math.cos(phi))
+            assert ("switch-driven-interference" in rules) == (gap0 <= layout.mesh_distance)
 
     def test_negative_margin_flagged(self, ref_layout):
         layout = MechanismLayout(
@@ -227,6 +260,33 @@ class TestValidateLayout:
             backlash_margin=-0.1,
         )
         assert "invalid-parameter" in validate_layout(layout).rules()
+
+
+def _corpus_layout(rng):
+    """A random layout, valid or not: mixed modules, centre distances around
+    the engagement limits, and some non-finite or out-of-range fields."""
+    modules = [rng.choice([0.5, 0.8, 1.0, 1.25])] * 3
+    if rng.random() < 0.2:
+        modules = [rng.choice([0.5, 0.8, 1.0, 1.25]) for _ in range(3)]
+    driving, switch, driven = (GearSpec(rng.randint(8, 60), m) for m in modules)
+    r = driving.pitch_radius + switch.pitch_radius
+    mesh = switch.pitch_radius + driven.pitch_radius
+    u = rng.random()
+    if u < 0.05:
+        d = rng.choice([0.0, -1.0, math.nan, math.inf])
+    elif u < 0.5:
+        d = rng.uniform(max(0.1, abs(r - mesh) - 5.0), r + mesh + 5.0)
+    else:
+        d = rng.uniform(0.1, 2.5 * (r + mesh))
+    if rng.random() < 0.05:
+        phi = rng.choice([0.0, -0.1, math.pi / 2, 2.0, math.nan, math.inf])
+    else:
+        phi = rng.uniform(1e-3, math.pi / 2 - 1e-3)
+    if rng.random() < 0.05:
+        margin = rng.choice([-0.1, math.nan, math.inf, 0.0])
+    else:
+        margin = rng.uniform(0.0, 2.0)
+    return MechanismLayout(driving, switch, driven, d, phi, margin)
 
 
 class TestCarryRatio:

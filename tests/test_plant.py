@@ -5,8 +5,10 @@ import pytest
 
 from switchsim import (
     Config,
+    CurvedPath,
     DisturbancePulses,
     InjectDisturbance,
+    LinearPath,
     MotorModel,
     MoveMotorTo,
     NeverEngaged,
@@ -19,6 +21,7 @@ from switchsim import (
     SwitchMode,
     SwitchSimError,
     SwitchState,
+    TabulatedPath,
     Wait,
     initial_state,
     run_script,
@@ -189,6 +192,31 @@ class TestNonFiniteApiInput:
     def test_disturbance_magnitude_inf(self):
         with pytest.raises(ValueError, match="magnitude must be finite and non-negative, got inf"):
             DisturbancePulses(magnitude=math.inf)
+
+    @pytest.mark.parametrize("width", [math.inf, math.nan, 0.0])
+    def test_disturbance_width(self, width):
+        with pytest.raises(ValueError, match=r"^disturbance width must be finite and positive, got"):
+            DisturbancePulses(width=width)
+
+    @pytest.mark.parametrize(
+        "build, name",
+        [
+            (lambda: LinearPath(math.nan, 25.0), "reference_length"),
+            (lambda: LinearPath(300.0, math.inf), "moment_arm"),
+            (lambda: CurvedPath(300.0, 25.0, math.nan), "bow"),
+            (lambda: CurvedPath(math.inf, 25.0, 5.0), "reference_length"),
+            (lambda: TabulatedPath(((-2.0, math.inf), (2.0, 100.0))), "knots"),
+            (lambda: TabulatedPath(((-math.inf, 200.0), (2.0, 100.0))), "knots"),
+        ],
+        ids=["linear-length", "linear-arm", "curved-bow", "curved-length", "knot-length", "knot-angle"],
+    )
+    def test_path_parameters(self, build, name):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            build()
+
+    def test_config_nan_path_parameter(self):
+        with pytest.raises(ValueError, match="bow must be finite"):
+            Config(antagonist=replace(Config().antagonist, bow=math.nan)).plant()
 
 
 class TestRunScript:
