@@ -1,10 +1,14 @@
+import json
 import math
 import random
+from pathlib import Path
 
 import pytest
 
 from switchsim import CurvedPath, LinearPath, OutOfRange, TabulatedPath
 
+
+ORACLE = json.loads((Path(__file__).parent / "data" / "path_oracle.json").read_text())
 
 LINEAR = LinearPath(300.0, 25.0)
 CURVED = CurvedPath(300.0, 25.0, 5.0)
@@ -86,3 +90,26 @@ class TestTabulated:
             TabulatedPath(((-2.0, 300.0), (0.0, 310.0), (2.0, 280.0)))
         with pytest.raises(ValueError):
             TabulatedPath(((-0.5, 300.0), (0.5, 280.0)))  # does not cover the range
+
+
+def _oracle_paths():
+    for case in ORACLE["curved"]:
+        path = CurvedPath(case["reference_length"], case["moment_arm"], case["bow"])
+        yield pytest.param(path, case, id=f"curved-bow{case['bow']}")
+    for case in ORACLE["tabulated"]:
+        path = TabulatedPath(tuple(tuple(knot) for knot in case["knots"]))
+        yield pytest.param(path, case, id=f"tabulated-{case['name']}")
+
+
+@pytest.mark.parametrize("path, case", list(_oracle_paths()))
+class TestScipyOracle:
+    """Lengths and inverses recorded from the scipy PCHIP and brentq implementation
+    (tests/data/path_oracle.json names the commit that wrote them)."""
+
+    def test_lengths(self, path, case):
+        worst = max(abs(path.length(x) - length) for x, length in case["length"])
+        assert worst <= 1e-12
+
+    def test_inverses(self, path, case):
+        worst = max(abs(path.inverse(target) - x) for target, x in case["inverse"])
+        assert worst <= 1e-12
