@@ -253,8 +253,10 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
         sol = solve_engagement(layout)
     except TrackDegenerate as exc:
         violations.append(Violation("switch-driven-interference", str(exc)))
-    except (NoEngagement, ValueError) as exc:
+    except NoEngagement as exc:
         violations.append(Violation("no-engagement", str(exc)))
+    except ValueError:
+        pass  # its checks are the invalid-parameter rules above
     else:
         if sol.neutral_half_width <= 0.0:
             violations.append(

@@ -10,13 +10,11 @@ the two sides pay out/in antagonistically along geometrically different laws.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass, fields
 from functools import cached_property
 
-from scipy.interpolate import PchipInterpolator
-from scipy.optimize import brentq
-
-from .errors import OutOfRange
+from .errors import OutOfRange, SwitchSimError
 
 X_MIN = -math.pi / 2
 X_MAX = math.pi / 2
@@ -24,6 +22,11 @@ X_MAX = math.pi / 2
 # Slack (mm) when deciding whether a requested length is attainable; requests
 # within this of the range boundary clamp to the boundary angle.
 _RANGE_TOL = 1e-9
+
+# Root-finder steps an inverse may take. Most inverses take under ten; the
+# most seen is 53, for a root within 1e-13 rad of zero, where floats are
+# dense. Reaching the cap is a defect.
+_MAX_ITERATIONS = 100
 
 
 def _require_finite_fields(path) -> None:
@@ -85,14 +88,19 @@ class CurvedPath:
     def inverse(self, target: float) -> float:
         return _bounded_inverse(self, target)
 
+    def _length_and_slope(self, x: float) -> tuple[float, float]:
+        return self.length(x), -self.moment_arm - self.bow * math.cos(x)
+
 
 @dataclass(frozen=True)
 class TabulatedPath:
     """Measured knot table interpolated with a monotone piecewise cubic.
 
     Knot angles must strictly increase and cover [-pi/2, +pi/2]; lengths must
-    strictly decrease and stay positive. PCHIP preserves the monotone shape
-    between knots.
+    strictly decrease and stay positive. The interpolant is SciPy-compatible
+    PCHIP (``PchipInterpolator(extrapolate=True)``) in closed form: a cubic
+    Hermite per knot interval whose knot slopes preserve the monotone shape,
+    with the end intervals extended past the outer knots.
     """
 
     knots: tuple[tuple[float, float], ...]
@@ -115,16 +123,54 @@ class TabulatedPath:
             raise ValueError("cable length must stay positive over the pull range")
 
     @cached_property
-    def _interp(self) -> PchipInterpolator:
+    def _spline(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+        """(interior knot angles, (x_k, c0, c1, c2, c3) per interval).
+
+        On interval k, L = c3 + c2*s + c1*s^2 + c0*s^3 with s = x - x_k, the
+        coefficients and the evaluation order of SciPy's CubicHermiteSpline.
+        """
         xs = [x for x, _ in self.knots]
         ls = [l for _, l in self.knots]
-        return PchipInterpolator(xs, ls, extrapolate=True)
+        h = [b - a for a, b in zip(xs, xs[1:])]
+        m = [(b - a) / hk for a, b, hk in zip(ls, ls[1:], h)]
+        if len(m) == 1:
+            slopes = [m[0], m[0]]
+        else:
+            # Every secant is negative, so SciPy's zero slope where the
+            # secants change sign never applies: each interior slope is the
+            # Fritsch-Butland weighted harmonic mean of its two secants.
+            slopes = [_end_slope(h[0], h[1], m[0], m[1])]
+            for k in range(1, len(m)):
+                w1 = 2 * h[k] + h[k - 1]
+                w2 = h[k] + 2 * h[k - 1]
+                slopes.append(1.0 / ((w1 / m[k - 1] + w2 / m[k]) / (w1 + w2)))
+            slopes.append(_end_slope(h[-1], h[-2], m[-1], m[-2]))
+        segments = []
+        for k, (hk, mk) in enumerate(zip(h, m)):
+            t = (slopes[k] + slopes[k + 1] - 2 * mk) / hk
+            segments.append((xs[k], t / hk, (mk - slopes[k]) / hk - t, slopes[k], ls[k]))
+        return tuple(xs[1:-1]), tuple(segments)
 
     def length(self, x: float) -> float:
-        return float(self._interp(x))
+        return self._length_and_slope(x)[0]
 
     def inverse(self, target: float) -> float:
         return _bounded_inverse(self, target)
+
+    def _length_and_slope(self, x: float) -> tuple[float, float]:
+        interior, segments = self._spline
+        x0, c0, c1, c2, c3 = segments[bisect_right(interior, x)]
+        s = x - x0
+        s2 = s * s
+        return c3 + c2 * s + c1 * s2 + c0 * (s2 * s), c2 + 2.0 * c1 * s + 3.0 * c0 * s2
+
+
+def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
+    """SciPy's PCHIP end slope: the one-sided three-point estimate, zeroed
+    where its sign differs from the end secant m0. (SciPy's further clamp to
+    3*m0 needs m0 and m1 of opposite sign, which decreasing knots rule out.)"""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    return d if d < 0.0 else 0.0
 
 
 CablePath = LinearPath | CurvedPath | TabulatedPath
@@ -133,10 +179,21 @@ CablePath = LinearPath | CurvedPath | TabulatedPath
 def _bounded_inverse(path, target: float, exact=None) -> float:
     """Unique x in [-pi/2, +pi/2] with L(x) = target.
 
-    Root-finding tolerance is set so the reconstructed length matches the
-    target to well under 1e-9 mm. Requests within _RANGE_TOL of the range
-    boundary clamp to the boundary angle.
+    Requests within _RANGE_TOL of the range boundary clamp to the boundary
+    angle. Inside the range, ``exact`` (a closed form) answers if given;
+    otherwise a safeguarded Newton iteration on the path's analytic slope
+    does (Numerical Recipes' rtsafe): it keeps a bracket around the root and
+    bisects whenever a Newton step would leave the bracket or fail to halve
+    the step before last. It stops on an exact root or once the bracket is
+    down to adjacent floats, so ``length(inverse(L))`` is within 1e-9 mm of L.
+
+    Raises:
+        ValueError: the target is not finite.
+        OutOfRange: the target lies outside the attainable lengths.
+        SwitchSimError: the iteration cap is reached (a defect).
     """
+    if not math.isfinite(target):
+        raise ValueError(f"cable length must be finite, got {target!r}")
     l_max = path.length(X_MIN)
     l_min = path.length(X_MAX)
     if target > l_max + _RANGE_TOL or target < l_min - _RANGE_TOL:
@@ -150,11 +207,33 @@ def _bounded_inverse(path, target: float, exact=None) -> float:
         return X_MAX
     if exact is not None:
         return exact(target)
-    return brentq(
-        lambda x: path.length(x) - target,
-        X_MIN,
-        X_MAX,
-        xtol=1e-13,
-        rtol=8.9e-16,
-        maxiter=200,
+    lo, hi = X_MIN, X_MAX
+    x = 0.0  # the midpoint
+    step = before = hi - lo
+    for _ in range(_MAX_ITERATIONS):
+        length, slope = path._length_and_slope(x)
+        excess = length - target
+        if excess == 0.0:
+            return x
+        # L decreases, so the root lies above x where L(x) exceeds the target.
+        if excess > 0.0:
+            lo = x
+        else:
+            hi = x
+        newton = math.nan
+        if abs(2.0 * excess) <= abs(before * slope):
+            newton = x - excess / slope
+            if newton == x:  # the step no longer moves x
+                return x
+        if lo < newton < hi:
+            before, step = step, x - newton
+            x = newton
+        else:
+            before, step = step, 0.5 * (hi - lo)
+            middle = lo + step
+            if not (lo < middle < hi):  # lo and hi are adjacent floats
+                return x
+            x = middle
+    raise SwitchSimError(
+        f"inverse of cable length {target!r} mm did not converge in {_MAX_ITERATIONS} steps"
     )

@@ -193,8 +193,19 @@ class TestValidateLayout:
             driven_half_angle=ref_layout.driven_half_angle,
         )
         report = validate_layout(layout)
-        assert "no-engagement" in report.rules()
-        assert "driving-driven-interference" in report.rules()
+        assert report.rules() == {"invalid-parameter", "driving-driven-interference"}
+        assert report.engagement is None
+
+    def test_zero_half_angle(self, ref_layout):
+        layout = MechanismLayout(
+            driving=ref_layout.driving,
+            switch=ref_layout.switch,
+            driven=ref_layout.driven,
+            driven_center_distance=ref_layout.driven_center_distance,
+            driven_half_angle=0.0,
+        )
+        report = validate_layout(layout)
+        assert [v.rule for v in report.violations] == ["invalid-parameter"]
         assert report.engagement is None
 
     def test_mixed_modules(self, ref_layout):

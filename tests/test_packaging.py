@@ -1,8 +1,11 @@
 """pyproject.toml declares exactly the third-party packages the package imports,
-and each module uses every name it imports."""
+each module uses every name it imports, and importing the package loads no
+numerical library."""
 
 import ast
+import os
 import re
+import subprocess
 import sys
 import tomllib
 from pathlib import Path
@@ -51,3 +54,15 @@ def test_every_import_is_used():
         if path.name != "__init__.py" and (names := unused_imports(path))
     }
     assert unused == {}
+
+
+def test_import_loads_no_numerical_library():
+    probe = (
+        "import sys, switchsim; "
+        "print(sorted({m.split('.')[0] for m in sys.modules} & {'numpy', 'scipy'}))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+    )
+    assert result.stdout.strip() == "[]"

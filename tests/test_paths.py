@@ -4,8 +4,10 @@ import random
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from switchsim import CurvedPath, LinearPath, OutOfRange, TabulatedPath
+from switchsim import CurvedPath, LinearPath, OutOfRange, SwitchSimError, TabulatedPath
+from switchsim import paths
 
 
 ORACLE = json.loads((Path(__file__).parent / "data" / "path_oracle.json").read_text())
@@ -113,3 +115,77 @@ class TestScipyOracle:
     def test_inverses(self, path, case):
         worst = max(abs(path.inverse(target) - x) for target, x in case["inverse"])
         assert worst <= 1e-12
+
+
+class _Counted:
+    """A path whose root-finder evaluations are counted."""
+
+    def __init__(self, path):
+        self.path = path
+        self.evaluations = 0
+
+    def length(self, x):
+        return self.path.length(x)
+
+    def _length_and_slope(self, x):
+        self.evaluations += 1
+        return self.path._length_and_slope(x)
+
+
+def _check_inverse(path, fractions):
+    """length(inverse(L)) is within 1e-9 mm of L, inverse is monotone in L, and
+    no inverse comes near the iteration cap."""
+    lo, hi = path.length(paths.X_MAX), path.length(paths.X_MIN)
+    targets = sorted(lo + f * (hi - lo) for f in fractions)
+    xs = []
+    for target in targets:
+        counted = _Counted(path)
+        x = paths._bounded_inverse(counted, target)
+        assert counted.evaluations < paths._MAX_ITERATIONS
+        assert x == path.inverse(target)
+        assert abs(path.length(x) - target) <= 1e-9
+        xs.append(x)
+    assert all(b <= a for a, b in zip(xs, xs[1:]))
+
+
+@st.composite
+def tables(draw):
+    """Strictly decreasing knot tables of 2-40 unevenly spaced knots covering the range."""
+    n = draw(st.integers(2, 40))
+    x_first = paths.X_MIN - draw(st.floats(0.0, 0.3))
+    x_last = paths.X_MAX + draw(st.floats(0.0, 0.3))
+    gaps = draw(st.lists(st.floats(0.05, 1.0), min_size=n - 1, max_size=n - 1))
+    total = sum(gaps)
+    xs = [x_first]
+    for gap in gaps[:-1]:
+        xs.append(xs[-1] + gap / total * (x_last - x_first))
+    xs.append(x_last)
+    drops = draw(st.lists(st.floats(1e-3, 40.0), min_size=n - 1, max_size=n - 1))
+    ls = [sum(drops) + draw(st.floats(1.0, 300.0))]
+    for drop in drops:
+        ls.append(ls[-1] - drop)
+    return TabulatedPath(tuple(zip(xs, ls)))
+
+
+FRACTIONS = st.lists(st.floats(0.0, 1.0), min_size=1, max_size=20)
+
+
+class TestInverseProperties:
+    @settings(deadline=None, max_examples=200)
+    @given(tables(), FRACTIONS)
+    def test_tabulated(self, path, fractions):
+        _check_inverse(path, fractions)
+
+    @settings(deadline=None, max_examples=200)
+    @given(
+        st.floats(1.0, 60.0),
+        st.floats(-0.999, 3.0),
+        FRACTIONS,
+    )
+    def test_curved(self, moment_arm, bow_ratio, fractions):
+        _check_inverse(CurvedPath(300.0, moment_arm, bow_ratio * moment_arm), fractions)
+
+    def test_cap_names_the_target(self, monkeypatch):
+        monkeypatch.setattr(paths, "_MAX_ITERATIONS", 2)
+        with pytest.raises(SwitchSimError, match="inverse of cable length 301.5 mm did not converge"):
+            CURVED.inverse(301.5)

@@ -181,6 +181,20 @@ class TestNonFiniteApiInput:
         with pytest.raises(ValueError, match="wait duration must be finite"):
             Wait(value)
 
+    @pytest.mark.parametrize(
+        "path",
+        [
+            LinearPath(300.0, 25.0),
+            CurvedPath(300.0, 25.0, 5.0),
+            TabulatedPath(((-math.pi / 2, 340.0), (0.0, 300.0), (math.pi / 2, 260.0))),
+        ],
+        ids=["linear", "curved", "tabulated"],
+    )
+    @pytest.mark.parametrize("target", [math.nan, math.inf, -math.inf])
+    def test_path_inverse_target(self, path, target):
+        with pytest.raises(ValueError, match=f"cable length must be finite, got {target!r}"):
+            path.inverse(target)
+
     def test_wait_negative(self):
         with pytest.raises(ValueError, match="wait duration must not be negative"):
             Wait(-1.0)
