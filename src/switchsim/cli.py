@@ -96,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("switching-time", help="repeated traversal timing trials")
     p.set_defaults(run=_cmd_switching_time)
     p.add_argument("--out", default="-")
-    p.add_argument("--trials", type=int, default=10)
+    p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--no-jitter", action="store_true")
     p.add_argument("--jitter-sigma-ms", type=float, default=0.6)
     p.add_argument("--seed", type=int)
@@ -150,7 +150,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelope-max", type=float, help="max footprint diameter, mm")
     p.add_argument("--ratio-min", type=float)
     p.add_argument("--ratio-max", type=float)
-    p.add_argument("--cap", type=int, default=1_000_000)
+    p.add_argument("--cap", type=_positive_int, default=1_000_000)
     p.add_argument("--top", type=_positive_int, help="emit only the best N designs")
 
     p = sub.add_parser("calibrate", help="pin motor/friction parameters to measurements")
@@ -190,6 +190,13 @@ def _cmd_validate(args, cfg: Config, plant: PlantConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: Config, plant: PlantConfig) -> int:
+    if args.duration is not None and not (plant.dt <= args.duration < math.inf):
+        print(
+            f"--duration must be finite and at least one step of dt_s = {plant.dt!r} s, "
+            f"got {args.duration!r}",
+            file=sys.stderr,
+        )
+        return 2
     trace = run_script(plant, cfg.script, duration=args.duration)
     _write(args.out, trace.to_csv())
     if args.events:

@@ -17,7 +17,7 @@ The ``[script]`` section is a command list, one command per line::
 
     move_to 225.0          # Profile-Position move to an absolute angle, deg
     set_velocity 360.0     # constant rate, deg/s (0 stops)
-    wait 0.5               # run the clock, s (not negative)
+    wait 0.5               # run the clock, s (at least one step, dt_s)
     disturb disengaged 5.0 # random payout pulses: target magnitude_mm [width_s]
     disturb_off
 """
@@ -430,14 +430,17 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
                 other = f"the ({', '.join(spec.replaces)}) pair"
             p.fail(p.line(section, key), f"give either {key} or {other}, not both")
 
-    # Cross-field checks: script rates within the speed limit, then the plant
-    # build (which validates the layout first), a taut rest state, and one
-    # traversal within the step budget.
+    # Cross-field checks: script rates within the speed limit, waits of at
+    # least one step, then the plant build (which validates the layout
+    # first), a taut rest state, and one traversal within the step budget.
     if not p.errors:
         for line_no, cmd in p.script:
             if isinstance(cmd, SetVelocity) and abs(cmd.rate) > cfg.max_output_speed:
                 message = f"set_velocity {cmd.rate!r} deg/s exceeds max_output_speed_deg_s"
                 p.fail(line_no, f"{message} = {cfg.max_output_speed!r}")
+            if isinstance(cmd, Wait) and cmd.duration < cfg.dt_s:
+                message = f"wait {cmd.duration!r} s is shorter than one step"
+                p.fail(line_no, f"{message}, dt_s = {cfg.dt_s!r}")
         try:
             plant = cfg.plant()
             initial_state(plant)

@@ -14,14 +14,17 @@ import random
 import statistics
 from dataclasses import dataclass, replace
 
-from .errors import BelowKinematicFloor, NeverEngaged
+from .errors import BelowKinematicFloor, NeverEngaged, SwitchSimError
+from .motion import trapezoid_duration
 from .plant import (
+    STEP_BUDGET,
     DisturbancePulses,
     InjectDisturbance,
     MoveMotorTo,
     PlantConfig,
     Simulator,
     run_script,
+    steps_to_cover,
 )
 from .switching import EventKind, Side
 
@@ -76,6 +79,8 @@ def run_switching_time(
 
     Raises:
         NeverEngaged: a move completed without reaching the far endpoint.
+        SwitchSimError: the trials together cover more than ``STEP_BUDGET``
+            steps; nothing is stepped.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be >= 1")
@@ -85,6 +90,14 @@ def run_switching_time(
         )
     base_seed = config.seed if seed is None else seed
     travel = motor_travel_per_traversal(config)
+    motor = config.motor
+    move_s = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
+    steps = n_trials * 2 * steps_to_cover(move_s, config.dt)
+    if steps > STEP_BUDGET:
+        raise SwitchSimError(
+            f"{n_trials} trials take {steps} steps of dt={config.dt!r} s, "
+            f"over the budget of {STEP_BUDGET} steps per run"
+        )
     sim = Simulator(config, engaged=Side.MINUS, record=False)
     up: list[float] = []
     down: list[float] = []

@@ -21,6 +21,7 @@ from .geometry import EngagementSolution, MechanismLayout
 from .motion import TrapezoidalProfile
 from .paths import CablePath, OutOfRange
 from .switching import (
+    PSI_SNAP,
     Event,
     EventKind,
     Side,
@@ -32,7 +33,7 @@ from .switching import (
 DEFAULT_DT = 1e-3  # s; resolves 300 ms phenomena to 0.3 %
 PULSE_MIN_GAP = 0.05  # s between disturbance pulses, lower bound
 PULSE_MAX_GAP = 0.25  # s between disturbance pulses, upper bound
-STEP_BUDGET = 10_000_000  # steps one command may take
+STEP_BUDGET = 10_000_000  # steps one command, or one switching-time run, may take
 
 
 @dataclass(frozen=True)
@@ -383,6 +384,14 @@ class Simulator:
     Stepping happens on a fixed grid t_k = k*dt. Engagement events are
     timestamped inside a step by inverting the motion profile, so event
     times are exact, not quantized to dt.
+
+    A recorded or disturbed run takes every step of the grid. An unrecorded,
+    undisturbed command takes one closed-form step over its whole span: the
+    profile difference, or velocity*dt*steps, goes through the plant at once,
+    which lands on the same grid point, events and state up to roundoff.
+    ``run_until_engaged`` leaps only over the steps that cannot reach its
+    endpoint. A failure inside a leap is re-run step by step, so it keeps the
+    timestamp of the grid step it happens in.
     """
 
     def __init__(
@@ -477,17 +486,43 @@ class Simulator:
         Raises:
             SwitchSimError: the steps exceed ``STEP_BUDGET``; nothing is stepped.
         """
-        for _ in range(steps_to_cover(duration, self.config.dt)):
+        steps = steps_to_cover(duration, self.config.dt)
+        if not self.record and self._pulses is None:
+            leap = self._leap(steps, until)
+            if leap > 1:
+                try:
+                    self._step(leap)
+                except SwitchSimError:
+                    pass  # nothing changed before step_plant raised: step to time the failure
+                else:
+                    steps -= leap
+        for _ in range(steps):
             self._step()
             if until is not None and self.state.switch.engaged_side is until:
                 return
 
-    def _motor_delta(self, t0: float, t1: float) -> float:
+    def _leap(self, steps: int, until: Side | None) -> int:
+        """Steps of ``steps`` that one closed-form step may cover.
+
+        None if ``until`` is engaged, as the run stops after one step. Else all
+        of them, unless the motion could engage ``until``: then those that stay
+        a step short of its endpoint's snap window.
+        """
+        switch = self.state.switch
+        if until is not None and switch.engaged_side is until:
+            return 0
+        if until is None or self._velocity * until.sign <= 0.0:
+            return steps
+        gap = abs(until.sign * self.config.engagement.psi_star - switch.psi) - PSI_SNAP
+        gap_deg = math.degrees(gap * self.config.traversal.effective_ratio)
+        return min(steps, math.floor(gap_deg / (abs(self._velocity) * self.config.dt)) - 1)
+
+    def _motor_delta(self, t0: float, t1: float, steps: int) -> float:
         if self._profile is not None:
             return self._profile.position(t1 - self._profile_t0) - self._profile.position(
                 t0 - self._profile_t0
             )
-        return self._velocity * self.config.dt
+        return self._velocity * self.config.dt * steps
 
     def _disturbances(self, value: float) -> tuple[float, float]:
         """Map the signal value onto (plus, minus) per target and gating."""
@@ -517,11 +552,11 @@ class Simulator:
             return self._profile_t0 + self._profile.time_at_distance(covered + progress_deg)
         return t0 + progress_deg / abs(self._velocity)  # an event needs motor motion
 
-    def _step(self) -> None:
+    def _step(self, steps: int = 1) -> None:
         dt = self.config.dt
         t0 = self._step_index * dt
-        t1 = (self._step_index + 1) * dt
-        delta = self._motor_delta(t0, t1)
+        t1 = (self._step_index + steps) * dt
+        delta = self._motor_delta(t0, t1, steps)
         signal = self._pulses.step(dt) if self._pulses is not None else 0.0
         dist_plus, dist_minus = self._disturbances(signal)
         state, events = step_plant(
@@ -539,7 +574,7 @@ class Simulator:
                 TimedEvent(self._event_time(t0, event.motor_progress), event.kind, event.side, event.psi)
             )
         self.state = state
-        self._step_index += 1
+        self._step_index += steps
         if self.record:
             self.trace.rows.append(state)
 

@@ -227,6 +227,18 @@ class TestSimulate:
         assert code == 0
         assert len(calls) == 1
 
+    @pytest.mark.parametrize("duration", ["1e-300", "0", "0.0009", "-1"])
+    def test_duration_under_one_step_exits_2(self, capsys, duration):
+        code, out, err = run_cli(capsys, "simulate", "--duration", duration)
+        assert code == 2
+        assert "--duration must be finite and at least one step of dt_s = 0.001 s" in err
+        assert out == ""
+
+    def test_duration_of_one_step_runs_it(self, capsys):
+        code, out, _ = run_cli(capsys, "simulate", "--duration", "0.001")
+        assert code == 0
+        assert len(parse_csv(out)) == 2
+
     def test_out_dir_env(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("SWITCHSIM_OUT_DIR", str(tmp_path))
         code, _, _ = run_cli(capsys, "simulate", "--duration", "0.01", "--out", "t.csv")
@@ -259,6 +271,14 @@ class TestUsage:
         code, _, err = run_cli(capsys, "optimize", "--top", top)
         assert code == 2
         assert "must be a positive integer" in err
+
+    @pytest.mark.parametrize("command, flag", [("optimize", "--cap"), ("switching-time", "--trials")])
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_count_must_be_positive(self, capsys, command, flag, value):
+        code, out, err = run_cli(capsys, command, flag, value)
+        assert code == 2
+        assert f"{flag}: must be a positive integer, got {value}" in err
+        assert out == ""
 
     @pytest.mark.parametrize(
         "bounds, message",

@@ -241,6 +241,20 @@ class TestErrors:
         message = "set_velocity -600.0 deg/s exceeds max_output_speed_deg_s = 500.0"
         assert self.assert_errors(text, message).errors == [(5, message)]
 
+    @pytest.mark.parametrize(
+        "sim, wait",
+        [("", "1e-15"), ("", "0"), ("", "0.0009"), ("dt_s = 0.01\n", "0.005")],
+    )
+    def test_wait_under_one_step_rejected_at_its_line(self, sim, wait):
+        text = f"[sim]\n{sim}[script]\nmove_to 10\nwait {wait}\n"
+        err = self.assert_errors(text, "is shorter than one step")
+        dt = 0.01 if sim else 0.001
+        line = 4 + bool(sim)
+        assert err.errors == [(line, f"wait {float(wait)!r} s is shorter than one step, dt_s = {dt!r}")]
+
+    def test_wait_of_one_step_accepted(self):
+        assert parse_config("[script]\nwait 0.001\n").script == (Wait(0.001),)
+
     def test_set_velocity_at_speed_limit_accepted(self):
         cfg = parse_config("[script]\nset_velocity -720.0\n")
         assert cfg.script == (SetVelocity(-720.0),)

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -8,6 +9,7 @@ from switchsim import (
     Config,
     ControlMode,
     NeverEngaged,
+    SwitchSimError,
     calibrate_profile_accel,
     motor_travel_per_traversal,
     run_independence,
@@ -15,6 +17,7 @@ from switchsim import (
     run_switching_time,
     trapezoid_duration,
 )
+from switchsim.plant import STEP_BUDGET
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +65,19 @@ class TestSwitchingTime:
     def test_rejects_bad_jitter_sigma(self, ref_plant, sigma):
         with pytest.raises(ValueError, match="jitter_sigma_ms must be finite and not negative"):
             run_switching_time(ref_plant, n_trials=1, jitter_sigma_ms=sigma)
+
+    def test_run_over_the_step_budget_refused_before_it_steps(self, ref_plant, monkeypatch):
+        # At dt = 0.1 us one 302 ms move covers 3.02e6 steps: one trial of
+        # two moves fits the budget, two trials do not.
+        plant = replace(ref_plant, dt=1e-7)
+        assert run_switching_time(plant, n_trials=1, jitter=False).mean_up_ms == 302.0
+        monkeypatch.setattr("switchsim.experiments.Simulator", None)
+        message = (
+            f"2 trials take 12080000 steps of dt=1e-07 s, "
+            f"over the budget of {STEP_BUDGET} steps per run"
+        )
+        with pytest.raises(SwitchSimError, match=re.escape(message)):
+            run_switching_time(plant, n_trials=2, jitter=False)
 
     def test_never_engaged_when_move_stops_short(self, ref_plant):
         from switchsim import Side, Simulator

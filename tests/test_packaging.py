@@ -1,6 +1,6 @@
 """pyproject.toml declares exactly the third-party packages the package imports,
-each module uses every name it imports, and importing the package loads no
-numerical library."""
+each module uses every name it imports, importing the package loads no
+numerical library, and the test settings report a failing property test."""
 
 import ast
 import os
@@ -66,3 +66,32 @@ def test_import_loads_no_numerical_library():
         [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
     )
     assert result.stdout.strip() == "[]"
+
+
+def test_failing_property_test_gets_a_failure_report(tmp_path):
+    """Under the project's warning filters a falsified ``@given`` test is a normal failure."""
+    (tmp_path / "test_property.py").write_text(
+        "from hypothesis import given, strategies as st\n"
+        "\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 5\n"
+        "\n"
+        "def test_after():\n"
+        "    pass\n"
+    )
+    result = subprocess.run(
+        [
+            sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+            "-c", str(ROOT / "pyproject.toml"), "--rootdir", str(tmp_path), "test_property.py",
+        ],
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    output = result.stdout + result.stderr
+    assert "INTERNALERROR" not in output
+    assert "Falsifying example: test_falsified(" in output
+    assert "1 failed, 1 passed" in output
+    assert result.returncode == 1
