@@ -65,7 +65,10 @@ def _parse_int_range(text: str) -> tuple[int, ...]:
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(float(p) for p in text.split(","))
+    values = tuple(float(p) for p in text.split(","))
+    if not all(math.isfinite(v) for v in values):
+        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
+    return values
 
 
 def _positive_int(text: str) -> int:

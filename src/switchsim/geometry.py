@@ -16,7 +16,7 @@ angles radians unless a name says otherwise.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NoEngagement, TrackDegenerate
 
@@ -36,6 +36,7 @@ class GearSpec:
 
     tooth_count: int
     module: float
+    pitch_radius: float = field(init=False, repr=False, compare=False)  # r = m*z/2, mm
 
     def __post_init__(self):
         if not isinstance(self.tooth_count, int):
@@ -46,11 +47,7 @@ class GearSpec:
             )
         if not (math.isfinite(self.module) and self.module > 0):
             raise ValueError(f"module must be a positive length, got {self.module!r}")
-
-    @property
-    def pitch_radius(self) -> float:
-        """Pitch radius r = m*z/2, mm."""
-        return self.module * self.tooth_count / 2.0
+        object.__setattr__(self, "pitch_radius", self.module * self.tooth_count / 2.0)
 
 
 @dataclass(frozen=True)

@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge
 from .geometry import (
+    EngagementSolution,
     GearSpec,
     MechanismLayout,
     MIN_TOOTH_COUNT,
@@ -61,6 +62,14 @@ class DesignSpace:
             raise ValueError(
                 "provide exactly one of psi_star_targets or center_distances"
             )
+        if not (self.psi_star_targets or self.center_distances):
+            raise ValueError("the psi_star_targets or center_distances grid must be non-empty")
+        for name in ("modules", "half_angles", "psi_star_targets", "center_distances"):
+            values = getattr(self, name) or ()
+            if not all(math.isfinite(v) for v in values):
+                raise ValueError(f"{name} must be finite, got {values!r}")
+        if not math.isfinite(self.backlash_margin):
+            raise ValueError(f"backlash_margin must be finite, got {self.backlash_margin!r}")
         limit = self.envelope_max_diameter
         if limit is not None and not (0 < limit < math.inf):
             raise ValueError(f"envelope_max_diameter must be finite and positive, got {limit!r}")
@@ -123,51 +132,45 @@ def evaluate_design(layout: MechanismLayout, slip: float, motor: MotorModel) -> 
     report = validate_layout(layout)
     if not report.ok:
         raise InvalidDesign(report)
-    theta_track = report.engagement.theta_track
     traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
-    travel = traversal.motor_travel(theta_track)
+    return _design_result(layout, report.engagement, traversal, motor)
+
+
+def _design_result(
+    layout: MechanismLayout, engagement: EngagementSolution, traversal: TraversalModel, motor: MotorModel
+) -> DesignResult:
+    """The prediction for a validated layout, its engagement and traversal."""
+    travel = traversal.motor_travel(engagement.theta_track)
     t_switch = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
     return DesignResult(
         layout=layout,
         predicted_t_switch_ms=t_switch * 1000.0,
-        theta_track=theta_track,
+        theta_track=engagement.theta_track,
         k_eff=traversal.effective_ratio,
         driven_ratio=layout.driven_speed_ratio,
         envelope=envelope_diameter(layout),
     )
 
 
-def enumerate_layouts(space: DesignSpace):
-    """Yield candidate layouts in deterministic grid order.
-
-    Candidates whose centre distance cannot be solved for the requested
-    track endpoint are silently infeasible.
-    """
-    if space.psi_star_targets is not None:
-        last_axis = space.psi_star_targets
-        solve_d = True
-    else:
-        last_axis = space.center_distances
-        solve_d = False
-
-    for zd, zs, zg, module, phi_d, last in itertools.product(
-        space.drive_teeth,
-        space.switch_teeth,
-        space.driven_teeth,
-        space.modules,
-        space.half_angles,
-        last_axis,
+def _gear_sets(space: DesignSpace):
+    """Yield each (driving, switch, driven) gear set of the grid, built once."""
+    for zd, zs, zg, m in itertools.product(
+        space.drive_teeth, space.switch_teeth, space.driven_teeth, space.modules
     ):
-        driving = GearSpec(zd, module)
-        switch = GearSpec(zs, module)
-        driven = GearSpec(zg, module)
-        if solve_d:
+        yield GearSpec(zd, m), GearSpec(zs, m), GearSpec(zg, m)
+
+
+def _set_layouts(space: DesignSpace, driving: GearSpec, switch: GearSpec, driven: GearSpec):
+    """Yield one gear set's layouts over (phi_d, psi* target or D) in grid order.
+    A target that no centre distance reaches is silently infeasible."""
+    last_axis = space.psi_star_targets or space.center_distances
+    for phi_d, last in itertools.product(space.half_angles, last_axis):
+        d = last
+        if space.psi_star_targets is not None:
             try:
                 d = solve_center_distance(driving, switch, driven, phi_d, last)
             except (NoEngagement, ValueError):
                 continue
-        else:
-            d = last
         yield MechanismLayout(
             driving=driving,
             switch=switch,
@@ -176,6 +179,12 @@ def enumerate_layouts(space: DesignSpace):
             driven_half_angle=phi_d,
             backlash_margin=space.backlash_margin,
         )
+
+
+def enumerate_layouts(space: DesignSpace):
+    """Yield candidate layouts in deterministic grid order."""
+    for gears in _gear_sets(space):
+        yield from _set_layouts(space, *gears)
 
 
 def optimize(
@@ -187,7 +196,8 @@ def optimize(
     """Rank every feasible design by predicted switching time.
 
     Ties break by smaller envelope diameter, then lexicographic tooth counts,
-    so the ranking is deterministic.
+    so the ranking is deterministic. Ratio bounds and traversal are settled
+    once per gear set.
 
     Raises:
         SpaceTooLarge: candidate count exceeds the cap.
@@ -197,23 +207,23 @@ def optimize(
         raise SpaceTooLarge(
             f"design space has {space.size} candidates, cap is {constraints.cap}"
         )
+    lo, hi = constraints.driven_ratio_min, constraints.driven_ratio_max
+    limit = space.envelope_max_diameter
     results: list[DesignResult] = []
-    for layout in enumerate_layouts(space):
-        try:
-            result = evaluate_design(layout, slip, motor)
-        except InvalidDesign:
-            continue
-        if (
-            space.envelope_max_diameter is not None
-            and result.envelope > space.envelope_max_diameter
-        ):
-            continue
-        ratio = result.driven_ratio
-        if constraints.driven_ratio_min is not None and ratio < constraints.driven_ratio_min:
-            continue
-        if constraints.driven_ratio_max is not None and ratio > constraints.driven_ratio_max:
-            continue
-        results.append(result)
+    for gears in _gear_sets(space):
+        traversal = None
+        for layout in _set_layouts(space, *gears):
+            if traversal is None:  # the gear set's first layout
+                ratio = layout.driven_speed_ratio
+                if (lo is not None and ratio < lo) or (hi is not None and ratio > hi):
+                    break
+                traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
+            report = validate_layout(layout)
+            if not report.ok:
+                continue
+            result = _design_result(layout, report.engagement, traversal, motor)
+            if limit is None or result.envelope <= limit:
+                results.append(result)
     if not results:
         raise EmptyFeasibleSet("no design in the space passed validation and constraints")
     results.sort(key=lambda r: r.sort_key)

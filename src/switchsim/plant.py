@@ -440,7 +440,14 @@ class Simulator:
         self._velocity = rate
 
     def wait(self, duration: float) -> None:
-        """Run the active motion for ``duration`` s, rounded up to whole steps."""
+        """Run the active motion for ``duration`` s, rounded up to whole steps.
+
+        Raises:
+            SwitchSimError: ``duration`` covers no step.
+        """
+        dt = self.config.dt
+        if not duration > 0.0 or steps_to_cover(duration, dt) == 0:
+            raise SwitchSimError(f"wait of {duration!r} s covers no step of dt={dt!r} s")
         self._run(duration)
 
     def inject(self, profile: DisturbancePulses | None) -> None:
@@ -467,7 +474,8 @@ class Simulator:
 
         Raises:
             NeverEngaged: timeout elapsed first, or ``side`` was engaged
-                already (the run stops after one step).
+                already and the motor does not turn away from it (the run
+                stops after one step).
         """
         start = len(self.trace.events)
         self._run(timeout, until=side)
@@ -504,18 +512,22 @@ class Simulator:
     def _leap(self, steps: int, until: Side | None) -> int:
         """Steps of ``steps`` that one closed-form step may cover.
 
-        None if ``until`` is engaged, as the run stops after one step. Else all
-        of them, unless the motion could engage ``until``: then those that stay
-        a step short of its endpoint's snap window.
+        None if ``until`` is engaged and a step's motor delta is zero or toward
+        it, as the run stops after one step. Else all of them, unless the delta
+        is toward ``until``: then those that stay a step short of its
+        endpoint's snap window.
         """
+        if until is None:
+            return steps
+        toward = self._velocity * self.config.dt * until.sign  # one step's motor delta
         switch = self.state.switch
-        if until is not None and switch.engaged_side is until:
-            return 0
-        if until is None or self._velocity * until.sign <= 0.0:
+        if switch.engaged_side is until:
+            return steps if toward < 0.0 else 0
+        if toward <= 0.0:
             return steps
         gap = abs(until.sign * self.config.engagement.psi_star - switch.psi) - PSI_SNAP
         gap_deg = math.degrees(gap * self.config.traversal.effective_ratio)
-        return min(steps, math.floor(gap_deg / (abs(self._velocity) * self.config.dt)) - 1)
+        return min(steps, math.floor(gap_deg / toward) - 1)
 
     def _motor_delta(self, t0: float, t1: float, steps: int) -> float:
         if self._profile is not None:
@@ -602,14 +614,16 @@ def run_script(
 ) -> Trace:
     """Execute script commands in order; identical inputs give bit-identical traces.
 
-    ``duration`` (finite, not negative) extends the run (with whatever motion
-    mode is active) until at least that much simulated time has elapsed.
+    ``duration`` (finite, at least one step) extends the run (with whatever
+    motion mode is active) until at least that much simulated time has elapsed.
     """
     if duration is not None and not (0 <= duration < math.inf):
         raise ValueError(f"duration must be finite and not negative, got {duration!r}")
+    if duration is not None and duration < config.dt:
+        raise ValueError(f"duration {duration!r} s is shorter than one step of dt={config.dt!r} s")
     sim = Simulator(config, engaged=engaged)
     for command in script:
         sim.execute(command)
-    if duration is not None and duration > sim.t:
+    if duration is not None and steps_to_cover(duration - sim.t, config.dt) > 0:
         sim.wait(duration - sim.t)
     return sim.trace

@@ -319,3 +319,21 @@ def test_non_finite_float_flag_fails_cleanly(capsys, command, flag, count, value
     code, _, err = run_cli(capsys, command, flag, *[value] * count)
     assert code != 0
     assert err
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [
+        ("optimize", "--modules"),
+        ("optimize", "--phi-d-deg"),
+        ("optimize", "--psi-star-deg"),
+        ("optimize", "--center-distance-mm"),
+        ("sweep", "--omegas"),
+    ],
+)
+def test_non_finite_list_item_is_a_usage_error(capsys, command, flag, value):
+    code, out, err = run_cli(capsys, command, flag, f"25,{value}")
+    assert code == 2
+    assert f"argument {flag}: values must be finite, got '25,{value}'" in err
+    assert out == ""

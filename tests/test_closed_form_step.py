@@ -63,7 +63,8 @@ def random_plant(rng: random.Random, ref_plant):
 
 
 def run_commands(sim: Simulator, rng: random.Random) -> list:
-    """A random script of moves, zero and nonzero velocity waits and engagements.
+    """A random script of moves, zero and nonzero velocity waits and engagements,
+    one of them a run away from the side the switch is engaged on.
 
     Motor targets and velocity waits stay within 80 % of the full range of
     motion; the outcome of each ``run_until_engaged`` and any failure are
@@ -76,7 +77,9 @@ def run_commands(sim: Simulator, rng: random.Random) -> list:
     travel = motor_travel_per_traversal(plant)
     outcomes = []
     try:
-        kinds = ("move", "hold", "until", "velocity", "still", "move", "until", "velocity", "away")
+        kinds = (
+            "move", "hold", "until", "velocity", "still", "move", "until", "leave", "velocity", "away"
+        )
         for kind in kinds:
             if kind == "move":
                 sim.move_motor_to(rng.uniform(bottom, top))
@@ -90,7 +93,10 @@ def run_commands(sim: Simulator, rng: random.Random) -> list:
                 sim.wait(min(rng.uniform(0.001, 0.3), max(limit / rate, 0.001)))
             else:  # toward ``side``, away from it, or standing still
                 side = rng.choice([Side.PLUS, Side.MINUS])
-                rate = side.sign * rng.uniform(60.0, speed) * {"until": 1, "away": -1, "still": 0}[kind]
+                if kind == "leave":
+                    side = sim.state.switch.engaged_side or side
+                factor = {"until": 1, "away": -1, "leave": -1, "still": 0}[kind]
+                rate = side.sign * rng.uniform(60.0, speed) * factor
                 sim.set_velocity(rate)
                 try:
                     outcomes.append(sim.run_until_engaged(side, 1.5 * travel / speed))
@@ -169,6 +175,17 @@ class TestLeapMatchesTheGrid:
         sim.run_until_engaged(Side.PLUS, timeout=2.0)
         assert 2 <= len(step_plant_calls) <= 4
         assert sim.state.switch.engaged_side is Side.PLUS
+
+    @pytest.mark.parametrize("rate, t", [(-720.0, 0.3), (0.0, 0.001), (720.0, 0.001)])
+    def test_run_until_engaged_from_the_engaged_side(self, ref_plant, step_plant_calls, rate, t):
+        # Turning away disengages ``until`` in the first step, so the run
+        # takes its whole timeout in one step; standing still or turning
+        # toward it stops after one step.
+        sim = Simulator(ref_plant, engaged=Side.PLUS, record=False)
+        sim.set_velocity(rate)
+        with pytest.raises(NeverEngaged):
+            sim.run_until_engaged(Side.PLUS, timeout=0.3)
+        assert (len(step_plant_calls), sim.t) == (1, pytest.approx(t))
 
     def test_recorded_and_disturbed_runs_step_every_dt(self, ref_plant, step_plant_calls):
         Simulator(ref_plant, record=True).wait(0.1)

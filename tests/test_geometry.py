@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -58,6 +59,18 @@ class TestPitchRadius:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             GearSpec(7, 1.0)
+
+    def test_stored_radius_keeps_the_dataclass_contract(self):
+        gear = GearSpec(20, 1.0)
+        with pytest.raises(TypeError):
+            GearSpec(20, 1.0, pitch_radius=3.0)
+        assert repr(gear) == "GearSpec(tooth_count=20, module=1.0)"
+        assert gear == GearSpec(20, 1.0) and hash(gear) == hash(GearSpec(20, 1.0))
+        assert gear != GearSpec(20, 0.5) and gear != GearSpec(24, 1.0)
+        assert replace(gear, tooth_count=24).pitch_radius == 12.0
+        assert replace(gear, module=0.5).pitch_radius == 5.0
+        with pytest.raises(FrozenInstanceError):
+            gear.pitch_radius = 3.0
         with pytest.raises(ValueError):
             GearSpec(20, 0.0)
         with pytest.raises(ValueError):

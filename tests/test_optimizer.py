@@ -1,4 +1,5 @@
 import math
+import random
 from dataclasses import replace
 
 import pytest
@@ -135,6 +136,71 @@ class TestOptimize:
         best = round(ranked[0].predicted_t_switch_ms, 9)
         assert all(best <= round(r.predicted_t_switch_ms, 9) for r in rescan)
 
+    @pytest.mark.parametrize("seed", range(12))
+    def test_equals_the_evaluate_design_rescan(self, motor, seed):
+        # Random small spaces of both distance policies, with ratio and
+        # envelope bounds, and D grids that put some candidates inside the
+        # mesh distance or out of reach of the driven gears.
+        rng = random.Random(seed)
+
+        def teeth(lo, hi):
+            return tuple(sorted(rng.sample(range(lo, hi), 3)))
+
+        last_axis = (
+            {"psi_star_targets": tuple(math.radians(rng.uniform(2.0, 14.0)) for _ in range(2))}
+            if seed % 2
+            else {"center_distances": tuple(rng.uniform(20.0, 50.0) for _ in range(3))}
+        )
+        space = DesignSpace(
+            drive_teeth=teeth(12, 28),
+            switch_teeth=teeth(8, 20),
+            driven_teeth=teeth(12, 28),
+            modules=tuple(rng.sample((0.5, 0.8, 1.0, 1.25), 2)),
+            half_angles=tuple(math.radians(rng.uniform(15.0, 35.0)) for _ in range(2)),
+            envelope_max_diameter=rng.choice((None, rng.uniform(60.0, 110.0))),
+            **last_axis,
+        )
+        lo, hi = rng.choice(((None, None), (0.7, None), (None, 1.3), (0.8, 1.25)))
+        constraints = DesignConstraints(driven_ratio_min=lo, driven_ratio_max=hi)
+
+        rescan = []
+        for layout in enumerate_layouts(space):
+            try:
+                r = evaluate_design(layout, SLIP_REF, motor)
+            except InvalidDesign:
+                continue
+            limit = space.envelope_max_diameter
+            if (limit is not None and r.envelope > limit) or not (
+                (lo is None or r.driven_ratio >= lo) and (hi is None or r.driven_ratio <= hi)
+            ):
+                continue
+            rescan.append(r)
+        rescan.sort(key=lambda r: r.sort_key)
+
+        if not rescan:
+            with pytest.raises(EmptyFeasibleSet):
+                optimize(space, constraints, SLIP_REF, motor)
+        else:
+            assert optimize(space, constraints, SLIP_REF, motor) == rescan
+
+    def test_solves_each_validated_candidate_once(self, motor, solve_engagement_calls):
+        space = DesignSpace(
+            drive_teeth=(16, 20, 24),
+            switch_teeth=(10, 16),
+            driven_teeth=(16, 20, 24),
+            modules=(1.0,),
+            half_angles=(math.radians(20.0), math.radians(30.0)),
+            center_distances=(25.0, 34.76, 45.0),
+        )
+        constraints = DesignConstraints(driven_ratio_min=0.8, driven_ratio_max=1.25)
+        optimize(space, constraints, SLIP_REF, motor)
+        reaching = [
+            layout for layout in enumerate_layouts(space)
+            if 0.8 <= layout.driven_speed_ratio <= 1.25
+        ]
+        assert 0 < len(reaching) < space.size
+        assert solve_engagement_calls == reaching
+
     def test_space_too_large(self, motor):
         space = singleton_space(drive_teeth=tuple(range(8, 30)))
         with pytest.raises(SpaceTooLarge):
@@ -191,6 +257,32 @@ class TestDesignSpace:
     def test_constraints_reject_non_finite_ratio_bounds(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be finite"):
             DesignConstraints(**{name: value})
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize(
+        "name, good",
+        [
+            ("modules", 1.0),
+            ("half_angles", math.radians(25.0)),
+            ("psi_star_targets", PSI_REF),
+            ("center_distances", 34.76),
+        ],
+    )
+    def test_rejects_non_finite_grid_values(self, name, good, value):
+        overrides = {name: (good, value)}
+        if name == "center_distances":
+            overrides["psi_star_targets"] = None
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            singleton_space(**overrides)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_rejects_non_finite_backlash_margin(self, value):
+        with pytest.raises(ValueError, match="backlash_margin must be finite"):
+            singleton_space(backlash_margin=value)
+
+    def test_rejects_an_empty_distance_grid(self):
+        with pytest.raises(ValueError, match="grid must be non-empty"):
+            singleton_space(psi_star_targets=())
 
     def test_center_distance_grid_mode(self, motor):
         space = singleton_space(

@@ -298,6 +298,28 @@ class TestRunScript:
         trace = run_script(ref_plant, [Wait(0.0004)])
         assert [row.t for row in trace.rows] == [0.0, ref_plant.dt]
 
+    @pytest.mark.parametrize("duration", [0.0, 1e-15, -1.0, math.nan])
+    def test_wait_covering_no_step_rejected(self, ref_plant, duration):
+        sim = Simulator(ref_plant)
+        with pytest.raises(SwitchSimError, match=r"covers no step of dt=0\.001 s"):
+            sim.wait(duration)
+        assert sim.t == 0.0
+
+    def test_script_wait_covering_no_step_rejected(self, ref_plant):
+        with pytest.raises(SwitchSimError, match="covers no step"):
+            run_script(ref_plant, [Wait(1e-15)])
+
+    @pytest.mark.parametrize("duration", [0.0, 1e-300, 0.0009])
+    def test_duration_under_one_step_rejected(self, ref_plant, duration):
+        with pytest.raises(ValueError, match=r"shorter than one step of dt=0\.001 s"):
+            run_script(ref_plant, [], duration=duration)
+
+    def test_duration_leftover_under_one_step_is_not_waited(self, ref_plant):
+        # The script ends a hair short of ``duration``: the leftover covers no
+        # step, so the run ends where the script did.
+        trace = run_script(ref_plant, [Wait(0.05)], duration=0.05 + 1e-16)
+        assert [row.t for row in trace.rows] == [k * ref_plant.dt for k in range(51)]
+
     def test_duration_runs_at_least_that_long(self, ref_plant):
         trace = run_script(ref_plant, [], duration=0.0504)
         assert trace.rows[-1].t >= 0.0504
