@@ -18,6 +18,7 @@ from dataclasses import replace
 from .config import Config, load_config
 from .errors import ConfigError, SwitchSimError
 from .experiments import (
+    DEFAULT_JITTER_SIGMA_MS,
     ControlMode,
     motor_travel_per_traversal,
     run_independence,
@@ -25,8 +26,9 @@ from .experiments import (
     run_switching_time,
 )
 from .motion import trapezoid_duration
-from .optimizer import DesignConstraints, DesignSpace, optimize
-from .plant import PlantConfig, run_script
+from .geometry import REFERENCE_TRACK_TRAVEL_DEG
+from .optimizer import DEFAULT_SPACE_CAP, DesignConstraints, DesignSpace, optimize
+from .plant import DisturbancePulses, PlantConfig, run_script
 
 DEFAULT_SWEEP_OMEGAS = "180,270,360,450,540,630,720"
 
@@ -101,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--no-jitter", action="store_true")
-    p.add_argument("--jitter-sigma-ms", type=float, default=0.6)
+    p.add_argument("--jitter-sigma-ms", type=float, default=DEFAULT_JITTER_SIGMA_MS)
     p.add_argument("--seed", type=int)
     p.add_argument("--per-trial", help="write per-trial durations CSV here")
     p.add_argument(
@@ -115,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("independence", help="full-RoM sweep with disturbances")
     p.set_defaults(run=_cmd_independence)
     p.add_argument("--out", default="-")
-    p.add_argument("--magnitude", type=float, default=5.0)
+    p.add_argument("--magnitude", type=float, default=DisturbancePulses.magnitude)
     p.add_argument(
         "--target",
         default="disengaged",
@@ -153,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--envelope-max", type=float, help="max footprint diameter, mm")
     p.add_argument("--ratio-min", type=float)
     p.add_argument("--ratio-max", type=float)
-    p.add_argument("--cap", type=_positive_int, default=1_000_000)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SPACE_CAP)
     p.add_argument("--top", type=_positive_int, help="emit only the best N designs")
 
     p = sub.add_parser("calibrate", help="pin motor/friction parameters to measurements")
@@ -319,7 +321,7 @@ def _cmd_optimize(args, cfg: Config, plant: PlantConfig) -> int:
     if args.center_distance_mm:
         psi_targets, distances = None, tuple(args.center_distance_mm)
     else:
-        targets = args.psi_star_deg or (9.9,)
+        targets = args.psi_star_deg or (REFERENCE_TRACK_TRAVEL_DEG / 2,)
         psi_targets, distances = tuple(math.radians(v) for v in targets), None
     space = DesignSpace(
         drive_teeth=tuple(args.drive_teeth),

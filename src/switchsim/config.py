@@ -287,7 +287,7 @@ def _parse_script_line(line: str) -> ScriptCommand:
     if name in _ONE_NUMBER and len(args) == 1:
         return _ONE_NUMBER[name](_finite(args[0]))
     if name == "disturb" and len(args) in (2, 3):
-        width = _finite(args[2]) if len(args) == 3 else 0.05
+        width = _finite(args[2]) if len(args) == 3 else DisturbancePulses.width
         return InjectDisturbance(
             DisturbancePulses(target=args[0], magnitude=_finite(args[1]), width=width)
         )

@@ -161,7 +161,7 @@ def full_rom_script(config: PlantConfig) -> list[MoveMotorTo]:
 
 def run_independence(
     config: PlantConfig,
-    magnitude: float = 5.0,
+    magnitude: float = DisturbancePulses.magnitude,
     target: str = "disengaged",
     seed: int | None = None,
 ) -> IndependenceReport:

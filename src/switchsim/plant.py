@@ -194,7 +194,7 @@ def step_plant(
     if not (t > state.t):
         raise ValueError(f"step end time {t!r} must be after the state time {state.t!r}")
 
-    switch, events = step_switch(
+    switch, events, spool_rotation = step_switch(
         state.switch,
         config.traversal,
         config.engagement,
@@ -203,14 +203,12 @@ def step_plant(
     )
 
     joint_angle = state.joint_angle
-    # The one SPOOL_DRIVEN packet, if any, is the last event; no other event
-    # carries spool rotation.
-    packet = events[-1] if events else None
-    if packet is not None and packet.spool_rotation != 0.0:
-        sign = packet.side.sign
-        path = config.path(packet.side)
+    if spool_rotation != 0.0:
+        side = switch.engaged_side
+        sign = side.sign
+        path = config.path(side)
         length0 = path.length(sign * joint_angle)
-        length1 = length0 - sign * config.spool(packet.side).spool_radius * packet.spool_rotation
+        length1 = length0 - sign * config.spool(side).spool_radius * spool_rotation
         try:
             joint_angle = sign * path.inverse(length1)
         except OutOfRange as exc:
@@ -419,6 +417,8 @@ class Simulator:
 
     def move_motor_to(self, target: float) -> float:
         """Run a Profile-Position move to ``target`` deg; returns the command time."""
+        if not math.isfinite(target):
+            raise ValueError(f"move_motor_to target must be finite, got {target!r}")
         t_cmd = self.t
         self._velocity = 0.0
         delta = target - self.state.motor_angle
@@ -431,6 +431,8 @@ class Simulator:
         return t_cmd
 
     def set_velocity(self, rate: float) -> None:
+        if not math.isfinite(rate):
+            raise ValueError(f"set_velocity rate must be finite, got {rate!r}")
         if abs(rate) > self.config.motor.max_output_speed:
             raise ValueError(
                 f"velocity {rate!r} deg/s exceeds the modeled limit "
@@ -445,9 +447,7 @@ class Simulator:
         Raises:
             SwitchSimError: ``duration`` covers no step.
         """
-        dt = self.config.dt
-        if not duration > 0.0 or steps_to_cover(duration, dt) == 0:
-            raise SwitchSimError(f"wait of {duration!r} s covers no step of dt={dt!r} s")
+        self._check_covers_a_step("wait", duration)
         self._run(duration)
 
     def inject(self, profile: DisturbancePulses | None) -> None:
@@ -473,10 +473,12 @@ class Simulator:
         """Step (velocity mode) until the switch engages ``side``; event time.
 
         Raises:
+            SwitchSimError: ``timeout`` covers no step.
             NeverEngaged: timeout elapsed first, or ``side`` was engaged
                 already and the motor does not turn away from it (the run
                 stops after one step).
         """
+        self._check_covers_a_step("timeout", timeout)
         start = len(self.trace.events)
         self._run(timeout, until=side)
         for event in self.trace.events[start:]:
@@ -487,6 +489,11 @@ class Simulator:
         )
 
     # -- stepping ----------------------------------------------------------
+
+    def _check_covers_a_step(self, name: str, duration: float) -> None:
+        dt = self.config.dt
+        if not duration > 0.0 or steps_to_cover(duration, dt) == 0:
+            raise SwitchSimError(f"{name} of {duration!r} s covers no step of dt={dt!r} s")
 
     def _run(self, duration: float, until: Side | None = None) -> None:
         """Take ``duration`` s of steps, rounded up; stop once ``until`` is engaged.
@@ -580,8 +587,6 @@ class Simulator:
             disturbance_minus=dist_minus,
         )
         for event in events:
-            if event.kind is EventKind.SPOOL_DRIVEN:
-                continue
             self.trace.events.append(
                 TimedEvent(self._event_time(t0, event.motor_progress), event.kind, event.side, event.psi)
             )

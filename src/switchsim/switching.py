@@ -53,25 +53,23 @@ class EventKind(enum.Enum):
     ENTERED_NEUTRAL = "entered_neutral"
     EXITED_NEUTRAL = "exited_neutral"
     ENGAGED = "engaged"
+    # Emitted by nothing; the benchmark metric switching.events.spool_driven is named after it.
     SPOOL_DRIVEN = "spool_driven"
 
 
 @dataclass(frozen=True, slots=True)
 class Event:
-    """One state-machine event inside a step.
+    """One state-machine event inside a step: a mode change, never motion.
 
     motor_progress: signed motor rotation (rad) consumed from the start of
         the step when the event occurred; lets callers timestamp events
         inside a step from the motor schedule.
-    spool_rotation: signed driven-spool rotation (rad) carried by
-        SPOOL_DRIVEN packets, already scaled by the gear speed ratio.
     """
 
     kind: EventKind
     side: Side | None
     psi: float
     motor_progress: float = 0.0
-    spool_rotation: float = 0.0
 
 
 @dataclass(frozen=True, slots=True)
@@ -193,21 +191,24 @@ def step_switch(
     engagement: EngagementSolution,
     motor_delta: float,
     spool_ratio: float = 1.0,
-) -> tuple[SwitchState, list[Event]]:
+) -> tuple[SwitchState, list[Event], float]:
     """Advance the switch by one motor increment (output-shaft radians).
 
+    Returns the new state, the step's events and the driven-spool rotation
+    (rad), which turns the spool of the side engaged after the step.
+
     Engaged with the motor turning in the engaging sign, the state is
-    unchanged and the whole delta becomes a SPOOL_DRIVEN packet. Otherwise
-    the switch traverses: psi advances by motor_delta/k_eff, clamped at the
-    far endpoint; crossing the neutral band and reaching an endpoint emit
-    events, and rotation left over after engaging drives the new spool. A
-    step emits at most one SPOOL_DRIVEN packet, and it is the last event.
+    unchanged and the whole delta drives the spool. Otherwise the switch
+    traverses: psi advances by motor_delta/k_eff, clamped at the far
+    endpoint; crossing the neutral band and reaching an endpoint emit events,
+    and rotation left over after engaging drives the new spool. A step that
+    turns no spool returns a rotation of 0.0.
 
     A zero delta is the explicit halt signal: halting inside the neutral
     band parks the state in NEUTRAL.
 
-    ``spool_ratio`` (z_drive/z_driven) scales SPOOL_DRIVEN packets to
-    driven-spool rotation.
+    ``spool_ratio`` (z_drive/z_driven) scales motor rotation to driven-spool
+    rotation.
 
     Raises:
         InvalidState: the entry state violates its mode/position invariants.
@@ -218,34 +219,22 @@ def step_switch(
 
     if motor_delta == 0.0:
         if state.mode is SwitchMode.TRAVERSING and engagement.in_neutral_band(state.psi):
-            return SwitchState.neutral(state.psi), []
-        return state, []
+            return SwitchState.neutral(state.psi), [], 0.0
+        return state, [], 0.0
 
     direction = 1 if motor_delta > 0 else -1
-    k_eff = model.effective_ratio
-    psi_star = engagement.psi_star
-    psi0 = state.psi
-    events: list[Event] = []
-
     engaged = state.engaged_side
     if engaged is not None and direction == engaged.sign:
-        # Engaging direction: everything goes to the spool.
-        events.append(
-            Event(
-                EventKind.SPOOL_DRIVEN,
-                engaged,
-                psi0,
-                motor_progress=motor_delta,
-                spool_rotation=motor_delta * spool_ratio,
-            )
-        )
-        return state, events
+        return state, [], motor_delta * spool_ratio  # engaging direction: all to the spool
 
+    k_eff = model.effective_ratio
+    psi0 = state.psi
+    events: list[Event] = []
     if engaged is not None:
         events.append(Event(EventKind.DISENGAGED, engaged, psi0, motor_progress=0.0))
 
     raw = psi0 + motor_delta / k_eff
-    endpoint = direction * psi_star
+    endpoint = direction * engagement.psi_star
     reaches = raw >= endpoint - PSI_SNAP if direction > 0 else raw <= endpoint + PSI_SNAP
 
     psi1 = endpoint if reaches else raw
@@ -255,7 +244,7 @@ def step_switch(
         )
 
     if not reaches:
-        return SwitchState(SwitchMode.TRAVERSING, psi1), events
+        return SwitchState(SwitchMode.TRAVERSING, psi1), events, 0.0
 
     new_side = Side.from_sign(direction)
     traverse_progress = (endpoint - psi0) * k_eff
@@ -263,14 +252,5 @@ def step_switch(
         Event(EventKind.ENGAGED, new_side, endpoint, motor_progress=traverse_progress)
     )
     residual = motor_delta - traverse_progress
-    if abs(residual) > PSI_SNAP * k_eff:
-        events.append(
-            Event(
-                EventKind.SPOOL_DRIVEN,
-                new_side,
-                endpoint,
-                motor_progress=motor_delta,
-                spool_rotation=residual * spool_ratio,
-            )
-        )
-    return SwitchState(_ENGAGED_MODE[new_side], endpoint), events
+    spool_rotation = residual * spool_ratio if abs(residual) > PSI_SNAP * k_eff else 0.0
+    return SwitchState(_ENGAGED_MODE[new_side], endpoint), events, spool_rotation

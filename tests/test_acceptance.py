@@ -39,7 +39,6 @@ from switchsim.cli import main
 from switchsim.experiments import full_rom_script
 from switchsim.optimizer import enumerate_layouts
 from switchsim.plant import initial_state
-from switchsim.switching import EventKind
 
 from conftest import random_valid_layout
 from test_geometry import brute_force_psi_star
@@ -95,18 +94,17 @@ def test_criterion_2_kinematic_floor(capsys, ref_plant):
 def test_criterion_3_traversal_ratio(capsys, ref_plant):
     travel = motor_travel_per_traversal(ref_plant)
     state = SwitchState.engaged(Side.PLUS, ref_plant.engagement)
-    new, events = step_switch(
+    new, _, spool = step_switch(
         state,
         ref_plant.traversal,
         ref_plant.engagement,
         math.radians(-travel),
     )
     psi_sweep_deg = math.degrees(state.psi - new.psi)
-    spool_events = [e for e in events if e.kind is EventKind.SPOOL_DRIVEN]
     ok = (
         abs(travel - 122.6) <= 0.01
         and new.mode.value == "engaged-"
-        and not spool_events  # the full 122.6 deg went into traversal
+        and spool == 0.0  # the full 122.6 deg went into traversal
         and abs(psi_sweep_deg - 19.8) < 1e-9
     )
     with capsys.disabled():
@@ -298,17 +296,15 @@ def test_criterion_9_global_invariants(capsys, ref_plant, ref_engagement):
         delta = math.radians(rng.uniform(-260.0, 260.0))
         side = Side.PLUS if rng.random() < 0.5 else Side.MINUS
         start = SwitchState.engaged(side, ref_engagement)
-        whole, whole_events = step_switch(start, model, ref_engagement, delta)
+        whole, whole_events, _ = step_switch(start, model, ref_engagement, delta)
         state = start
         split_events = []
         parts = [rng.uniform(0.01, 1.0) for _ in range(rng.randint(1, 8))]
         total = sum(parts)
         for part in parts:
-            state, evs = step_switch(state, model, ref_engagement, delta * part / total)
+            state, evs, _ = step_switch(state, model, ref_engagement, delta * part / total)
             split_events.extend(evs)
-        kinds = lambda evs: [
-            (e.kind, e.side) for e in evs if e.kind is not EventKind.SPOOL_DRIVEN
-        ]
+        kinds = lambda evs: [(e.kind, e.side) for e in evs]
         if (
             state.mode is not whole.mode
             or abs(state.psi - whole.psi) > 1e-12

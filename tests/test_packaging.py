@@ -1,6 +1,7 @@
 """pyproject.toml declares exactly the third-party packages the package imports,
-each module uses every name it imports, importing the package loads no
-numerical library, and the test settings report a failing property test."""
+each module uses every name it imports, every private name is used, importing
+the package loads no numerical library, and the test settings report a failing
+property test."""
 
 import ast
 import os
@@ -54,6 +55,49 @@ def test_every_import_is_used():
         if path.name != "__init__.py" and (names := unused_imports(path))
     }
     assert unused == {}
+
+
+def private_definitions(tree: ast.Module):
+    """(name, node) of each module-level ``_name`` and each private method."""
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if private(node.name):
+                yield node.name, node
+            if isinstance(node, ast.ClassDef):
+                for item in node.body:
+                    if isinstance(item, ast.FunctionDef) and private(item.name):
+                        yield item.name, item
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                if isinstance(target, ast.Name) and private(target.id):
+                    yield target.id, node
+
+
+def dead_private_names() -> list[str]:
+    """Private names of ``src/switchsim`` that nothing outside their own definition reads."""
+    trees = {
+        path.name: ast.parse(path.read_text(), filename=str(path))
+        for path in sorted((ROOT / "src" / "switchsim").glob("*.py"))
+    }
+    reads = [
+        (node.id if isinstance(node, ast.Name) else node.attr, node)
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
+    ]
+    dead = []
+    for module, tree in trees.items():
+        for name, definition in private_definitions(tree):
+            own = {id(node) for node in ast.walk(definition)}
+            if not any(read == name and id(node) not in own for read, node in reads):
+                dead.append(f"{module}:{name}")
+    return dead
+
+
+def test_every_private_name_is_used():
+    assert dead_private_names() == []
 
 
 def test_import_loads_no_numerical_library():

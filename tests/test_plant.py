@@ -176,6 +176,18 @@ class TestNonFiniteApiInput:
         with pytest.raises(ValueError, match="rate must be finite"):
             SetVelocity(value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_simulator_move_target(self, ref_plant, value):
+        sim = Simulator(ref_plant)
+        with pytest.raises(ValueError, match="move_motor_to target must be finite"):
+            sim.move_motor_to(value)
+        assert sim.t == 0.0
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_simulator_velocity_rate(self, ref_plant, value):
+        with pytest.raises(ValueError, match="set_velocity rate must be finite"):
+            Simulator(ref_plant).set_velocity(value)
+
     @pytest.mark.parametrize("value", [math.nan, math.inf])
     def test_wait_non_finite(self, value):
         with pytest.raises(ValueError, match="wait duration must be finite"):
@@ -303,6 +315,14 @@ class TestRunScript:
         sim = Simulator(ref_plant)
         with pytest.raises(SwitchSimError, match=r"covers no step of dt=0\.001 s"):
             sim.wait(duration)
+        assert sim.t == 0.0
+
+    @pytest.mark.parametrize("timeout", [0.0, 1e-15, -1.0, math.nan])
+    def test_timeout_covering_no_step_rejected(self, ref_plant, timeout):
+        sim = Simulator(ref_plant, engaged=Side.MINUS)
+        sim.set_velocity(720.0)
+        with pytest.raises(SwitchSimError, match=r"timeout of .* s covers no step of dt=0\.001 s"):
+            sim.run_until_engaged(Side.PLUS, timeout)
         assert sim.t == 0.0
 
     def test_script_wait_covering_no_step_rejected(self, ref_plant):

@@ -1,7 +1,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from switchsim import (
     EventKind,
@@ -16,7 +16,7 @@ from switchsim import (
     calibrate_slip,
     step_switch,
 )
-from switchsim.switching import _band_crossings
+from switchsim.switching import PSI_SNAP, _band_crossings
 
 K_EFF_REF = 122.6 / 19.8
 
@@ -27,7 +27,7 @@ def model():
 
 
 def engagement_kinds(events):
-    return [(e.kind, e.side) for e in events if e.kind is not EventKind.SPOOL_DRIVEN]
+    return [(e.kind, e.side) for e in events]
 
 
 class TestCalibrateSlip:
@@ -62,7 +62,7 @@ class TestStepSwitch:
         # One motor-side reversal of 122.6 deg walks psi across the full
         # 19.8 deg track and lands exactly engaged on the other side.
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        new, events = step_switch(state, model, ref_engagement, math.radians(-122.6))
+        new, events, spool = step_switch(state, model, ref_engagement, math.radians(-122.6))
         assert new.mode is SwitchMode.ENGAGED_MINUS
         assert new.psi == -ref_engagement.psi_star
         assert engagement_kinds(events) == [
@@ -71,30 +71,28 @@ class TestStepSwitch:
             (EventKind.EXITED_NEUTRAL, None),
             (EventKind.ENGAGED, Side.MINUS),
         ]
-        assert not [e for e in events if e.kind is EventKind.SPOOL_DRIVEN]
+        assert spool == 0.0
 
     def test_engaging_direction_drives_spool(self, model, ref_engagement):
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        new, events = step_switch(
+        new, events, spool = step_switch(
             state, model, ref_engagement, math.radians(50.0), spool_ratio=1.0
         )
         assert new == state
-        assert len(events) == 1
-        event = events[0]
-        assert event.kind is EventKind.SPOOL_DRIVEN
-        assert event.side is Side.PLUS
-        assert event.spool_rotation == pytest.approx(math.radians(50.0))
+        assert new.engaged_side is Side.PLUS
+        assert events == []
+        assert spool == pytest.approx(math.radians(50.0))
 
-    def test_spool_ratio_scales_packets(self, model, ref_engagement):
+    def test_spool_ratio_scales_the_rotation(self, model, ref_engagement):
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        _, events = step_switch(
+        _, _, spool = step_switch(
             state, model, ref_engagement, math.radians(50.0), spool_ratio=20 / 30
         )
-        assert events[0].spool_rotation == pytest.approx(math.radians(50.0) * 20 / 30)
+        assert spool == pytest.approx(math.radians(50.0) * 20 / 30)
 
     def test_half_traversal_reaches_midline(self, model, ref_engagement):
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        new, events = step_switch(state, model, ref_engagement, math.radians(-61.3))
+        new, events, _ = step_switch(state, model, ref_engagement, math.radians(-61.3))
         assert new.mode is SwitchMode.TRAVERSING
         assert math.degrees(new.psi) == pytest.approx(0.0, abs=1e-9)
         assert (EventKind.ENGAGED, Side.MINUS) not in engagement_kinds(events)
@@ -102,9 +100,9 @@ class TestStepSwitch:
     def test_round_trip_is_exact(self, model, ref_engagement):
         travel = model.effective_ratio * ref_engagement.theta_track
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        mid, _ = step_switch(state, model, ref_engagement, -travel)
+        mid, _, _ = step_switch(state, model, ref_engagement, -travel)
         assert mid.mode is SwitchMode.ENGAGED_MINUS
-        back, _ = step_switch(mid, model, ref_engagement, travel)
+        back, _, _ = step_switch(mid, model, ref_engagement, travel)
         assert back.mode is SwitchMode.ENGAGED_PLUS
         assert back.psi == ref_engagement.psi_star
         assert abs(back.psi - state.psi) < 1e-12
@@ -112,35 +110,34 @@ class TestStepSwitch:
     def test_residual_drives_new_spool(self, model, ref_engagement):
         travel_deg = math.degrees(model.effective_ratio * ref_engagement.theta_track)
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        new, events = step_switch(
+        new, _, spool = step_switch(
             state, model, ref_engagement, math.radians(-(travel_deg + 30.0))
         )
         assert new.mode is SwitchMode.ENGAGED_MINUS
-        spool = [e for e in events if e.kind is EventKind.SPOOL_DRIVEN]
-        assert len(spool) == 1
-        assert spool[0].side is Side.MINUS
-        assert spool[0].spool_rotation == pytest.approx(math.radians(-30.0), abs=1e-9)
+        assert new.engaged_side is Side.MINUS
+        assert spool == pytest.approx(math.radians(-30.0), abs=1e-9)
 
     def test_reversal_mid_traversal(self, model, ref_engagement):
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        mid, _ = step_switch(state, model, ref_engagement, math.radians(-61.3))
-        back, events = step_switch(mid, model, ref_engagement, math.radians(61.3))
+        mid, _, _ = step_switch(state, model, ref_engagement, math.radians(-61.3))
+        back, _, _ = step_switch(mid, model, ref_engagement, math.radians(61.3))
         assert back.mode is SwitchMode.ENGAGED_PLUS
         assert back.psi == ref_engagement.psi_star
 
     def test_halt_inside_band_parks_neutral(self, model, ref_engagement):
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        mid, _ = step_switch(state, model, ref_engagement, math.radians(-61.3))
+        mid, _, _ = step_switch(state, model, ref_engagement, math.radians(-61.3))
         assert mid.mode is SwitchMode.TRAVERSING
-        parked, events = step_switch(mid, model, ref_engagement, 0.0)
+        parked, events, spool = step_switch(mid, model, ref_engagement, 0.0)
         assert parked.mode is SwitchMode.NEUTRAL
         assert events == []
+        assert spool == 0.0
 
     def test_halt_outside_band_stays_traversing(self, model, ref_engagement):
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
-        mid, _ = step_switch(state, model, ref_engagement, math.radians(-2.0))
+        mid, _, _ = step_switch(state, model, ref_engagement, math.radians(-2.0))
         assert mid.mode is SwitchMode.TRAVERSING
-        still, _ = step_switch(mid, model, ref_engagement, 0.0)
+        still, _, _ = step_switch(mid, model, ref_engagement, 0.0)
         assert still.mode is SwitchMode.TRAVERSING
 
     def test_revolution_travel_independent_of_slip(self, ref_engagement):
@@ -149,7 +146,7 @@ class TestStepSwitch:
             m = TraversalModel(1.8, slip)
             travel = m.effective_ratio * ref_engagement.theta_track
             state = SwitchState.engaged(Side.PLUS, ref_engagement)
-            new, _ = step_switch(state, m, ref_engagement, -travel)
+            new, _, _ = step_switch(state, m, ref_engagement, -travel)
             assert new.psi - state.psi == pytest.approx(
                 -ref_engagement.theta_track, abs=1e-12
             )
@@ -170,18 +167,37 @@ class TestEventStream:
         psi_frac=st.floats(min_value=-1.0, max_value=1.0),
         delta_deg=st.floats(min_value=-260.0, max_value=260.0),
     )
-    def test_one_spool_packet_and_it_is_last(
+    @example(start="plus", psi_frac=0.0, delta_deg=-122.6000001)  # lands in the snap window
+    def test_spool_rotation_matches_the_routing_rule(
         self, model, ref_engagement, start, psi_frac, delta_deg
     ):
+        k_eff = model.effective_ratio
+        psi_star = ref_engagement.psi_star
+        ratio = 20 / 30
+
+        def routed(state, delta):
+            """Driven-spool rotation: the whole delta while engaged and driving,
+            the residual past the snap window after engaging, else nothing."""
+            if delta == 0.0:
+                return 0.0
+            direction = 1 if delta > 0 else -1
+            if state.engaged_side is Side.from_sign(direction):
+                return delta * ratio
+            residual = delta - (direction * psi_star - state.psi) * k_eff
+            if direction * residual > PSI_SNAP * k_eff:  # past the far endpoint's snap window
+                return residual * ratio
+            return 0.0
+
         if start == "traversing":
-            state = SwitchState(SwitchMode.TRAVERSING, psi_frac * ref_engagement.psi_star)
+            state = SwitchState(SwitchMode.TRAVERSING, psi_frac * psi_star)
         else:
             state = SwitchState.engaged(Side(start), ref_engagement)
-        _, events = step_switch(state, model, ref_engagement, math.radians(delta_deg))
-        assert EventKind.SPOOL_DRIVEN not in [e.kind for e in events[:-1]]
-        assert all(
-            e.spool_rotation == 0.0 for e in events if e.kind is not EventKind.SPOOL_DRIVEN
-        )
+        delta = math.radians(delta_deg)
+        new, events, spool = step_switch(state, model, ref_engagement, delta, ratio)
+        assert EventKind.SPOOL_DRIVEN not in [e.kind for e in events]
+        assert spool == routed(state, delta)
+        if spool != 0.0:
+            assert new.engaged_side is Side.from_sign(1 if delta > 0 else -1)
 
     def test_band_crossings_match_the_two_sided_rule(self, ref_engagement):
         w = ref_engagement.neutral_half_width
@@ -227,53 +243,51 @@ class TestComposability:
         side = Side.MINUS if start_minus else Side.PLUS
         start = SwitchState.engaged(side, ref_engagement)
 
-        whole, whole_events = step_switch(start, model, ref_engagement, delta)
+        whole, whole_events, whole_spool = step_switch(start, model, ref_engagement, delta)
 
         total = sum(weights)
         state = start
         split_events = []
+        split_spool = 0.0
         for w in weights:
-            state, evs = step_switch(state, model, ref_engagement, delta * (w / total))
+            state, evs, spool = step_switch(state, model, ref_engagement, delta * (w / total))
             split_events.extend(evs)
+            split_spool += spool
 
         assert state.mode is whole.mode
         assert state.psi == pytest.approx(whole.psi, abs=1e-12)
         assert engagement_kinds(split_events) == engagement_kinds(whole_events)
-        spool = lambda evs: sum(
-            e.spool_rotation for e in evs if e.kind is EventKind.SPOOL_DRIVEN
-        )
         # A sub-step landing inside the endpoint snap window may shift up to
         # snap * k_eff of motor rotation between traversal and spool credit.
-        assert spool(split_events) == pytest.approx(spool(whole_events), abs=1e-8)
+        assert split_spool == pytest.approx(whole_spool, abs=1e-8)
 
 
 class TestCoupling:
     """The motor drives a spool only while engaged, at z_drive/z_driven and in its own sense."""
 
     @staticmethod
-    def spool_packets(state, model, engagement, delta, ratio=1.0):
-        """Driven-spool rotation of each SPOOL_DRIVEN packet of one step."""
-        _, events = step_switch(state, model, engagement, delta, ratio)
-        return [e.spool_rotation for e in events if e.kind is EventKind.SPOOL_DRIVEN]
+    def spool_rotation(state, model, engagement, delta, ratio=1.0):
+        """Driven-spool rotation of one step."""
+        return step_switch(state, model, engagement, delta, ratio)[2]
 
     def test_neutral_decoupled(self, model, ref_engagement):
         state = SwitchState.neutral()
         assert state.engaged_side is None
-        assert self.spool_packets(state, model, ref_engagement, 0.01) == []
+        assert self.spool_rotation(state, model, ref_engagement, 0.01) == 0.0
 
     def test_traversing_decoupled(self, model, ref_engagement):
         state = SwitchState(SwitchMode.TRAVERSING, 0.05)
         assert state.engaged_side is None
-        assert self.spool_packets(state, model, ref_engagement, 0.01) == []
+        assert self.spool_rotation(state, model, ref_engagement, 0.01) == 0.0
 
     def test_engaged_plus_unit_ratio(self, model, ref_layout, ref_engagement):
         state = SwitchState.engaged(Side.PLUS, ref_engagement)
         assert state.engaged_side is Side.PLUS
         assert ref_layout.driven_speed_ratio == pytest.approx(1.0)
-        packets = self.spool_packets(
+        rotation = self.spool_rotation(
             state, model, ref_engagement, 0.1, ref_layout.driven_speed_ratio
         )
-        assert packets == [pytest.approx(0.1)]  # same sense as the motor
+        assert rotation == pytest.approx(0.1)  # same sense as the motor
 
     def test_engaged_minus_reduced(self, model, ref_engagement):
         layout = MechanismLayout(
@@ -286,7 +300,7 @@ class TestCoupling:
         state = SwitchState.engaged(Side.MINUS, ref_engagement)
         assert state.engaged_side is Side.MINUS
         assert layout.driven_speed_ratio == pytest.approx(0.6667, abs=1e-4)
-        packets = self.spool_packets(
+        rotation = self.spool_rotation(
             state, model, ref_engagement, -0.1, layout.driven_speed_ratio
         )
-        assert packets == [pytest.approx(-0.1 * 20 / 30)]  # same sense as the motor
+        assert rotation == pytest.approx(-0.1 * 20 / 30)  # same sense as the motor
