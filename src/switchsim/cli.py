@@ -28,7 +28,7 @@ from .experiments import (
 from .motion import trapezoid_duration
 from .geometry import REFERENCE_TRACK_TRAVEL_DEG
 from .optimizer import DEFAULT_SPACE_CAP, DesignConstraints, DesignSpace, optimize
-from .plant import DisturbancePulses, PlantConfig, run_script
+from .plant import DISTURBANCE_TARGETS, DisturbancePulses, PlantConfig, run_script
 
 DEFAULT_SWEEP_OMEGAS = "180,270,360,450,540,630,720"
 
@@ -118,11 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_independence)
     p.add_argument("--out", default="-")
     p.add_argument("--magnitude", type=float, default=DisturbancePulses.magnitude)
-    p.add_argument(
-        "--target",
-        default="disengaged",
-        choices=("disengaged", "engaged", "plus", "minus"),
-    )
+    p.add_argument("--target", default=DisturbancePulses.target, choices=DISTURBANCE_TARGETS)
     p.add_argument("--seed", type=int)
     p.add_argument(
         "--check-zero",

@@ -162,7 +162,7 @@ def full_rom_script(config: PlantConfig) -> list[MoveMotorTo]:
 def run_independence(
     config: PlantConfig,
     magnitude: float = DisturbancePulses.magnitude,
-    target: str = "disengaged",
+    target: str = DisturbancePulses.target,
     seed: int | None = None,
 ) -> IndependenceReport:
     """Full-RoM sweep with and without disturbance; deviation of the engaged payout.

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import NoEngagement, TrackDegenerate
 
@@ -50,8 +51,7 @@ class GearSpec:
         object.__setattr__(self, "pitch_radius", self.module * self.tooth_count / 2.0)
 
 
-@dataclass(frozen=True)
-class MechanismLayout:
+class MechanismLayout(NamedTuple):
     """Full planar layout of driving, switch and (two identical) driven gears.
 
     Construction performs no cross-field validation: feed arbitrary values to
@@ -90,8 +90,7 @@ class MechanismLayout:
         return self.driving.tooth_count / self.driven.tooth_count
 
 
-@dataclass(frozen=True)
-class EngagementSolution:
+class EngagementSolution(NamedTuple):
     """Track endpoints and neutral band in the revolution coordinate psi.
 
     psi_star: revolution angle (from the midline) at which the switch is
@@ -111,8 +110,7 @@ class EngagementSolution:
         return -self.neutral_half_width < psi < self.neutral_half_width
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
     rule: str
     message: str
 
@@ -120,8 +118,7 @@ class Violation:
         return f"{self.rule}: {self.message}"
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Every rule a layout breaks, plus the ``solve_engagement`` result the
     check computed: None when the layout has no engagement."""
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge
 from .geometry import (
@@ -100,8 +101,7 @@ class DesignConstraints:
                 raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-@dataclass(frozen=True)
-class DesignResult:
+class DesignResult(NamedTuple):
     layout: MechanismLayout
     predicted_t_switch_ms: float
     theta_track: float            # rad

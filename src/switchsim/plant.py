@@ -15,6 +15,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NeverEngaged, RangeExceeded, SlackDetected, SwitchSimError
 from .geometry import EngagementSolution, MechanismLayout
@@ -34,6 +35,7 @@ DEFAULT_DT = 1e-3  # s; resolves 300 ms phenomena to 0.3 %
 PULSE_MIN_GAP = 0.05  # s between disturbance pulses, lower bound
 PULSE_MAX_GAP = 0.25  # s between disturbance pulses, upper bound
 STEP_BUDGET = 10_000_000  # steps one command, or one switching-time run, may take
+DISTURBANCE_TARGETS = ("disengaged", "engaged", "plus", "minus")  # the first is the default
 
 
 @dataclass(frozen=True)
@@ -101,8 +103,7 @@ class PlantConfig:
         return self.spool_plus if side is Side.PLUS else self.spool_minus
 
 
-@dataclass(frozen=True, slots=True)
-class SimState:
+class SimState(NamedTuple):
     t: float
     motor_angle: float        # deg, output shaft
     switch: SwitchState
@@ -113,8 +114,7 @@ class SimState:
     tension_minus: float      # N
 
 
-@dataclass(frozen=True, slots=True)
-class TimedEvent:
+class TimedEvent(NamedTuple):
     t: float
     kind: EventKind
     side: Side | None
@@ -270,12 +270,12 @@ class DisturbancePulses:
         reading).
     """
 
-    target: str = "disengaged"
+    target: str = DISTURBANCE_TARGETS[0]
     magnitude: float = 5.0   # mm
     width: float = 0.05      # s each pulse lasts; PULSE_MIN_GAP..PULSE_MAX_GAP s between pulses
 
     def __post_init__(self):
-        if self.target not in ("plus", "minus", "engaged", "disengaged"):
+        if self.target not in DISTURBANCE_TARGETS:
             raise ValueError(f"unknown disturbance target {self.target!r}")
         if not (0 <= self.magnitude < math.inf):
             raise ValueError(

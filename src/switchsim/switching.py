@@ -15,6 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidState, SubKinematicRatio
 from .geometry import EngagementSolution
@@ -45,7 +46,6 @@ class SwitchMode(enum.Enum):
 
 
 _ENGAGED_MODE = {Side.PLUS: SwitchMode.ENGAGED_PLUS, Side.MINUS: SwitchMode.ENGAGED_MINUS}
-_MODE_SIDE = {SwitchMode.ENGAGED_PLUS: Side.PLUS, SwitchMode.ENGAGED_MINUS: Side.MINUS}
 
 
 class EventKind(enum.Enum):
@@ -57,8 +57,7 @@ class EventKind(enum.Enum):
     SPOOL_DRIVEN = "spool_driven"
 
 
-@dataclass(frozen=True, slots=True)
-class Event:
+class Event(NamedTuple):
     """One state-machine event inside a step: a mode change, never motion.
 
     motor_progress: signed motor rotation (rad) consumed from the start of
@@ -72,8 +71,7 @@ class Event:
     motor_progress: float = 0.0
 
 
-@dataclass(frozen=True, slots=True)
-class SwitchState:
+class SwitchState(NamedTuple):
     mode: SwitchMode
     psi: float
 
@@ -87,7 +85,11 @@ class SwitchState:
 
     @property
     def engaged_side(self) -> Side | None:
-        return _MODE_SIDE.get(self.mode)
+        if self.mode is SwitchMode.ENGAGED_PLUS:
+            return Side.PLUS
+        if self.mode is SwitchMode.ENGAGED_MINUS:
+            return Side.MINUS
+        return None
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,6 @@
 import math
 import random
 import re
-from dataclasses import fields
 from pathlib import Path
 
 import pytest
@@ -556,7 +555,7 @@ class TestAcceptedConfigsRun:
         except SwitchSimError:
             return
         for row in trace.rows:
-            values = [getattr(row, f.name) for f in fields(row) if f.name != "switch"]
+            values = [getattr(row, name) for name in row._fields if name != "switch"]
             assert all(math.isfinite(v) for v in (*values, row.switch.psi)), row
 
 

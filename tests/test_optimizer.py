@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -63,7 +62,7 @@ class TestEvaluateDesign:
         assert result.predicted_t_switch_ms == pytest.approx(161.5, abs=0.05)
 
     def test_invalid_layout_rejected(self, ref_layout, motor):
-        bad = replace(ref_layout, driven_center_distance=0.0)
+        bad = ref_layout._replace(driven_center_distance=0.0)
         with pytest.raises(InvalidDesign) as exc:
             evaluate_design(bad, SLIP_REF, motor)
         assert not exc.value.report.ok

@@ -53,8 +53,8 @@ class TestStepPlant:
         assert new.payout_minus - state.payout_minus == pytest.approx(10.0, abs=1e-9)
 
     def test_neutral_transparency(self, ref_plant):
-        state = replace(
-            initial_state(ref_plant, engaged=None), switch=SwitchState.neutral()
+        state = initial_state(ref_plant, engaged=None)._replace(
+            switch=SwitchState.neutral()
         )
         new, _ = step_plant(state, ref_plant, t=1e-3, motor_delta=30.0)
         assert new.joint_angle == state.joint_angle
