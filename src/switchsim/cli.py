@@ -80,6 +80,13 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _non_negative_float(text: str) -> float:
+    value = float(text)
+    if not (0.0 <= value < math.inf):
+        raise argparse.ArgumentTypeError(f"must be finite and not negative, got {value!r}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="switchsim",
@@ -103,7 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default="-")
     p.add_argument("--trials", type=_positive_int, default=10)
     p.add_argument("--no-jitter", action="store_true")
-    p.add_argument("--jitter-sigma-ms", type=float, default=DEFAULT_JITTER_SIGMA_MS)
+    p.add_argument("--jitter-sigma-ms", type=_non_negative_float, default=DEFAULT_JITTER_SIGMA_MS)
     p.add_argument("--seed", type=int)
     p.add_argument("--per-trial", help="write per-trial durations CSV here")
     p.add_argument(
@@ -117,7 +124,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("independence", help="full-RoM sweep with disturbances")
     p.set_defaults(run=_cmd_independence)
     p.add_argument("--out", default="-")
-    p.add_argument("--magnitude", type=float, default=DisturbancePulses.magnitude)
+    p.add_argument("--magnitude", type=_non_negative_float, default=DisturbancePulses.magnitude)
     p.add_argument("--target", default=DisturbancePulses.target, choices=DISTURBANCE_TARGETS)
     p.add_argument("--seed", type=int)
     p.add_argument(

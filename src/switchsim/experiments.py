@@ -53,13 +53,30 @@ def motor_travel_per_traversal(config: PlantConfig) -> float:
 
 @dataclass(frozen=True)
 class SwitchingTimeStats:
-    n_trials: int
-    mean_up_ms: float
-    mean_down_ms: float
-    sigma_up_ms: float
-    sigma_down_ms: float
+    """Per-trial durations; the count, means and population sigmas derive from them."""
+
     up_ms: tuple[float, ...]
     down_ms: tuple[float, ...]
+
+    @property
+    def n_trials(self) -> int:
+        return len(self.up_ms)
+
+    @property
+    def mean_up_ms(self) -> float:
+        return statistics.fmean(self.up_ms)
+
+    @property
+    def mean_down_ms(self) -> float:
+        return statistics.fmean(self.down_ms)
+
+    @property
+    def sigma_up_ms(self) -> float:
+        return statistics.pstdev(self.up_ms)
+
+    @property
+    def sigma_down_ms(self) -> float:
+        return statistics.pstdev(self.down_ms)
 
 
 def run_switching_time(
@@ -102,23 +119,13 @@ def run_switching_time(
     up: list[float] = []
     down: list[float] = []
     for trial in range(n_trials):
-        rng = random.Random(base_seed + trial)
-        up.append(_timed_move(sim, travel, Side.PLUS) + _jitter(rng, jitter, jitter_sigma_ms))
-        down.append(_timed_move(sim, 0.0, Side.MINUS) + _jitter(rng, jitter, jitter_sigma_ms))
-    return SwitchingTimeStats(
-        n_trials=n_trials,
-        mean_up_ms=statistics.fmean(up),
-        mean_down_ms=statistics.fmean(down),
-        sigma_up_ms=statistics.pstdev(up),
-        sigma_down_ms=statistics.pstdev(down),
-        up_ms=tuple(up),
-        down_ms=tuple(down),
-    )
-
-
-def _jitter(rng: random.Random, enabled: bool, sigma_ms: float) -> float:
-    draw = rng.gauss(0.0, sigma_ms)  # always drawn, keeps seeds aligned
-    return draw if enabled else 0.0
+        up.append(_timed_move(sim, travel, Side.PLUS))
+        down.append(_timed_move(sim, 0.0, Side.MINUS))
+        if jitter:
+            rng = random.Random(base_seed + trial)
+            up[-1] += rng.gauss(0.0, jitter_sigma_ms)
+            down[-1] += rng.gauss(0.0, jitter_sigma_ms)
+    return SwitchingTimeStats(tuple(up), tuple(down))
 
 
 def _timed_move(sim: Simulator, target: float, side: Side) -> float:

@@ -5,13 +5,14 @@ decreasing, positive length L(x) in mm. Winding the cable (L decreasing)
 pulls the joint toward +x in that cable's own sense; the plant evaluates the
 plus cable at x = +joint_angle and the minus cable at x = -joint_angle, so
 the two sides pay out/in antagonistically along geometrically different laws.
+A path stores its (shortest, longest) attainable length as ``length_range``.
 """
 
 from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from functools import cached_property
 
 from .errors import OutOfRange, SwitchSimError
@@ -30,10 +31,10 @@ _MAX_ITERATIONS = 100
 
 
 def _require_finite_fields(path) -> None:
-    for field in fields(path):
-        value = getattr(path, field.name)
+    for name in (f.name for f in fields(path) if f.init):
+        value = getattr(path, name)
         if not math.isfinite(value):
-            raise ValueError(f"{field.name} must be finite, got {value!r}")
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,7 @@ class LinearPath:
 
     reference_length: float  # L0, mm at x = 0
     moment_arm: float        # mm per rad
+    length_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite_fields(self)
@@ -49,15 +51,14 @@ class LinearPath:
             raise ValueError(f"moment_arm must be positive, got {self.moment_arm!r}")
         if self.length(X_MAX) <= 0:
             raise ValueError("cable length must stay positive over the pull range")
+        object.__setattr__(self, "length_range", (self.length(X_MAX), self.length(X_MIN)))
 
     def length(self, x: float) -> float:
         return self.reference_length - self.moment_arm * x
 
     def inverse(self, target: float) -> float:
-        return _bounded_inverse(self, target, exact=self._closed_form)
-
-    def _closed_form(self, target: float) -> float:
-        return (self.reference_length - target) / self.moment_arm
+        x = _boundary_angle(self, target)
+        return (self.reference_length - target) / self.moment_arm if x is None else x
 
 
 @dataclass(frozen=True)
@@ -71,6 +72,7 @@ class CurvedPath:
     reference_length: float
     moment_arm: float
     bow: float
+    length_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         _require_finite_fields(self)
@@ -81,6 +83,7 @@ class CurvedPath:
             )
         if self.length(X_MAX) <= 0:
             raise ValueError("cable length must stay positive over the pull range")
+        object.__setattr__(self, "length_range", (self.length(X_MAX), self.length(X_MIN)))
 
     def length(self, x: float) -> float:
         return self.reference_length - self.moment_arm * x - self.bow * math.sin(x)
@@ -104,6 +107,7 @@ class TabulatedPath:
     """
 
     knots: tuple[tuple[float, float], ...]
+    length_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(self.knots) < 2:
@@ -121,6 +125,7 @@ class TabulatedPath:
             raise ValueError("knots must cover the full pull range [-pi/2, +pi/2]")
         if ls[-1] <= 0:
             raise ValueError("cable length must stay positive over the pull range")
+        object.__setattr__(self, "length_range", (self.length(X_MAX), self.length(X_MIN)))
 
     @cached_property
     def _spline(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
@@ -176,26 +181,16 @@ def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:
 CablePath = LinearPath | CurvedPath | TabulatedPath
 
 
-def _bounded_inverse(path, target: float, exact=None) -> float:
-    """Unique x in [-pi/2, +pi/2] with L(x) = target.
-
-    Requests within _RANGE_TOL of the range boundary clamp to the boundary
-    angle. Inside the range, ``exact`` (a closed form) answers if given;
-    otherwise a safeguarded Newton iteration on the path's analytic slope
-    does (Numerical Recipes' rtsafe): it keeps a bracket around the root and
-    bisects whenever a Newton step would leave the bracket or fail to halve
-    the step before last. It stops on an exact root or once the bracket is
-    down to adjacent floats, so ``length(inverse(L))`` is within 1e-9 mm of L.
+def _boundary_angle(path, target: float) -> float | None:
+    """The range end a length ``target`` clamps to, or None inside the range.
 
     Raises:
         ValueError: the target is not finite.
-        OutOfRange: the target lies outside the attainable lengths.
-        SwitchSimError: the iteration cap is reached (a defect).
+        OutOfRange: the target lies past an end by more than _RANGE_TOL.
     """
     if not math.isfinite(target):
         raise ValueError(f"cable length must be finite, got {target!r}")
-    l_max = path.length(X_MIN)
-    l_min = path.length(X_MAX)
+    l_min, l_max = path.length_range
     if target > l_max + _RANGE_TOL or target < l_min - _RANGE_TOL:
         raise OutOfRange(
             f"cable length {target!r} mm outside attainable range "
@@ -203,10 +198,27 @@ def _bounded_inverse(path, target: float, exact=None) -> float:
         )
     if target >= l_max:
         return X_MIN
-    if target <= l_min:
-        return X_MAX
-    if exact is not None:
-        return exact(target)
+    return X_MAX if target <= l_min else None
+
+
+def _bounded_inverse(path, target: float) -> float:
+    """Unique x in [-pi/2, +pi/2] with L(x) = target, for a path without a closed form.
+
+    Away from the range boundaries (``_boundary_angle``), a safeguarded
+    Newton iteration on the path's analytic slope answers (Numerical Recipes'
+    rtsafe): it keeps a bracket around the root and bisects whenever a
+    Newton step would leave the bracket or fail to halve the step before
+    last. It stops on an exact root or once the bracket is down to adjacent
+    floats, so ``length(inverse(L))`` is within 1e-9 mm of L.
+
+    Raises:
+        ValueError: the target is not finite.
+        OutOfRange: the target lies outside the attainable lengths.
+        SwitchSimError: the iteration cap is reached (a defect).
+    """
+    boundary = _boundary_angle(path, target)
+    if boundary is not None:
+        return boundary
     lo, hi = X_MIN, X_MAX
     x = 0.0  # the midpoint
     step = before = hi - lo

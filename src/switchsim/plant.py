@@ -147,14 +147,7 @@ def _state(
             if tension == math.inf:
                 raise SwitchSimError(f"{where} finite at t={t:.6f} s")
     return SimState(
-        t=t,
-        motor_angle=motor_angle,
-        switch=switch,
-        joint_angle=joint_angle,
-        payout_plus=payout_plus,
-        payout_minus=payout_minus,
-        tension_plus=tension_plus,
-        tension_minus=tension_minus,
+        t, motor_angle, switch, joint_angle, payout_plus, payout_minus, tension_plus, tension_minus
     )
 
 
@@ -345,21 +338,10 @@ class Trace:
 
     def to_csv(self) -> str:
         lines = [",".join(TRACE_COLUMNS)]
-        for s in self.rows:
+        for t, motor, switch, joint, pay_plus, pay_minus, ten_plus, ten_minus in self.rows:
             lines.append(
-                ",".join(
-                    (
-                        repr(s.t),
-                        repr(s.motor_angle),
-                        repr(math.degrees(s.switch.psi)),
-                        s.switch.mode.value,
-                        repr(math.degrees(s.joint_angle)),
-                        repr(s.payout_plus),
-                        repr(s.payout_minus),
-                        repr(s.tension_plus),
-                        repr(s.tension_minus),
-                    )
-                )
+                f"{t!r},{motor!r},{math.degrees(switch.psi)!r},{switch.mode.value},"
+                f"{math.degrees(joint)!r},{pay_plus!r},{pay_minus!r},{ten_plus!r},{ten_minus!r}"
             )
         return "\n".join(lines) + "\n"
 
@@ -405,6 +387,7 @@ class Simulator:
         self._step_index = 0
         self._profile: TrapezoidalProfile | None = None
         self._profile_t0 = 0.0
+        self._covered = 0.0  # signed deg the active profile has moved by self.t
         self._velocity = 0.0
         self._pulses: _PulseState | None = None
         self._n_injections = 0
@@ -425,7 +408,7 @@ class Simulator:
         motor = self.config.motor
         profile = TrapezoidalProfile.plan(delta, motor.max_output_speed, motor.profile_accel)
         self._profile = profile
-        self._profile_t0 = t_cmd
+        self._profile_t0, self._covered = t_cmd, 0.0
         self._run(profile.duration)
         self._profile = None
         return t_cmd
@@ -536,13 +519,6 @@ class Simulator:
         gap_deg = math.degrees(gap * self.config.traversal.effective_ratio)
         return min(steps, math.floor(gap_deg / toward) - 1)
 
-    def _motor_delta(self, t0: float, t1: float, steps: int) -> float:
-        if self._profile is not None:
-            return self._profile.position(t1 - self._profile_t0) - self._profile.position(
-                t0 - self._profile_t0
-            )
-        return self._velocity * self.config.dt * steps
-
     def _disturbances(self, value: float) -> tuple[float, float]:
         """Map the signal value onto (plus, minus) per target and gating."""
         if self._pulses is None or value == 0.0:
@@ -567,15 +543,18 @@ class Simulator:
     def _event_time(self, t0: float, motor_progress: float) -> float:
         progress_deg = abs(math.degrees(motor_progress))
         if self._profile is not None:
-            covered = abs(self._profile.position(t0 - self._profile_t0))
-            return self._profile_t0 + self._profile.time_at_distance(covered + progress_deg)
+            covered = abs(self._covered) + progress_deg
+            return self._profile_t0 + self._profile.time_at_distance(covered)
         return t0 + progress_deg / abs(self._velocity)  # an event needs motor motion
 
     def _step(self, steps: int = 1) -> None:
         dt = self.config.dt
         t0 = self._step_index * dt
         t1 = (self._step_index + steps) * dt
-        delta = self._motor_delta(t0, t1, steps)
+        covered, delta = self._covered, self._velocity * dt * steps
+        if self._profile is not None:
+            covered = self._profile.position(t1 - self._profile_t0)
+            delta = covered - self._covered
         signal = self._pulses.step(dt) if self._pulses is not None else 0.0
         dist_plus, dist_minus = self._disturbances(signal)
         state, events = step_plant(
@@ -591,6 +570,7 @@ class Simulator:
                 TimedEvent(self._event_time(t0, event.motor_progress), event.kind, event.side, event.psi)
             )
         self.state = state
+        self._covered = covered  # only now: a failed leap re-steps from the old position
         self._step_index += steps
         if self.record:
             self.trace.rows.append(state)

@@ -151,15 +151,14 @@ def _check_entry(state: SwitchState, engagement: EngagementSolution) -> None:
     psi = state.psi
     if not math.isfinite(psi):
         raise InvalidState(f"psi is not finite: {psi!r}")
-    side = state.engaged_side
-    if side is not None:
-        if abs(psi - side.sign * psi_star) > PSI_SNAP:
-            raise InvalidState(
-                f"mode {state.mode.value} requires psi = {side.sign * psi_star!r}, got {psi!r}"
-            )
+    mode = state.mode
+    if mode is SwitchMode.ENGAGED_PLUS or mode is SwitchMode.ENGAGED_MINUS:
+        endpoint = psi_star if mode is SwitchMode.ENGAGED_PLUS else -psi_star
+        if abs(psi - endpoint) > PSI_SNAP:
+            raise InvalidState(f"mode {mode.value} requires psi = {endpoint!r}, got {psi!r}")
     elif abs(psi) > psi_star + PSI_SNAP:
         raise InvalidState(f"psi {psi!r} outside the track [-psi*, +psi*]")
-    elif state.mode is SwitchMode.NEUTRAL and not (
+    elif mode is SwitchMode.NEUTRAL and not (
         engagement.in_neutral_band(psi)
         or abs(abs(psi) - engagement.neutral_half_width) <= PSI_SNAP
     ):

@@ -4,7 +4,7 @@ import io
 
 import pytest
 
-from switchsim.cli import _parse_float_list, build_parser, main
+from switchsim.cli import _non_negative_float, _parse_float_list, build_parser, main
 from switchsim.config import Config
 
 
@@ -69,6 +69,44 @@ class TestSwitchingTime:
         rows = parse_csv(per_trial.read_text())
         assert len(rows) == 3
         assert float(rows[0]["up_ms"]) == pytest.approx(302.0, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "flags, stats, trials",
+        [
+            pytest.param(
+                (),
+                "10,301.7659316434992,0.4696086711881228,302.4048105733914,0.48715745963846785\n",
+                "0,301.84647182693146,302.30685890750993\n"
+                "1,302.22404910177437,303.51984727283684\n"
+                "2,301.4355458695829,302.133611803853\n"
+                "3,301.427769795162,301.7245435058968\n"
+                "4,301.2655563945716,302.226552918981\n"
+                "5,301.1328873862321,302.13973589393345\n"
+                "6,301.94838860826826,302.91085547974507\n"
+                "7,302.73168796167215,302.58114137505464\n"
+                "8,302.0896908636895,301.9800949435637\n"
+                "9,301.55726862710753,302.52486363253945\n",
+                id="jitter",
+            ),
+            pytest.param(
+                ("--no-jitter",),
+                "10,302.0,0.0,302.0,0.0\n",
+                "".join(f"{i},302.0,302.0\n" for i in range(10)),
+                id="no-jitter",
+            ),
+        ],
+    )
+    def test_seeded_output_pinned(self, capsys, tmp_path, flags, stats, trials):
+        """Byte-exact output recorded before the per-trial draws were skipped without jitter."""
+        per_trial = tmp_path / "trials.csv"
+        code, out, _ = run_cli(
+            capsys,
+            "switching-time", "--trials", "10", "--seed", "7", *flags,
+            "--per-trial", str(per_trial),
+        )
+        assert code == 0
+        assert out == "n_trials,mean_up_ms,sigma_up_ms,mean_down_ms,sigma_down_ms\n" + stats
+        assert per_trial.read_text() == "trial,up_ms,down_ms\n" + trials
 
 
 class TestIndependence:
@@ -294,6 +332,16 @@ class TestUsage:
         assert message in err
         assert out == ""
 
+    @pytest.mark.parametrize(
+        "command, flag", [("switching-time", "--jitter-sigma-ms"), ("independence", "--magnitude")]
+    )
+    @pytest.mark.parametrize("value, shown", [("-1", "-1.0"), ("nan", "nan"), ("inf", "inf")])
+    def test_negative_or_non_finite_amount_exits_2(self, capsys, command, flag, value, shown):
+        code, out, err = run_cli(capsys, command, f"{flag}={value}")
+        assert code == 2
+        assert f"argument {flag}: must be finite and not negative, got {shown}" in err
+        assert out == ""
+
     def test_missing_config_file(self, capsys):
         code, _, err = run_cli(capsys, "--config", "/nonexistent.cfg", "validate")
         assert code == 1
@@ -309,7 +357,7 @@ def _float_flags():
         (command, action.option_strings[0], action.nargs or 1)
         for command, parser in commands.choices.items()
         for action in parser._actions
-        if action.type in (float, _parse_float_list)
+        if action.type in (float, _parse_float_list, _non_negative_float)
     ]
 
 

@@ -1,5 +1,6 @@
 import math
 import re
+import statistics
 from dataclasses import replace
 
 import pytest
@@ -94,6 +95,68 @@ class TestSwitchingTime:
         sim.set_velocity(180.0)
         with pytest.raises(NeverEngaged):
             sim.run_until_engaged(Side.PLUS, timeout=0.01)
+
+
+class TestJitterPinned:
+    """Jittered trials recorded before the per-trial draws were skipped without jitter."""
+
+    def test_default_sigma(self, ref_plant):
+        stats = run_switching_time(ref_plant, n_trials=5, jitter=True, seed=42)
+        assert stats.up_ms == (
+            301.9135458022532,
+            302.8991650706245,
+            301.3706490000203,
+            301.90487278537745,
+            302.4630474185966,
+        )
+        assert stats.down_ms == (
+            301.8962578398011,
+            302.22216551981944,
+            302.40756754694127,
+            302.68773581574607,
+            301.60836903539285,
+        )
+
+    def test_other_sigma(self, ref_plant):
+        stats = run_switching_time(ref_plant, n_trials=3, jitter=True, jitter_sigma_ms=2.5, seed=11)
+        assert stats.up_ms == (298.9398183107151, 298.38703077596693, 301.7849525344512)
+        assert stats.down_ms == (302.943970495754, 302.5822328913893, 305.79523116560455)
+        assert (stats.mean_up_ms, stats.mean_down_ms) == (299.7039338737111, 303.7738115175826)
+        assert (stats.sigma_up_ms, stats.sigma_down_ms) == (1.488706936551459, 1.4369682364060101)
+
+    def test_no_jitter_builds_no_generator(self, ref_plant, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("random.Random built for a run without jitter")
+
+        monkeypatch.setattr("switchsim.experiments.random.Random", refuse)
+        stats = run_switching_time(ref_plant, n_trials=3, jitter=False, seed=42)
+        assert stats.up_ms == stats.down_ms == (302.0,) * 3
+
+
+class TestSwitchingTimeStats:
+    @pytest.fixture(scope="class")
+    def stats(self, ref_plant):
+        return run_switching_time(ref_plant, n_trials=7, jitter=True, seed=5)
+
+    def test_summaries_derive_from_the_trials(self, stats):
+        assert stats.n_trials == len(stats.up_ms) == len(stats.down_ms) == 7
+        assert stats.mean_up_ms == statistics.fmean(stats.up_ms)
+        assert stats.mean_down_ms == statistics.fmean(stats.down_ms)
+        assert stats.sigma_up_ms == statistics.pstdev(stats.up_ms)
+        assert stats.sigma_down_ms == statistics.pstdev(stats.down_ms)
+        assert stats.sigma_up_ms > 0.0 and stats.sigma_down_ms > 0.0
+
+    @pytest.mark.parametrize(
+        "name",
+        ["up_ms", "down_ms", "n_trials", "mean_up_ms", "mean_down_ms", "sigma_up_ms", "sigma_down_ms"],
+    )
+    def test_setting_a_field_raises(self, stats, name):
+        with pytest.raises(AttributeError):
+            setattr(stats, name, getattr(stats, name))
+
+    def test_same_seed_compares_equal(self, ref_plant, stats):
+        assert run_switching_time(ref_plant, n_trials=7, jitter=True, seed=5) == stats
+        assert run_switching_time(ref_plant, n_trials=7, jitter=True, seed=6) != stats
 
 
 class TestIndependence:

@@ -14,6 +14,9 @@ ORACLE = json.loads((Path(__file__).parent / "data" / "path_oracle.json").read_t
 
 LINEAR = LinearPath(300.0, 25.0)
 CURVED = CurvedPath(300.0, 25.0, 5.0)
+TABLE = TabulatedPath(
+    tuple((math.radians(d), CURVED.length(math.radians(d))) for d in range(-90, 91, 15))
+)
 
 
 class TestLinear:
@@ -62,8 +65,7 @@ class TestCurved:
 
 @pytest.fixture(scope="module")
 def table():
-    xs = [math.radians(d) for d in range(-90, 91, 15)]
-    return TabulatedPath(tuple((x, CURVED.length(x)) for x in xs))
+    return TABLE
 
 
 class TestTabulated:
@@ -118,13 +120,16 @@ class TestScipyOracle:
 
 
 class _Counted:
-    """A path whose root-finder evaluations are counted."""
+    """A path whose root-finder evaluations and ``length`` calls are counted."""
 
     def __init__(self, path):
         self.path = path
+        self.length_range = path.length_range
         self.evaluations = 0
+        self.length_calls = 0
 
     def length(self, x):
+        self.length_calls += 1
         return self.path.length(x)
 
     def _length_and_slope(self, x):
@@ -142,6 +147,7 @@ def _check_inverse(path, fractions):
         counted = _Counted(path)
         x = paths._bounded_inverse(counted, target)
         assert counted.evaluations < paths._MAX_ITERATIONS
+        assert counted.length_calls == 0
         assert x == path.inverse(target)
         assert abs(path.length(x) - target) <= 1e-9
         xs.append(x)
@@ -189,3 +195,30 @@ class TestInverseProperties:
         monkeypatch.setattr(paths, "_MAX_ITERATIONS", 2)
         with pytest.raises(SwitchSimError, match="inverse of cable length 301.5 mm did not converge"):
             CURVED.inverse(301.5)
+
+
+ALL_KINDS = pytest.mark.parametrize(
+    "path", [LINEAR, CURVED, TABLE], ids=["linear", "curved", "tabulated"]
+)
+
+
+class TestStoredRange:
+    @ALL_KINDS
+    def test_range_is_the_end_lengths(self, path):
+        assert path.length_range == (path.length(paths.X_MAX), path.length(paths.X_MIN))
+
+    @ALL_KINDS
+    @pytest.mark.parametrize("past", [0.0, 0.5, 1.0])
+    def test_targets_within_tolerance_of_an_end_clamp(self, path, past):
+        shortest, longest = path.length_range
+        tolerance = past * paths._RANGE_TOL
+        assert path.inverse(longest + tolerance) == paths.X_MIN
+        assert path.inverse(shortest - tolerance) == paths.X_MAX
+
+    @ALL_KINDS
+    def test_targets_past_the_tolerance_are_out_of_range(self, path):
+        shortest, longest = path.length_range
+        with pytest.raises(OutOfRange):
+            path.inverse(longest + 2 * paths._RANGE_TOL)
+        with pytest.raises(OutOfRange):
+            path.inverse(shortest - 2 * paths._RANGE_TOL)

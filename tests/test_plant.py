@@ -28,8 +28,9 @@ from switchsim import (
     run_speed_sweep,
     step_plant,
 )
-from switchsim.experiments import full_rom_script
-from switchsim.plant import STEP_BUDGET
+from switchsim.experiments import full_rom_script, motor_travel_per_traversal
+from switchsim.motion import TrapezoidalProfile
+from switchsim.plant import STEP_BUDGET, steps_to_cover
 
 
 @pytest.fixture()
@@ -379,6 +380,27 @@ class TestEventTiming:
         t_cmd = sim.move_motor_to(30.0)
         assert t_cmd == pytest.approx(0.05)
         assert sim.state.motor_angle == pytest.approx(30.0, abs=1e-9)
+
+
+class TestProfileEvaluations:
+    def test_recorded_moves_evaluate_the_profile_once_per_step(self, ref_plant, monkeypatch):
+        calls = []
+        position = TrapezoidalProfile.position
+
+        def counted(profile, t):
+            calls.append(t)
+            return position(profile, t)
+
+        monkeypatch.setattr(TrapezoidalProfile, "position", counted)
+        sim = Simulator(ref_plant, engaged=Side.MINUS)
+        travel = motor_travel_per_traversal(ref_plant)
+        sim.move_motor_to(travel)
+        steps = len(sim.trace.rows) - 1
+        assert steps == steps_to_cover(0.302, ref_plant.dt) == len(calls)
+        assert [e.side for e in sim.trace.events if e.side is not None] == [Side.MINUS, Side.PLUS]
+        sim.move_motor_to(0.0)
+        assert len(calls) == len(sim.trace.rows) - 1 == 2 * steps
+        assert sim.trace.events[-1].t == pytest.approx(0.302 + steps * ref_plant.dt, abs=1e-9)
 
 
 class TestStepBudget:
