@@ -56,13 +56,14 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _parse_int_range(text: str) -> tuple[int, ...]:
-    """'a:b' or 'a:b:step' (inclusive) or a comma list."""
+def _parse_int_range(text: str) -> range | tuple[int, ...]:
+    """'a:b' or 'a:b:step' (inclusive) or a comma list. A range stays a
+    ``range``, so a huge one meets the space cap without being built."""
     if ":" in text:
         parts = [int(p) for p in text.split(":")]
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return tuple(range(start, stop + 1, step))
+        return range(start, stop + 1, step)
     return tuple(int(p) for p in text.split(","))
 
 
@@ -327,9 +328,9 @@ def _cmd_optimize(args, cfg: Config, plant: PlantConfig) -> int:
         targets = args.psi_star_deg or (REFERENCE_TRACK_TRAVEL_DEG / 2,)
         psi_targets, distances = tuple(math.radians(v) for v in targets), None
     space = DesignSpace(
-        drive_teeth=tuple(args.drive_teeth),
-        switch_teeth=tuple(args.switch_teeth),
-        driven_teeth=tuple(args.driven_teeth),
+        drive_teeth=args.drive_teeth,
+        switch_teeth=args.switch_teeth,
+        driven_teeth=args.driven_teeth,
         modules=tuple(args.modules),
         half_angles=tuple(math.radians(v) for v in args.phi_d_deg),
         psi_star_targets=psi_targets,

@@ -56,7 +56,9 @@ class MechanismLayout(NamedTuple):
 
     Construction performs no cross-field validation: feed arbitrary values to
     ``validate_layout`` to get a violation report. ``solve_engagement``
-    assumes a valid layout.
+    assumes a valid layout. ``optimize`` builds a layout only for a candidate
+    that already passed ``validate_layout``'s rules, checked on the scalars
+    of its gear set.
 
     Fields:
         driving, switch, driven: gear specs (both driven gears identical).
@@ -139,36 +141,21 @@ class ValidationReport(NamedTuple):
         return f"{len(self.violations)} violation(s): {body}"
 
 
-def _engagement_cosine(layout: MechanismLayout, mesh_distance: float) -> float:
-    """cos(psi - phi_d) at which the switch centre sits ``mesh_distance`` from
-    the +phi_d driven centre."""
-    r = layout.track_radius
-    d = layout.driven_center_distance
+def _engagement_cosine(r: float, d: float, mesh_distance: float) -> float:
+    """cos(psi - phi_d) at which a switch centre on the track of radius ``r``
+    sits ``mesh_distance`` from the +phi_d driven centre, at distance ``d``."""
     return (r * r + d * d - mesh_distance * mesh_distance) / (2.0 * r * d)
 
 
-def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
-    """Solve the track endpoints and neutral band for a valid layout.
+def _solve(r: float, d: float, phi: float, mesh: float, margin: float) -> EngagementSolution:
+    """The engagement of track radius ``r``, centre distance ``d``, half-angle
+    ``phi`` and mesh distance ``mesh``, with neutral band ``margin``.
 
-    The tangency condition R^2 + D^2 - 2*R*D*cos(psi - phi_d) = (r_s + r_g)^2
-    has two roots; the one nearer the midline is the physical endpoint (the
-    switch approaches from the midline side).
-
-    Raises:
-        NoEngagement: the track never comes within mesh distance of a driven gear.
-        TrackDegenerate: the switch is within mesh distance of a driven gear at
-            the midline (psi* <= 0, or at every track angle).
-        ValueError: structurally unusable fields (non-positive D, phi_d
-            outside (0, pi/2)).
+    Assumes the field checks have passed: ``r`` and ``d`` finite and
+    positive, ``phi`` in (0, pi/2). A negative ``margin`` leaves the band
+    empty. Raises like ``solve_engagement``, less its ValueError.
     """
-    d = layout.driven_center_distance
-    phi = layout.driven_half_angle
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"driven_center_distance must be positive, got {d!r}")
-    if not (0.0 < phi < math.pi / 2):
-        raise ValueError(f"driven_half_angle must be in (0, pi/2), got {phi!r}")
-
-    c = _engagement_cosine(layout, layout.mesh_distance)
+    c = _engagement_cosine(r, d, mesh)
     if c > 1.0:
         raise NoEngagement(
             "switch track never comes within mesh distance of a driven gear"
@@ -184,10 +171,9 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
             f"(psi* = {math.degrees(psi_star):.4f} deg <= 0); no usable track"
         )
 
-    margin = layout.backlash_margin
     half_width = 0.0
     if margin >= 0.0:
-        cm = _engagement_cosine(layout, layout.mesh_distance + margin)
+        cm = _engagement_cosine(r, d, mesh + margin)
         if cm > -1.0:
             half_width = max(0.0, phi - math.acos(cm))
 
@@ -196,6 +182,31 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
         theta_track=2.0 * psi_star,
         neutral_half_width=half_width,
     )
+
+
+def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
+    """Solve the track endpoints and neutral band for a valid layout.
+
+    The tangency condition R^2 + D^2 - 2*R*D*cos(psi - phi_d) = (r_s + r_g)^2
+    has two roots; the one nearer the midline is the physical endpoint (the
+    switch approaches from the midline side). Checks D and phi_d, then hands
+    the layout's scalars to the core that ``optimize`` also calls, so both
+    share one engagement formula.
+
+    Raises:
+        NoEngagement: the track never comes within mesh distance of a driven gear.
+        TrackDegenerate: the switch is within mesh distance of a driven gear at
+            the midline (psi* <= 0, or at every track angle).
+        ValueError: structurally unusable fields (non-positive D, phi_d
+            outside (0, pi/2)).
+    """
+    d = layout.driven_center_distance
+    phi = layout.driven_half_angle
+    if not (math.isfinite(d) and d > 0):
+        raise ValueError(f"driven_center_distance must be positive, got {d!r}")
+    if not (0.0 < phi < math.pi / 2):
+        raise ValueError(f"driven_half_angle must be in (0, pi/2), got {phi!r}")
+    return _solve(layout.track_radius, d, phi, layout.mesh_distance, layout.backlash_margin)
 
 
 def validate_layout(layout: MechanismLayout) -> ValidationReport:

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge
+from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge, TrackDegenerate
 from .geometry import (
     EngagementSolution,
     GearSpec,
@@ -22,6 +22,7 @@ from .geometry import (
     MIN_TOOTH_COUNT,
     envelope_diameter,
     kinematic_carry_ratio,
+    _solve,
     solve_center_distance,
     validate_layout,
     DEFAULT_BACKLASH_MARGIN,
@@ -39,12 +40,13 @@ class DesignSpace:
 
     Exactly one of ``psi_star_targets`` (centre distance solved so the track
     endpoint lands on the target, the default policy) or
-    ``center_distances`` (explicit D grid, mm) must be provided.
+    ``center_distances`` (explicit D grid, mm) must be provided. A tooth-count
+    axis may be a ``range``: the checks and ``size`` never walk it.
     """
 
-    drive_teeth: tuple[int, ...]
-    switch_teeth: tuple[int, ...]
-    driven_teeth: tuple[int, ...]
+    drive_teeth: tuple[int, ...] | range
+    switch_teeth: tuple[int, ...] | range
+    driven_teeth: tuple[int, ...] | range
     modules: tuple[float, ...]
     half_angles: tuple[float, ...]                 # phi_d grid, rad
     psi_star_targets: tuple[float, ...] | None = None   # rad
@@ -57,7 +59,8 @@ class DesignSpace:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
         for teeth in (self.drive_teeth, self.switch_teeth, self.driven_teeth):
-            if min(teeth) < MIN_TOOTH_COUNT:
+            # A range's least element is at one end; do not walk a huge one.
+            if min((teeth[0], teeth[-1]) if isinstance(teeth, range) else teeth) < MIN_TOOTH_COUNT:
                 raise ValueError(f"tooth counts must be >= {MIN_TOOTH_COUNT}")
         if (self.psi_star_targets is None) == (self.center_distances is None):
             raise ValueError(
@@ -133,13 +136,17 @@ def evaluate_design(layout: MechanismLayout, slip: float, motor: MotorModel) -> 
     if not report.ok:
         raise InvalidDesign(report)
     traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
-    return _design_result(layout, report.engagement, traversal, motor)
+    return _design_result(layout, report.engagement, traversal, motor, envelope_diameter(layout))
 
 
 def _design_result(
-    layout: MechanismLayout, engagement: EngagementSolution, traversal: TraversalModel, motor: MotorModel
+    layout: MechanismLayout,
+    engagement: EngagementSolution,
+    traversal: TraversalModel,
+    motor: MotorModel,
+    envelope: float,
 ) -> DesignResult:
-    """The prediction for a validated layout, its engagement and traversal."""
+    """The prediction for a validated layout, its engagement, traversal and envelope."""
     travel = traversal.motor_travel(engagement.theta_track)
     t_switch = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
     return DesignResult(
@@ -148,43 +155,39 @@ def _design_result(
         theta_track=engagement.theta_track,
         k_eff=traversal.effective_ratio,
         driven_ratio=layout.driven_speed_ratio,
-        envelope=envelope_diameter(layout),
+        envelope=envelope,
     )
 
 
 def _gear_sets(space: DesignSpace):
-    """Yield each (driving, switch, driven) gear set of the grid, built once."""
-    for zd, zs, zg, m in itertools.product(
-        space.drive_teeth, space.switch_teeth, space.driven_teeth, space.modules
-    ):
-        yield GearSpec(zd, m), GearSpec(zs, m), GearSpec(zg, m)
+    """Yield each (driving, switch, driven) gear set in grid order, with one
+    GearSpec per (tooth count, module)."""
+    teeth = (space.drive_teeth, space.switch_teeth, space.driven_teeth)
+    gears = {(z, m): GearSpec(z, m) for axis in teeth for z in axis for m in space.modules}
+    for zd, zs, zg, m in itertools.product(*teeth, space.modules):
+        yield gears[zd, m], gears[zs, m], gears[zg, m]
 
 
-def _set_layouts(space: DesignSpace, driving: GearSpec, switch: GearSpec, driven: GearSpec):
-    """Yield one gear set's layouts over (phi_d, psi* target or D) in grid order.
-    A target that no centre distance reaches is silently infeasible."""
-    last_axis = space.psi_star_targets or space.center_distances
-    for phi_d, last in itertools.product(space.half_angles, last_axis):
-        d = last
-        if space.psi_star_targets is not None:
-            try:
-                d = solve_center_distance(driving, switch, driven, phi_d, last)
-            except (NoEngagement, ValueError):
-                continue
-        yield MechanismLayout(
-            driving=driving,
-            switch=switch,
-            driven=driven,
-            driven_center_distance=d,
-            driven_half_angle=phi_d,
-            backlash_margin=space.backlash_margin,
-        )
+def _placements(space: DesignSpace, driving: GearSpec, switch: GearSpec, driven: GearSpec, phis):
+    """Yield a gear set's (phi_d, D) over the half-angles ``phis`` and the psi*
+    target or D axis, in grid order. A target no centre distance reaches is skipped."""
+    targets = space.psi_star_targets
+    for phi_d, last in itertools.product(phis, targets or space.center_distances):
+        if targets is None:
+            yield phi_d, last
+            continue
+        try:
+            d = solve_center_distance(driving, switch, driven, phi_d, last)
+        except (NoEngagement, ValueError):
+            continue
+        yield phi_d, d
 
 
 def enumerate_layouts(space: DesignSpace):
     """Yield candidate layouts in deterministic grid order."""
     for gears in _gear_sets(space):
-        yield from _set_layouts(space, *gears)
+        for phi_d, d in _placements(space, *gears, space.half_angles):
+            yield MechanismLayout(*gears, d, phi_d, space.backlash_margin)
 
 
 def optimize(
@@ -196,8 +199,12 @@ def optimize(
     """Rank every feasible design by predicted switching time.
 
     Ties break by smaller envelope diameter, then lexicographic tooth counts,
-    so the ranking is deterministic. Ratio bounds and traversal are settled
-    once per gear set.
+    so the ranking is deterministic. The records equal ``evaluate_design``'s
+    over ``enumerate_layouts``, but a candidate gets no layout until it
+    passes ``validate_layout``'s rules on scalars: the margin and each phi_d
+    are checked once; the ratio bounds, track radius, mesh distance and
+    driving-driven clearance once per gear set; then per candidate the D
+    rules, the engagement core of ``solve_engagement`` and the neutral band.
 
     Raises:
         SpaceTooLarge: candidate count exceeds the cap.
@@ -209,21 +216,34 @@ def optimize(
         )
     lo, hi = constraints.driven_ratio_min, constraints.driven_ratio_max
     limit = space.envelope_max_diameter
+    margin = space.backlash_margin
+    # validate_layout's invalid-parameter rules for the margin and phi_d.
+    phis = [phi for phi in space.half_angles if 0.0 < phi < math.pi / 2 and margin >= 0.0]
     results: list[DesignResult] = []
-    for gears in _gear_sets(space):
+    for driving, switch, driven in _gear_sets(space):
+        ratio = driving.tooth_count / driven.tooth_count  # MechanismLayout.driven_speed_ratio
+        if (lo is not None and ratio < lo) or (hi is not None and ratio > hi):
+            continue
+        r = driving.pitch_radius + switch.pitch_radius
+        mesh = switch.pitch_radius + driven.pitch_radius
+        clear = driving.pitch_radius + driven.pitch_radius
         traversal = None
-        for layout in _set_layouts(space, *gears):
-            if traversal is None:  # the gear set's first layout
-                ratio = layout.driven_speed_ratio
-                if (lo is not None and ratio < lo) or (hi is not None and ratio > hi):
-                    break
-                traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
-            report = validate_layout(layout)
-            if not report.ok:
+        for phi_d, d in _placements(space, driving, switch, driven, phis):
+            if not clear <= d < math.inf:  # also D <= 0 and NaN: invalid-parameter
+                continue  # driving-driven-interference
+            try:
+                engagement = _solve(r, d, phi_d, mesh, margin)
+            except (NoEngagement, TrackDegenerate):
                 continue
-            result = _design_result(layout, report.engagement, traversal, motor)
-            if limit is None or result.envelope <= limit:
-                results.append(result)
+            if engagement.neutral_half_width <= 0.0:
+                continue  # empty-neutral-band
+            layout = MechanismLayout(driving, switch, driven, d, phi_d, margin)
+            envelope = envelope_diameter(layout)
+            if limit is not None and envelope > limit:
+                continue
+            if traversal is None:
+                traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
+            results.append(_design_result(layout, engagement, traversal, motor, envelope))
     if not results:
         raise EmptyFeasibleSet("no design in the space passed validation and constraints")
     results.sort(key=lambda r: r.sort_key)

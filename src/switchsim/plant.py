@@ -517,7 +517,8 @@ class Simulator:
             return steps
         gap = abs(until.sign * self.config.engagement.psi_star - switch.psi) - PSI_SNAP
         gap_deg = math.degrees(gap * self.config.traversal.effective_ratio)
-        return min(steps, math.floor(gap_deg / toward) - 1)
+        reach = gap_deg / toward  # steps until the snap window; inf for a subnormal delta
+        return steps if not reach < steps + 1 else math.floor(reach) - 1
 
     def _disturbances(self, value: float) -> tuple[float, float]:
         """Map the signal value onto (plus, minus) per target and gating."""

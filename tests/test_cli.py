@@ -1,11 +1,18 @@
 import argparse
 import csv
 import io
+import os
+import resource
+import subprocess
+import sys
 
 import pytest
 
+import switchsim
 from switchsim.cli import _non_negative_float, _parse_float_list, build_parser, main
 from switchsim.config import Config
+
+SRC = os.path.dirname(os.path.dirname(os.path.abspath(switchsim.__file__)))
 
 
 def run_cli(capsys, *argv):
@@ -176,6 +183,30 @@ class TestOptimize:
         )
         assert code == 1
         assert "SpaceTooLarge" in err
+
+    def test_huge_tooth_range_meets_the_cap_unbuilt(self):
+        # A billion tooth counts would take gigabytes as a tuple; under a
+        # 1 GB address-space limit the range must reach the cap check as is.
+        def limit_memory():
+            resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+        def optimize(drive_teeth):
+            return subprocess.run(
+                [sys.executable, "-m", "switchsim.cli", "optimize", "--drive-teeth", drive_teeth],
+                env=dict(os.environ, PYTHONPATH=SRC, OPENBLAS_NUM_THREADS="1"),
+                preexec_fn=limit_memory,
+                capture_output=True,
+                text=True,
+                timeout=60,
+            )
+
+        huge, known = optimize("16:1000000000"), optimize("16:100000")
+        message = "SpaceTooLarge: design space has {} candidates, cap is 1000000\n"
+        # Times 13 switch and 9 driven tooth counts, the defaults.
+        assert (known.returncode, known.stdout) == (1, "")
+        assert known.stderr == message.format((100_000 - 15) * 13 * 9)
+        assert (huge.returncode, huge.stdout) == (1, "")
+        assert huge.stderr == message.format((1_000_000_000 - 15) * 13 * 9)
 
 
 class TestCalibrate:

@@ -261,6 +261,21 @@ class TestLeapFailures:
         assert leaped[0] is SlackDetected
         assert "plus cable tension" in leaped[1] and "at t=0.223000 s" in leaped[1]
 
+    def test_subnormal_velocity_toward_the_endpoint(self, ref_plant):
+        # One step's motor delta is subnormal, so the steps left to the snap
+        # window overflow to infinity: the leap covers the whole timeout.
+        # (The states differ below any resolution: each grid step's switch
+        # travel underflows to zero, the leap's does not.)
+        out = []
+        for record in (True, False):
+            sim = Simulator(ref_plant, record=record)
+            sim.set_velocity(-1e-320)
+            with pytest.raises(NeverEngaged) as info:
+                sim.run_until_engaged(Side.MINUS, 1.0)
+            out.append((str(info.value), sim.t))
+        stepped, leaped = out
+        assert leaped == stepped == ("switch did not engage minus within 1.0 s", pytest.approx(1.0))
+
 
 class TestLeapBudget:
     """(d) A command over the step budget is refused before it steps."""

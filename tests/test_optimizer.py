@@ -10,12 +10,15 @@ from switchsim import (
     EmptyFeasibleSet,
     GearSpec,
     InvalidDesign,
+    MechanismLayout,
     SpaceTooLarge,
     evaluate_design,
     optimize,
     run_switching_time,
     solve_center_distance,
+    validate_layout,
 )
+from switchsim import geometry
 from switchsim.optimizer import enumerate_layouts
 
 SLIP_REF = 1.0 - 1.8 / (122.6 / 19.8)
@@ -38,6 +41,61 @@ def singleton_space(**overrides):
     )
     base.update(overrides)
     return DesignSpace(**base)
+
+
+def random_problem(seed: int) -> tuple[DesignSpace, DesignConstraints]:
+    """A small random space of either distance policy, with ratio and
+    envelope bounds. Its grids reach every rule ``optimize`` checks without
+    ``validate_layout``: half-angles <= 0 and >= pi/2, zero and negative
+    backlash margins, D <= 0, D inside the driving-driven clearance or out
+    of reach of the driven gears, D or psi* targets that put the switch on
+    a driven gear at the midline, and psi* targets above phi_d."""
+    rng = random.Random(seed)
+
+    def teeth(lo, hi):
+        return tuple(sorted(rng.sample(range(lo, hi), 3)))
+
+    if seed % 2:
+        degrees = [rng.uniform(2.0, 14.0), rng.uniform(0.2, 2.0), rng.uniform(36.0, 80.0)]
+        last_axis = {"psi_star_targets": tuple(math.radians(v) for v in degrees)}
+    else:
+        distances = [rng.uniform(20.0, 50.0) for _ in range(3)]
+        distances += [rng.choice((0.0, -5.0)), rng.uniform(5.0, 15.0), rng.uniform(50.0, 90.0)]
+        last_axis = {"center_distances": tuple(distances)}
+    half_angles = [math.radians(rng.uniform(15.0, 35.0)), math.radians(rng.uniform(35.0, 85.0))]
+    half_angles.append(rng.choice((0.0, -0.1, math.pi / 2, 2.0)))
+    space = DesignSpace(
+        drive_teeth=teeth(12, 28),
+        switch_teeth=teeth(8, 20),
+        driven_teeth=teeth(12, 28),
+        modules=tuple(rng.sample((0.5, 0.8, 1.0, 1.25), 2)),
+        half_angles=tuple(half_angles),
+        envelope_max_diameter=rng.choice((None, rng.uniform(60.0, 110.0))),
+        backlash_margin=(0.2, 0.0, 1.5, 0.2, -0.1, 0.8)[seed % 6],
+        **last_axis,
+    )
+    lo, hi = rng.choice(((None, None), (0.7, None), (None, 1.3), (0.8, 1.25)))
+    return space, DesignConstraints(driven_ratio_min=lo, driven_ratio_max=hi)
+
+
+def evaluate_design_rescan(space, constraints, motor) -> list:
+    """The reference ranking: ``evaluate_design`` on every enumerated
+    layout, filtered by the bounds and sorted."""
+    lo, hi = constraints.driven_ratio_min, constraints.driven_ratio_max
+    limit = space.envelope_max_diameter
+    rescan = []
+    for layout in enumerate_layouts(space):
+        try:
+            r = evaluate_design(layout, SLIP_REF, motor)
+        except InvalidDesign:
+            continue
+        if (limit is not None and r.envelope > limit) or not (
+            (lo is None or r.driven_ratio >= lo) and (hi is None or r.driven_ratio <= hi)
+        ):
+            continue
+        rescan.append(r)
+    rescan.sort(key=lambda r: r.sort_key)
+    return rescan
 
 
 class TestEvaluateDesign:
@@ -117,18 +175,7 @@ class TestOptimize:
         )
         constraints = DesignConstraints(driven_ratio_min=0.7, driven_ratio_max=1.4)
         ranked = optimize(space, constraints, SLIP_REF, motor)
-
-        # Independent re-scan: plain enumeration, filter, sort.
-        rescan = []
-        for layout in enumerate_layouts(space):
-            try:
-                r = evaluate_design(layout, SLIP_REF, motor)
-            except InvalidDesign:
-                continue
-            if r.envelope > 120.0 or not (0.7 <= r.driven_ratio <= 1.4):
-                continue
-            rescan.append(r)
-        rescan.sort(key=lambda r: r.sort_key)
+        rescan = evaluate_design_rescan(space, constraints, motor)
 
         assert len(ranked) == len(rescan) > 0
         assert [r.layout for r in ranked] == [r.layout for r in rescan]
@@ -137,68 +184,89 @@ class TestOptimize:
 
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_the_evaluate_design_rescan(self, motor, seed):
-        # Random small spaces of both distance policies, with ratio and
-        # envelope bounds, and D grids that put some candidates inside the
-        # mesh distance or out of reach of the driven gears.
-        rng = random.Random(seed)
-
-        def teeth(lo, hi):
-            return tuple(sorted(rng.sample(range(lo, hi), 3)))
-
-        last_axis = (
-            {"psi_star_targets": tuple(math.radians(rng.uniform(2.0, 14.0)) for _ in range(2))}
-            if seed % 2
-            else {"center_distances": tuple(rng.uniform(20.0, 50.0) for _ in range(3))}
-        )
-        space = DesignSpace(
-            drive_teeth=teeth(12, 28),
-            switch_teeth=teeth(8, 20),
-            driven_teeth=teeth(12, 28),
-            modules=tuple(rng.sample((0.5, 0.8, 1.0, 1.25), 2)),
-            half_angles=tuple(math.radians(rng.uniform(15.0, 35.0)) for _ in range(2)),
-            envelope_max_diameter=rng.choice((None, rng.uniform(60.0, 110.0))),
-            **last_axis,
-        )
-        lo, hi = rng.choice(((None, None), (0.7, None), (None, 1.3), (0.8, 1.25)))
-        constraints = DesignConstraints(driven_ratio_min=lo, driven_ratio_max=hi)
-
-        rescan = []
-        for layout in enumerate_layouts(space):
-            try:
-                r = evaluate_design(layout, SLIP_REF, motor)
-            except InvalidDesign:
-                continue
-            limit = space.envelope_max_diameter
-            if (limit is not None and r.envelope > limit) or not (
-                (lo is None or r.driven_ratio >= lo) and (hi is None or r.driven_ratio <= hi)
-            ):
-                continue
-            rescan.append(r)
-        rescan.sort(key=lambda r: r.sort_key)
-
+        space, constraints = random_problem(seed)
+        rescan = evaluate_design_rescan(space, constraints, motor)
         if not rescan:
             with pytest.raises(EmptyFeasibleSet):
                 optimize(space, constraints, SLIP_REF, motor)
         else:
             assert optimize(space, constraints, SLIP_REF, motor) == rescan
 
-    def test_solves_each_validated_candidate_once(self, motor, solve_engagement_calls):
+    def test_random_problems_reach_every_rule(self):
+        # The oracle above only proves the rules its spaces exercise.
+        rules, margins, phis, distances, beyond_phi = set(), set(), [], [], False
+        for seed in range(12):
+            space, _ = random_problem(seed)
+            margins.add(math.copysign(1.0, space.backlash_margin) if space.backlash_margin else 0.0)
+            phis += space.half_angles
+            distances += space.center_distances or ()
+            beyond_phi |= any(t > max(space.half_angles) for t in space.psi_star_targets or ())
+            for layout in enumerate_layouts(space):
+                rules |= validate_layout(layout).rules()
+        assert rules == {
+            "invalid-parameter",
+            "driving-driven-interference",
+            "no-engagement",
+            "switch-driven-interference",
+            "empty-neutral-band",
+        }
+        assert margins == {-1.0, 0.0, 1.0}
+        assert min(phis) <= 0.0 and max(phis) >= math.pi / 2
+        assert min(distances) <= 0.0
+        assert beyond_phi
+
+    def test_solves_each_validated_candidate_once(self, motor, monkeypatch):
+        # One engagement-core call per candidate that is within the ratio
+        # bounds and passes the field checks, in grid order; a layout only
+        # for a candidate that validates.
         space = DesignSpace(
             drive_teeth=(16, 20, 24),
             switch_teeth=(10, 16),
             driven_teeth=(16, 20, 24),
             modules=(1.0,),
-            half_angles=(math.radians(20.0), math.radians(30.0)),
-            center_distances=(25.0, 34.76, 45.0),
+            half_angles=(math.radians(20.0), math.radians(95.0), 0.0, math.radians(30.0)),
+            center_distances=(19.0, 25.0, 34.76, 45.0),
         )
         constraints = DesignConstraints(driven_ratio_min=0.8, driven_ratio_max=1.25)
-        optimize(space, constraints, SLIP_REF, motor)
         reaching = [
             layout for layout in enumerate_layouts(space)
             if 0.8 <= layout.driven_speed_ratio <= 1.25
         ]
-        assert 0 < len(reaching) < space.size
-        assert solve_engagement_calls == reaching
+        field_rules = {"invalid-parameter", "driving-driven-interference"}
+        checked = [layout for layout in reaching if not validate_layout(layout).rules() & field_rules]
+        valid = [layout for layout in checked if validate_layout(layout).ok]
+        assert 0 < len(valid) < len(checked) < len(reaching) < space.size
+
+        solved, built = [], []
+
+        def counted_solve(*args):
+            solved.append(args)
+            return geometry._solve(*args)
+
+        def counted_layout(*args, **kwargs):
+            built.append(MechanismLayout(*args, **kwargs))
+            return built[-1]
+
+        monkeypatch.setattr("switchsim.optimizer._solve", counted_solve)
+        monkeypatch.setattr("switchsim.optimizer.MechanismLayout", counted_layout)
+        optimize(space, constraints, SLIP_REF, motor)
+        assert solved == [
+            (
+                layout.track_radius,
+                layout.driven_center_distance,
+                layout.driven_half_angle,
+                layout.mesh_distance,
+                layout.backlash_margin,
+            )
+            for layout in checked
+        ]
+        assert built == valid
+
+    def test_negative_margin_solves_nothing(self, motor, monkeypatch):
+        # A negative backlash margin fails every candidate's field checks.
+        monkeypatch.setattr("switchsim.optimizer._solve", None)
+        with pytest.raises(EmptyFeasibleSet):
+            optimize(singleton_space(backlash_margin=-0.1), DesignConstraints(), SLIP_REF, motor)
 
     def test_space_too_large(self, motor):
         space = singleton_space(drive_teeth=tuple(range(8, 30)))
