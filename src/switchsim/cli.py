@@ -16,7 +16,7 @@ import sys
 from dataclasses import replace
 
 from .config import Config, load_config
-from .errors import ConfigError, SwitchSimError
+from .errors import ConfigError, SwitchSimError, _in_range
 from .experiments import (
     DEFAULT_JITTER_SIGMA_MS,
     ControlMode,
@@ -57,35 +57,34 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 
 
 def _parse_int_range(text: str) -> range | tuple[int, ...]:
-    """'a:b' or 'a:b:step' (inclusive) or a comma list. A range stays a
-    ``range``, so a huge one meets the space cap without being built."""
+    """'a:b' or 'a:b:step' (inclusive, either direction) or a comma list. A
+    range stays a ``range``, so a huge one meets the space cap without being built."""
     if ":" in text:
         parts = [int(p) for p in text.split(":")]
         start, stop = parts[0], parts[1]
         step = parts[2] if len(parts) > 2 else 1
-        return range(start, stop + 1, step)
+        return range(start, stop + (1 if step > 0 else -1), step)
     return tuple(int(p) for p in text.split(","))
 
 
+def _argument(value, bound: str | None = None):
+    """``value`` under the range rule, whose ValueError becomes a usage error."""
+    try:
+        return _in_range("value", value, bound)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    values = tuple(float(p) for p in text.split(","))
-    if not all(math.isfinite(v) for v in values):
-        raise argparse.ArgumentTypeError(f"values must be finite, got {text!r}")
-    return values
+    return tuple(_argument(float(p)) for p in text.split(","))
 
 
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {value}")
-    return value
+    return _argument(int(text), "positive")
 
 
 def _non_negative_float(text: str) -> float:
-    value = float(text)
-    if not (0.0 <= value < math.inf):
-        raise argparse.ArgumentTypeError(f"must be finite and not negative, got {value!r}")
-    return value
+    return _argument(float(text), "not negative")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -104,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(run=_cmd_simulate)
     p.add_argument("--out", default="-")
     p.add_argument("--events", help="also write the event log CSV here")
-    p.add_argument("--duration", type=float, help="minimum simulated time, s")
+    p.add_argument("--duration", type=_non_negative_float, help="minimum simulated time, s")
 
     p = sub.add_parser("switching-time", help="repeated traversal timing trials")
     p.set_defaults(run=_cmd_switching_time)
@@ -199,10 +198,9 @@ def _cmd_validate(args, cfg: Config, plant: PlantConfig) -> int:
 
 
 def _cmd_simulate(args, cfg: Config, plant: PlantConfig) -> int:
-    if args.duration is not None and not (plant.dt <= args.duration < math.inf):
+    if args.duration is not None and args.duration < plant.dt:
         print(
-            f"--duration must be finite and at least one step of dt_s = {plant.dt!r} s, "
-            f"got {args.duration!r}",
+            f"--duration {args.duration!r} s is shorter than one step of dt_s = {plant.dt!r} s",
             file=sys.stderr,
         )
         return 2
@@ -216,10 +214,12 @@ def _cmd_simulate(args, cfg: Config, plant: PlantConfig) -> int:
 def _cmd_switching_time(args, cfg: Config, plant: PlantConfig) -> int:
     if args.check:
         lo, hi = args.check
-        for name, bound in (("LO", lo), ("HI", hi)):
-            if not math.isfinite(bound):
-                print(f"--check {name} must be finite, got {bound!r}", file=sys.stderr)
-                return 2
+        try:
+            _in_range("--check LO", lo)
+            _in_range("--check HI", hi)
+        except ValueError as exc:
+            print(exc, file=sys.stderr)
+            return 2
         if lo > hi:
             print(f"--check LO {lo!r} exceeds HI {hi!r}", file=sys.stderr)
             return 2

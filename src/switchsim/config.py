@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import astuple, dataclass, field, fields
-from typing import Callable
 
-from .errors import ConfigError, InvalidDesign, SwitchSimError
+from .errors import ConfigError, InvalidDesign, SwitchSimError, _in_range
 from .experiments import calibrate_profile_accel, motor_travel_per_traversal
 from .geometry import (
     GearSpec,
@@ -61,13 +60,13 @@ from .switching import TraversalModel, calibrate_slip
 class _Key:
     """How one file key sets a dataclass field.
 
-    cast: int, float or str; a float must also be finite.
+    cast: int, float or str.
     name: the file key, when it is not the field name.
     replaces: keys of the same section that this one overrides. A file may
         not give both, and serialization writes this key instead of them
         whenever its value is set.
-    check: (predicate, message) applied to a given value; the message is
-        formatted with ``key`` and ``value``.
+    bound: the range rule's bound (``errors._in_range``) that a number meets.
+    interval: [low, high) that a number must lie in as well.
     kind: the only path kind the key applies to.
     """
 
@@ -75,7 +74,8 @@ class _Key:
     cast: type = float
     name: str | None = None
     replaces: tuple[str, ...] = ()
-    check: tuple[Callable[[object], bool], str] | None = None
+    bound: str | None = None
+    interval: tuple[float, float] = (-math.inf, math.inf)
     kind: str | None = None
 
 
@@ -84,8 +84,7 @@ def _key(default, section: str, cast: type = float, **spec):
     return field(default=default, metadata={"key": _Key(section, cast, **spec)})
 
 
-_POSITIVE = (lambda v: v > 0, "{key} must be positive, got {value!r}")
-_TEETH = (lambda v: v >= MIN_TOOTH_COUNT, f"{{key}} must be >= {MIN_TOOTH_COUNT}, got {{value!r}}")
+_TEETH = (MIN_TOOTH_COUNT, math.inf)
 
 
 @dataclass(frozen=True)
@@ -114,12 +113,12 @@ class PathSpec:
 class Config:
     """Validated configuration; defaults reproduce the reference rig."""
 
-    drive_teeth: int = _key(20, "layout", int, check=_TEETH)
-    switch_teeth: int = _key(16, "layout", int, check=_TEETH)
-    driven_teeth: int = _key(20, "layout", int, check=_TEETH)
-    drive_module: float = _key(1.0, "layout", name="drive_module_mm", check=_POSITIVE)
-    switch_module: float = _key(1.0, "layout", name="switch_module_mm", check=_POSITIVE)
-    driven_module: float = _key(1.0, "layout", name="driven_module_mm", check=_POSITIVE)
+    drive_teeth: int = _key(20, "layout", int, interval=_TEETH)
+    switch_teeth: int = _key(16, "layout", int, interval=_TEETH)
+    driven_teeth: int = _key(20, "layout", int, interval=_TEETH)
+    drive_module: float = _key(1.0, "layout", name="drive_module_mm", bound="positive")
+    switch_module: float = _key(1.0, "layout", name="switch_module_mm", bound="positive")
+    driven_module: float = _key(1.0, "layout", name="driven_module_mm", bound="positive")
     driven_half_angle_deg: float = _key(25.0, "layout")
     center_distance_mm: float | None = _key(  # None: solved from track_travel_deg
         None, "layout", replaces=("track_travel_deg",)
@@ -127,28 +126,25 @@ class Config:
     track_travel_deg: float = _key(REFERENCE_TRACK_TRAVEL_DEG, "layout")
     backlash_margin_mm: float = _key(0.2, "layout")
     slip: float | None = _key(  # None: calibrated from the travel pair
-        None,
-        "traversal",
-        replaces=("motor_travel_deg", "revolution_travel_deg"),
-        check=(lambda v: 0.0 <= v < 1.0, "{key} {value} outside [0, 1)"),
+        None, "traversal", replaces=("motor_travel_deg", "revolution_travel_deg"), interval=(0, 1)
     )
     motor_travel_deg: float = _key(122.6, "traversal")
-    revolution_travel_deg: float = _key(19.8, "traversal", check=_POSITIVE)
+    revolution_travel_deg: float = _key(19.8, "traversal", bound="positive")
     max_output_speed: float = _key(  # deg/s
-        720.0, "motor", name="max_output_speed_deg_s", check=_POSITIVE
+        720.0, "motor", name="max_output_speed_deg_s", bound="positive"
     )
     profile_accel: float | None = _key(  # deg/s^2; None: calibrated from target
         None, "motor", name="profile_accel_deg_s2", replaces=("target_switch_time_ms",),
-        check=_POSITIVE,
+        bound="positive",
     )
     target_switch_time_ms: float = _key(302.0, "motor")
     agonist: PathSpec = field(default_factory=PathSpec)
     antagonist: PathSpec = field(default_factory=lambda: PathSpec(kind="curved", bow=5.0))
-    spool_radius_mm: float = _key(10.0, "spools", check=_POSITIVE)
-    spring_preload_nmm: float = _key(5.0, "spools", check=_POSITIVE)
+    spool_radius_mm: float = _key(10.0, "spools", bound="positive")
+    spring_preload_nmm: float = _key(5.0, "spools", bound="positive")
     spring_rate_nmm_per_deg: float = _key(0.05, "spools")
     payout_at_zero_mm: float | None = _key(None, "spools")  # None: path length at +90 deg
-    dt_s: float = _key(1e-3, "sim", check=_POSITIVE)
+    dt_s: float = _key(1e-3, "sim", bound="positive")
     seed: int = _key(0, "sim", int)
     script: tuple[ScriptCommand, ...] = ()
 
@@ -249,21 +245,13 @@ _SCHEMA: dict[tuple[str, str], _Key] = {
 _SCHEMA.update(
     ((spec.section, f"{prefix}_{key}"), spec) for prefix in _PATHS for _, key, spec in _PATH_KEYS
 )
-_SCHEMA["layout", "module_mm"] = _Key("layout", check=_POSITIVE)
+_SCHEMA["layout", "module_mm"] = _Key("layout", bound="positive")
 
 _SECTIONS = ("layout", "traversal", "motor", "paths", "spools", "sim", "script")
 
 
 # -----------------------------------------------------------------------------
 # Parsing
-
-
-def _finite(text: str) -> float:
-    """``float(text)``, rejecting nan and the infinities."""
-    value = float(text)
-    if not math.isfinite(value):
-        raise ValueError(f"{text!r} is not a finite number")
-    return value
 
 
 def _parse_knots(text: str) -> tuple[tuple[float, float], ...]:
@@ -274,7 +262,7 @@ def _parse_knots(text: str) -> tuple[tuple[float, float], ...]:
         if not token:
             continue
         angle, _, length = token.partition(":")
-        knots.append((_finite(angle), _finite(length)))
+        knots.append((_in_range("knots", float(angle)), _in_range("knots", float(length))))
     return tuple(knots)
 
 
@@ -283,13 +271,14 @@ _ONE_NUMBER = {"move_to": MoveMotorTo, "set_velocity": SetVelocity, "wait": Wait
 
 
 def _parse_script_line(line: str) -> ScriptCommand:
+    """The command of a ``[script]`` line; the command checks its numbers."""
     name, *args = line.split()
     if name in _ONE_NUMBER and len(args) == 1:
-        return _ONE_NUMBER[name](_finite(args[0]))
+        return _ONE_NUMBER[name](float(args[0]))
     if name == "disturb" and len(args) in (2, 3):
-        width = _finite(args[2]) if len(args) == 3 else DisturbancePulses.width
+        width = float(args[2]) if len(args) == 3 else DisturbancePulses.width
         return InjectDisturbance(
-            DisturbancePulses(target=args[0], magnitude=_finite(args[1]), width=width)
+            DisturbancePulses(target=args[0], magnitude=float(args[1]), width=width)
         )
     if name == "disturb_off" and not args:
         return InjectDisturbance(None)
@@ -359,11 +348,13 @@ class _Parser:
         except ValueError:
             self.fail(line_no, f"cannot parse {key} value {value!r} as {spec.cast.__name__}")
             return
-        if spec.cast is float and not math.isfinite(parsed):
-            self.fail(line_no, f"{key} must be finite, got {value!r}")
-            return
-        if spec.check is not None and not spec.check[0](parsed):
-            self.fail(line_no, spec.check[1].format(key=key, value=parsed))
+        if spec.cast is not str:
+            low, high = spec.interval
+            try:
+                if not low <= _in_range(key, parsed, spec.bound) < high:
+                    raise ValueError(f"{key} must be in [{low:g}, {high:g}), got {parsed!r}")
+            except ValueError as exc:
+                self.fail(line_no, str(exc))
         self.values[(section, key)] = parsed
         self.lines[(section, key)] = line_no
 
@@ -432,7 +423,8 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
 
     # Cross-field checks: script rates within the speed limit, waits of at
     # least one step, then the plant build (which validates the layout
-    # first), a taut rest state, and one traversal within the step budget.
+    # first), a taut rest state, and one switching trial (two traversals)
+    # within the step budget that ``run_switching_time`` applies.
     if not p.errors:
         for line_no, cmd in p.script:
             if isinstance(cmd, SetVelocity) and abs(cmd.rate) > cfg.max_output_speed:
@@ -447,7 +439,7 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
             motor = plant.motor
             travel = motor_travel_per_traversal(plant)
             travel_s = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
-            steps_to_cover(travel_s, plant.dt)
+            steps_to_cover(travel_s, plant.dt, runs=2)
         except InvalidDesign as exc:
             for violation in exc.report.violations:
                 if violation.rule == "module-mismatch":

@@ -1,4 +1,34 @@
-"""Exception hierarchy shared across the package."""
+"""Exception hierarchy and the numeric range rule shared across the package."""
+
+import math
+
+# What follows "must be" in the message of each bound of the range rule.
+_WORDING = {
+    None: "finite",
+    "positive": "finite and positive",
+    "not negative": "finite and not negative",
+    "positive, inf allowed": "positive",
+}
+
+
+def _in_range(name: str, value, bound: str | None = None):
+    """``value`` if it is finite and within ``bound``, else a ValueError naming ``name``.
+
+    ``bound`` is None, "positive", "not negative" or "positive, inf allowed";
+    only the last admits a value that is not finite (+inf). NaN never passes.
+    """
+    wording = _WORDING[bound]
+    if bound is None:
+        ok = -math.inf < value < math.inf
+    elif bound == "not negative":
+        ok = 0 <= value < math.inf
+    elif bound == "positive":
+        ok = 0 < value < math.inf
+    else:
+        ok = value > 0
+    if not ok:
+        raise ValueError(f"{name} must be {wording}, got {value!r}")
+    return value
 
 
 class SwitchSimError(Exception):

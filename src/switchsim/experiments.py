@@ -14,10 +14,9 @@ import random
 import statistics
 from dataclasses import dataclass, replace
 
-from .errors import BelowKinematicFloor, NeverEngaged, SwitchSimError
+from .errors import BelowKinematicFloor, NeverEngaged, SwitchSimError, _in_range
 from .motion import trapezoid_duration
 from .plant import (
-    STEP_BUDGET,
     DisturbancePulses,
     InjectDisturbance,
     MoveMotorTo,
@@ -97,24 +96,16 @@ def run_switching_time(
     Raises:
         NeverEngaged: a move completed without reaching the far endpoint.
         SwitchSimError: the trials together cover more than ``STEP_BUDGET``
-            steps; nothing is stepped.
+            steps, and nothing is stepped; or the jitter drives the
+            durations, or their sum, past the float range.
     """
-    if n_trials < 1:
-        raise ValueError("n_trials must be >= 1")
-    if not (0.0 <= jitter_sigma_ms < math.inf):
-        raise ValueError(
-            f"jitter_sigma_ms must be finite and not negative, got {jitter_sigma_ms!r}"
-        )
+    _in_range("n_trials", n_trials, "positive")
+    _in_range("jitter_sigma_ms", jitter_sigma_ms, "not negative")
     base_seed = config.seed if seed is None else seed
     travel = motor_travel_per_traversal(config)
     motor = config.motor
     move_s = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
-    steps = n_trials * 2 * steps_to_cover(move_s, config.dt)
-    if steps > STEP_BUDGET:
-        raise SwitchSimError(
-            f"{n_trials} trials take {steps} steps of dt={config.dt!r} s, "
-            f"over the budget of {STEP_BUDGET} steps per run"
-        )
+    steps_to_cover(move_s, config.dt, runs=2 * n_trials)
     sim = Simulator(config, engaged=Side.MINUS, record=False)
     up: list[float] = []
     down: list[float] = []
@@ -125,6 +116,10 @@ def run_switching_time(
             rng = random.Random(base_seed + trial)
             up[-1] += rng.gauss(0.0, jitter_sigma_ms)
             down[-1] += rng.gauss(0.0, jitter_sigma_ms)
+    if jitter and not math.isfinite(sum(map(abs, up + down))):
+        raise SwitchSimError(
+            f"jitter_sigma_ms {jitter_sigma_ms!r} drives the durations past the float range"
+        )
     return SwitchingTimeStats(tuple(up), tuple(down))
 
 
@@ -238,12 +233,9 @@ def run_speed_sweep(
     if not omegas:
         raise ValueError("omega list must be non-empty")
     for omega in omegas:
-        if not math.isfinite(omega):
-            raise ValueError(f"omega values must be finite, got {omega!r}")
+        _in_range("omega values", omega, "positive")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega values must strictly increase")
-    if omegas[0] <= 0:
-        raise ValueError("omega values must be positive")
     if omegas[-1] > config.motor.max_output_speed:
         raise ValueError(
             f"omega {omegas[-1]} deg/s exceeds the modeled speed bound "
@@ -301,10 +293,9 @@ def calibrate_profile_accel(t_measured: float, delta: float, max_speed: float) -
     Raises:
         BelowKinematicFloor: t_measured at or below delta/max_speed.
     """
-    if not (delta > 0 and max_speed > 0):
-        raise ValueError("delta and max_speed must be positive")
-    if not math.isfinite(t_measured):
-        raise ValueError(f"t_measured must be finite, got {t_measured!r}")
+    _in_range("delta", delta, "positive")
+    _in_range("max_speed", max_speed, "positive")
+    _in_range("t_measured", t_measured)
     floor = delta / max_speed
     if t_measured <= floor:
         raise BelowKinematicFloor(

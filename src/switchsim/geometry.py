@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import NoEngagement, TrackDegenerate
+from .errors import NoEngagement, TrackDegenerate, _in_range
 
 # Undercut-avoidance proxy; keeps search spaces physical.
 MIN_TOOTH_COUNT = 8
@@ -46,9 +46,8 @@ class GearSpec:
             raise ValueError(
                 f"tooth_count must be >= {MIN_TOOTH_COUNT}, got {self.tooth_count}"
             )
-        if not (math.isfinite(self.module) and self.module > 0):
-            raise ValueError(f"module must be a positive length, got {self.module!r}")
-        object.__setattr__(self, "pitch_radius", self.module * self.tooth_count / 2.0)
+        pitch_radius = _in_range("module", self.module, "positive") * self.tooth_count / 2.0
+        object.__setattr__(self, "pitch_radius", pitch_radius)
 
 
 class MechanismLayout(NamedTuple):
@@ -153,9 +152,15 @@ def _solve(r: float, d: float, phi: float, mesh: float, margin: float) -> Engage
 
     Assumes the field checks have passed: ``r`` and ``d`` finite and
     positive, ``phi`` in (0, pi/2). A negative ``margin`` leaves the band
-    empty. Raises like ``solve_engagement``, less its ValueError.
+    empty. Raises like ``solve_engagement``, less its ValueError; a track
+    so small that ``2*r*d`` underflows to zero is degenerate.
     """
-    c = _engagement_cosine(r, d, mesh)
+    try:
+        c = _engagement_cosine(r, d, mesh)
+    except ZeroDivisionError:  # 2*r*d underflowed
+        raise TrackDegenerate(
+            f"track radius {r!r} mm and centre distance {d!r} mm are too small to solve"
+        ) from None
     if c > 1.0:
         raise NoEngagement(
             "switch track never comes within mesh distance of a driven gear"
@@ -200,10 +205,8 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
         ValueError: structurally unusable fields (non-positive D, phi_d
             outside (0, pi/2)).
     """
-    d = layout.driven_center_distance
+    d = _in_range("driven_center_distance", layout.driven_center_distance, "positive")
     phi = layout.driven_half_angle
-    if not (math.isfinite(d) and d > 0):
-        raise ValueError(f"driven_center_distance must be positive, got {d!r}")
     if not (0.0 < phi < math.pi / 2):
         raise ValueError(f"driven_half_angle must be in (0, pi/2), got {phi!r}")
     return _solve(layout.track_radius, d, phi, layout.mesh_distance, layout.backlash_margin)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .errors import _in_range
+
 
 @dataclass(frozen=True)
 class TrapezoidalProfile:
@@ -28,10 +30,8 @@ class TrapezoidalProfile:
 
     @classmethod
     def plan(cls, delta: float, max_speed: float, accel: float) -> "TrapezoidalProfile":
-        if not (max_speed > 0):
-            raise ValueError(f"max_speed must be positive, got {max_speed!r}")
-        if not (accel > 0):
-            raise ValueError(f"accel must be positive, got {accel!r}")
+        _in_range("max_speed", max_speed, "positive")
+        _in_range("accel", accel, "positive, inf allowed")
         dist = abs(delta)
         if dist == 0.0:
             return cls(0.0, max_speed, accel, 0.0, 0.0)
@@ -94,9 +94,7 @@ def trapezoid_duration(distance: float, max_speed: float, accel: float) -> float
     Trapezoidal case: distance/v + v/a. Triangular case (distance < v^2/a):
     2*sqrt(distance/a). ``accel = inf`` gives the kinematic floor distance/v.
     """
-    if distance < 0:
-        raise ValueError("distance must be non-negative")
-    if distance == 0.0:
+    if _in_range("distance", distance, "not negative") == 0.0:
         return 0.0
     if math.isinf(accel):
         return distance / max_speed

@@ -14,7 +14,9 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge, TrackDegenerate
+from .errors import (
+    EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge, TrackDegenerate, _in_range
+)
 from .geometry import (
     EngagementSolution,
     GearSpec,
@@ -69,14 +71,11 @@ class DesignSpace:
         if not (self.psi_star_targets or self.center_distances):
             raise ValueError("the psi_star_targets or center_distances grid must be non-empty")
         for name in ("modules", "half_angles", "psi_star_targets", "center_distances"):
-            values = getattr(self, name) or ()
-            if not all(math.isfinite(v) for v in values):
-                raise ValueError(f"{name} must be finite, got {values!r}")
-        if not math.isfinite(self.backlash_margin):
-            raise ValueError(f"backlash_margin must be finite, got {self.backlash_margin!r}")
-        limit = self.envelope_max_diameter
-        if limit is not None and not (0 < limit < math.inf):
-            raise ValueError(f"envelope_max_diameter must be finite and positive, got {limit!r}")
+            for value in getattr(self, name) or ():
+                _in_range(name, value)
+        _in_range("backlash_margin", self.backlash_margin)
+        if self.envelope_max_diameter is not None:
+            _in_range("envelope_max_diameter", self.envelope_max_diameter, "positive")
 
     @property
     def size(self) -> int:
@@ -99,9 +98,8 @@ class DesignConstraints:
 
     def __post_init__(self):
         for name in ("driven_ratio_min", "driven_ratio_max"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+            if getattr(self, name) is not None:
+                _in_range(name, getattr(self, name))
 
 
 class DesignResult(NamedTuple):

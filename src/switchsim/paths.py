@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import OutOfRange, SwitchSimError
+from .errors import OutOfRange, SwitchSimError, _in_range
 
 X_MIN = -math.pi / 2
 X_MAX = math.pi / 2
@@ -30,13 +30,6 @@ _RANGE_TOL = 1e-9
 _MAX_ITERATIONS = 100
 
 
-def _require_finite_fields(path) -> None:
-    for name in (f.name for f in fields(path) if f.init):
-        value = getattr(path, name)
-        if not math.isfinite(value):
-            raise ValueError(f"{name} must be finite, got {value!r}")
-
-
 @dataclass(frozen=True)
 class LinearPath:
     """Constant moment arm: L(x) = reference_length - moment_arm * x."""
@@ -46,9 +39,8 @@ class LinearPath:
     length_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_finite_fields(self)
-        if not (self.moment_arm > 0):
-            raise ValueError(f"moment_arm must be positive, got {self.moment_arm!r}")
+        _in_range("reference_length", self.reference_length)
+        _in_range("moment_arm", self.moment_arm, "positive")
         if self.length(X_MAX) <= 0:
             raise ValueError("cable length must stay positive over the pull range")
         object.__setattr__(self, "length_range", (self.length(X_MAX), self.length(X_MIN)))
@@ -75,8 +67,10 @@ class CurvedPath:
     length_range: tuple[float, float] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        _require_finite_fields(self)
-        if not (self.moment_arm > 0 and self.moment_arm + min(0.0, self.bow) > 0):
+        _in_range("reference_length", self.reference_length)
+        _in_range("moment_arm", self.moment_arm, "positive")
+        _in_range("bow", self.bow)
+        if not self.moment_arm + min(0.0, self.bow) > 0:
             raise ValueError(
                 f"curved path not strictly decreasing: moment_arm={self.moment_arm!r}, "
                 f"bow={self.bow!r}"
@@ -113,8 +107,8 @@ class TabulatedPath:
         if len(self.knots) < 2:
             raise ValueError("tabulated path needs at least two knots")
         for knot in self.knots:
-            if not all(math.isfinite(v) for v in knot):
-                raise ValueError(f"knots must be finite, got {knot!r}")
+            for value in knot:
+                _in_range("knots", value)
         xs = [x for x, _ in self.knots]
         ls = [l for _, l in self.knots]
         if any(b <= a for a, b in zip(xs, xs[1:])):

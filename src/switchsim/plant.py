@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NeverEngaged, RangeExceeded, SlackDetected, SwitchSimError
+from .errors import NeverEngaged, RangeExceeded, SlackDetected, SwitchSimError, _in_range
 from .geometry import EngagementSolution, MechanismLayout
 from .motion import TrapezoidalProfile
 from .paths import CablePath, OutOfRange
@@ -46,12 +46,8 @@ class MotorModel:
     profile_accel: float = math.inf    # deg/s^2; calibrated in the reference config
 
     def __post_init__(self):
-        if not (0 < self.max_output_speed < math.inf):
-            raise ValueError(
-                f"max_output_speed must be finite and positive, got {self.max_output_speed!r}"
-            )
-        if not (self.profile_accel > 0):
-            raise ValueError(f"profile_accel must be positive, got {self.profile_accel!r}")
+        _in_range("max_output_speed", self.max_output_speed, "positive")
+        _in_range("profile_accel", self.profile_accel, "positive, inf allowed")
 
 
 @dataclass(frozen=True)
@@ -64,12 +60,10 @@ class SpoolModel:
     payout_at_zero: float = 0.0          # mm of payout at zero spring wind-up
 
     def __post_init__(self):
-        for name in ("spring_rate", "payout_at_zero"):
-            if not math.isfinite(getattr(self, name)):
-                raise ValueError(f"{name} must be finite, got {getattr(self, name)!r}")
-        for name in ("spool_radius", "spring_preload_torque"):  # preload > 0: tension never zero
-            if not (0 < getattr(self, name) < math.inf):
-                raise ValueError(f"{name} must be finite and positive, got {getattr(self, name)!r}")
+        _in_range("spring_rate", self.spring_rate)
+        _in_range("payout_at_zero", self.payout_at_zero)
+        _in_range("spool_radius", self.spool_radius, "positive")
+        _in_range("spring_preload_torque", self.spring_preload_torque, "positive")  # tension > 0
 
     def tension(self, payout: float) -> float:
         """Cable tension (N) with ``payout`` mm paid out."""
@@ -93,8 +87,7 @@ class PlantConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not (0 < self.dt < math.inf):
-            raise ValueError(f"dt must be finite and positive, got {self.dt!r}")
+        _in_range("dt", self.dt, "positive")
 
     def path(self, side: Side) -> CablePath:
         return self.path_plus if side is Side.PLUS else self.path_minus
@@ -225,8 +218,7 @@ class MoveMotorTo:
     angle: float
 
     def __post_init__(self):
-        if not math.isfinite(self.angle):
-            raise ValueError(f"move_to angle must be finite, got {self.angle!r}")
+        _in_range("move_to angle", self.angle)
 
 
 @dataclass(frozen=True)
@@ -236,8 +228,7 @@ class SetVelocity:
     rate: float
 
     def __post_init__(self):
-        if not math.isfinite(self.rate):
-            raise ValueError(f"set_velocity rate must be finite, got {self.rate!r}")
+        _in_range("set_velocity rate", self.rate)
 
 
 @dataclass(frozen=True)
@@ -247,10 +238,7 @@ class Wait:
     duration: float
 
     def __post_init__(self):
-        if not math.isfinite(self.duration):
-            raise ValueError(f"wait duration must be finite, got {self.duration!r}")
-        if self.duration < 0:
-            raise ValueError(f"wait duration must not be negative, got {self.duration!r}")
+        _in_range("wait duration", self.duration, "not negative")
 
 
 @dataclass(frozen=True)
@@ -270,14 +258,8 @@ class DisturbancePulses:
     def __post_init__(self):
         if self.target not in DISTURBANCE_TARGETS:
             raise ValueError(f"unknown disturbance target {self.target!r}")
-        if not (0 <= self.magnitude < math.inf):
-            raise ValueError(
-                f"disturbance magnitude must be finite and non-negative, got {self.magnitude!r}"
-            )
-        if not (0 < self.width < math.inf):
-            raise ValueError(
-                f"disturbance width must be finite and positive, got {self.width!r}"
-            )
+        _in_range("disturbance magnitude", self.magnitude, "not negative")
+        _in_range("disturbance width", self.width, "positive")
 
 
 @dataclass(frozen=True)
@@ -400,8 +382,7 @@ class Simulator:
 
     def move_motor_to(self, target: float) -> float:
         """Run a Profile-Position move to ``target`` deg; returns the command time."""
-        if not math.isfinite(target):
-            raise ValueError(f"move_motor_to target must be finite, got {target!r}")
+        target = MoveMotorTo(target).angle  # the command's check
         t_cmd = self.t
         self._velocity = 0.0
         delta = target - self.state.motor_angle
@@ -414,8 +395,7 @@ class Simulator:
         return t_cmd
 
     def set_velocity(self, rate: float) -> None:
-        if not math.isfinite(rate):
-            raise ValueError(f"set_velocity rate must be finite, got {rate!r}")
+        rate = SetVelocity(rate).rate  # the command's check
         if abs(rate) > self.config.motor.max_output_speed:
             raise ValueError(
                 f"velocity {rate!r} deg/s exceeds the modeled limit "
@@ -577,19 +557,19 @@ class Simulator:
             self.trace.rows.append(state)
 
 
-def steps_to_cover(duration: float, dt: float) -> int:
-    """Whole steps of ``dt`` s that one command takes to run ``duration`` s.
+def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:
+    """Whole steps of ``dt`` s that ``runs`` commands of ``duration`` s each take.
 
     Raises:
         SwitchSimError: the steps exceed ``STEP_BUDGET``.
     """
     steps = duration / dt - 1e-12
-    if steps > STEP_BUDGET:
+    if steps > STEP_BUDGET or runs * math.ceil(steps) > STEP_BUDGET:
         raise SwitchSimError(
-            f"{duration!r} s takes {steps:.6g} steps of dt={dt!r} s, "
-            f"over the budget of {STEP_BUDGET} steps per command"
+            f"{runs} x {duration!r} s takes {runs} x {steps:.6g} steps of dt={dt!r} s, "
+            f"over the budget of {STEP_BUDGET} steps"
         )
-    return math.ceil(steps)
+    return runs * math.ceil(steps)
 
 
 def run_script(
@@ -603,9 +583,7 @@ def run_script(
     ``duration`` (finite, at least one step) extends the run (with whatever
     motion mode is active) until at least that much simulated time has elapsed.
     """
-    if duration is not None and not (0 <= duration < math.inf):
-        raise ValueError(f"duration must be finite and not negative, got {duration!r}")
-    if duration is not None and duration < config.dt:
+    if duration is not None and _in_range("duration", duration, "not negative") < config.dt:
         raise ValueError(f"duration {duration!r} s is shorter than one step of dt={config.dt!r} s")
     sim = Simulator(config, engaged=engaged)
     for command in script:

@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import InvalidState, SubKinematicRatio
+from .errors import InvalidState, SubKinematicRatio, _in_range
 from .geometry import EngagementSolution
 
 # Endpoint snap tolerance, rad. Absorbs float roundoff of motor_delta/k_eff
@@ -132,11 +132,8 @@ def calibrate_slip(
         SubKinematicRatio: measured ratio below the kinematic carry ratio
             (physically impossible; signals bad inputs).
     """
-    if not (revolution_travel > 0):
-        raise ValueError(f"revolution_travel must be positive, got {revolution_travel!r}")
-    ratio = motor_travel / revolution_travel
-    if not math.isfinite(ratio):
-        raise ValueError(f"motor/revolution ratio must be finite, got {ratio!r}")
+    ratio = motor_travel / _in_range("revolution_travel", revolution_travel, "positive")
+    _in_range("motor/revolution ratio", ratio)
     if ratio < carry_ratio * (1.0 - 1e-12):
         raise SubKinematicRatio(
             f"measured motor/revolution ratio {ratio:.6g} below kinematic "

@@ -9,7 +9,7 @@ import sys
 import pytest
 
 import switchsim
-from switchsim.cli import _non_negative_float, _parse_float_list, build_parser, main
+from switchsim.cli import _non_negative_float, _parse_float_list, _parse_int_range, build_parser, main
 from switchsim.config import Config
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(switchsim.__file__)))
@@ -58,6 +58,11 @@ class TestSwitchingTime:
         )
         assert code == 1
         assert "check failed" in err
+
+    def test_jitter_past_the_float_range_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "switching-time", "--jitter-sigma-ms", "1e308")
+        assert (code, out) == (1, "")
+        assert err == "SwitchSimError: jitter_sigma_ms 1e+308 drives the durations past the float range\n"
 
     def test_per_trial_file(self, capsys, tmp_path):
         per_trial = tmp_path / "trials.csv"
@@ -208,6 +213,25 @@ class TestOptimize:
         assert (huge.returncode, huge.stdout) == (1, "")
         assert huge.stderr == message.format((1_000_000_000 - 15) * 13 * 9)
 
+    @pytest.mark.parametrize(
+        "text, teeth",
+        [("16:24:2", [16, 18, 20, 22, 24]), ("24:16:-2", [24, 22, 20, 18, 16]), ("9:8:-1", [9, 8])],
+    )
+    def test_tooth_range_includes_both_ends_either_way(self, text, teeth):
+        assert list(_parse_int_range(text)) == teeth
+
+    def test_subnormal_module_exits_1(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--modules", "1e-320")
+        assert (code, out) == (1, "")
+        assert err == "EmptyFeasibleSet: no design in the space passed validation and constraints\n"
+
+    def test_subnormal_module_config_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "tiny.cfg"
+        cfg.write_text("[layout]\nmodule_mm = 1e-300\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "validate")
+        assert (code, out) == (1, "")
+        assert "config error: switch-driven-interference: track radius 1.8e-299 mm" in err
+
 
 class TestCalibrate:
     def test_reference_measurements(self, capsys):
@@ -300,7 +324,11 @@ class TestSimulate:
     def test_duration_under_one_step_exits_2(self, capsys, duration):
         code, out, err = run_cli(capsys, "simulate", "--duration", duration)
         assert code == 2
-        assert "--duration must be finite and at least one step of dt_s = 0.001 s" in err
+        if duration == "-1":  # the range rule refuses it as the flag is parsed
+            assert "argument --duration: value must be finite and not negative, got -1.0" in err
+        else:
+            message = f"--duration {float(duration)!r} s is shorter than one step of dt_s = 0.001 s"
+            assert message in err
         assert out == ""
 
     def test_duration_of_one_step_runs_it(self, capsys):
@@ -339,14 +367,14 @@ class TestUsage:
     def test_top_must_be_positive(self, capsys, top):
         code, _, err = run_cli(capsys, "optimize", "--top", top)
         assert code == 2
-        assert "must be a positive integer" in err
+        assert "must be finite and positive" in err
 
     @pytest.mark.parametrize("command, flag", [("optimize", "--cap"), ("switching-time", "--trials")])
     @pytest.mark.parametrize("value", ["0", "-1"])
     def test_count_must_be_positive(self, capsys, command, flag, value):
         code, out, err = run_cli(capsys, command, flag, value)
         assert code == 2
-        assert f"{flag}: must be a positive integer, got {value}" in err
+        assert f"{flag}: value must be finite and positive, got {value}" in err
         assert out == ""
 
     @pytest.mark.parametrize(
@@ -370,7 +398,7 @@ class TestUsage:
     def test_negative_or_non_finite_amount_exits_2(self, capsys, command, flag, value, shown):
         code, out, err = run_cli(capsys, command, f"{flag}={value}")
         assert code == 2
-        assert f"argument {flag}: must be finite and not negative, got {shown}" in err
+        assert f"argument {flag}: value must be finite and not negative, got {shown}" in err
         assert out == ""
 
     def test_missing_config_file(self, capsys):
@@ -378,18 +406,25 @@ class TestUsage:
         assert code == 1
 
 
-def _float_flags():
-    """(subcommand, flag, value count) of every float-valued flag the parser declares."""
+def _typed_flags():
+    """(subcommand, flag, value count, type) of every flag the parser declares with a
+    type; each of them takes numbers."""
     (commands,) = [
         action for action in build_parser()._actions
         if isinstance(action, argparse._SubParsersAction)
     ]
     return [
-        (command, action.option_strings[0], action.nargs or 1)
+        (command, action.option_strings[0], action.nargs or 1, action.type)
         for command, parser in commands.choices.items()
         for action in parser._actions
-        if action.type in (float, _parse_float_list, _non_negative_float)
+        if action.type is not None
     ]
+
+
+def _float_flags():
+    """(subcommand, flag, value count) of every float-valued flag the parser declares."""
+    floats = (float, _parse_float_list, _non_negative_float)
+    return [flag[:3] for flag in _typed_flags() if flag[3] in floats]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
@@ -414,5 +449,15 @@ def test_non_finite_float_flag_fails_cleanly(capsys, command, flag, count, value
 def test_non_finite_list_item_is_a_usage_error(capsys, command, flag, value):
     code, out, err = run_cli(capsys, command, flag, f"25,{value}")
     assert code == 2
-    assert f"argument {flag}: values must be finite, got '25,{value}'" in err
+    assert f"argument {flag}: value must be finite, got {value}" in err
     assert out == ""
+
+
+@pytest.mark.parametrize("value", ["-1", "0", "1e-320", "1e308", "nan", "inf", ""])
+@pytest.mark.parametrize("command, flag, count", [flag[:3] for flag in _typed_flags()])
+def test_numeric_flag_fuzz_exits_0_1_or_2(capsys, command, flag, count, value):
+    # Huge tooth ranges have their own memory-capped subprocess test above.
+    argv = [command, f"{flag}={value}"] if count == 1 else [command, flag, *[value] * count]
+    code, _, err = run_cli(capsys, *argv)
+    assert code in (0, 1, 2)
+    assert code == 0 or err.strip()

@@ -159,8 +159,15 @@ class TestErrors:
         )
         assert err.errors[0][0] == 2
 
+    def test_subnormal_module_rejected(self):
+        self.assert_errors(
+            "[layout]\nmodule_mm = 1e-300\n",
+            "switch-driven-interference: track radius 1.8e-299 mm and centre distance",
+            "are too small to solve",
+        )
+
     def test_slip_range(self):
-        self.assert_errors("[traversal]\nslip = 1.5\n", "outside [0, 1)")
+        self.assert_errors("[traversal]\nslip = 1.5\n", "slip must be in [0, 1), got 1.5")
 
     def test_bad_script_command(self):
         self.assert_errors("[script]\nfly_to 30\n", "unrecognized script command")
@@ -179,17 +186,20 @@ class TestErrors:
         )
 
     @pytest.mark.parametrize(
-        "section, key, value",
+        "section, key, value, rule",
         [
-            ("traversal", "motor_travel_deg", "nan"),  # would calibrate slip 0
-            ("spools", "spring_rate_nmm_per_deg", "nan"),  # would give NaN tension rows
-            ("sim", "dt_s", "inf"),
-            ("motor", "max_output_speed_deg_s", "inf"),
+            pytest.param(section, key, value, rule, id=f"{section}-{key}-{value}")
+            for section, key, value, rule in [
+                ("traversal", "motor_travel_deg", "nan", "finite"),  # would calibrate slip 0
+                ("spools", "spring_rate_nmm_per_deg", "nan", "finite"),  # would give NaN tensions
+                ("sim", "dt_s", "inf", "finite and positive"),
+                ("motor", "max_output_speed_deg_s", "inf", "finite and positive"),
+            ]
         ],
     )
-    def test_non_finite_value_rejected_with_line(self, section, key, value):
+    def test_non_finite_value_rejected_with_line(self, section, key, value, rule):
         err = self.assert_errors(f"[{section}]\n{key} = {value}\n", "must be finite")
-        assert err.errors == [(2, f"{key} must be finite, got {value!r}")]
+        assert err.errors == [(2, f"{key} must be {rule}, got {value}")]
 
     def test_non_finite_knot_rejected_with_line(self):
         text = "[paths]\nantagonist_kind = tabulated\nantagonist_knots = -90:344, nan:300, 90:256\n"
@@ -200,7 +210,7 @@ class TestErrors:
         "command", ["move_to nan", "set_velocity inf", "disturb disengaged nan", "wait -inf"]
     )
     def test_non_finite_script_argument_rejected_with_line(self, command):
-        err = self.assert_errors(f"[script]\nwait 0.1\n{command}\n", "not a finite number")
+        err = self.assert_errors(f"[script]\nwait 0.1\n{command}\n", "must be finite")
         assert [line for line, _ in err.errors] == [3]
 
     def test_removed_control_mode_key_rejected_with_line(self):
@@ -213,15 +223,15 @@ class TestErrors:
     @pytest.mark.parametrize(
         "section, key, value, message",
         [
-            ("layout", "drive_teeth", "7", "drive_teeth must be >= 8, got 7"),
-            ("layout", "switch_teeth", "7", "switch_teeth must be >= 8, got 7"),
-            ("layout", "driven_teeth", "0", "driven_teeth must be >= 8, got 0"),
-            ("layout", "drive_module_mm", "0", "drive_module_mm must be positive, got 0.0"),
-            ("layout", "switch_module_mm", "-1", "switch_module_mm must be positive, got -1.0"),
-            ("layout", "driven_module_mm", "0", "driven_module_mm must be positive, got 0.0"),
-            ("layout", "module_mm", "-0.5", "module_mm must be positive, got -0.5"),
-            ("traversal", "revolution_travel_deg", "0", "revolution_travel_deg must be positive, got 0.0"),
-            ("motor", "profile_accel_deg_s2", "0", "profile_accel_deg_s2 must be positive, got 0.0"),
+            ("layout", "drive_teeth", "7", "drive_teeth must be in [8, inf), got 7"),
+            ("layout", "switch_teeth", "7", "switch_teeth must be in [8, inf), got 7"),
+            ("layout", "driven_teeth", "0", "driven_teeth must be in [8, inf), got 0"),
+            ("layout", "drive_module_mm", "0", "drive_module_mm must be finite and positive, got 0.0"),
+            ("layout", "switch_module_mm", "-1", "switch_module_mm must be finite and positive, got -1.0"),
+            ("layout", "driven_module_mm", "0", "driven_module_mm must be finite and positive, got 0.0"),
+            ("layout", "module_mm", "-0.5", "module_mm must be finite and positive, got -0.5"),
+            ("traversal", "revolution_travel_deg", "0", "revolution_travel_deg must be finite and positive, got 0.0"),
+            ("motor", "profile_accel_deg_s2", "0", "profile_accel_deg_s2 must be finite and positive, got 0.0"),
         ],
     )
     def test_out_of_range_value_rejected_at_its_line(self, section, key, value, message):
@@ -229,7 +239,7 @@ class TestErrors:
         assert err.errors == [(2, message)]
 
     def test_negative_wait_rejected_with_line(self):
-        err = self.assert_errors("[script]\nmove_to 10\nwait -1\n", "must not be negative")
+        err = self.assert_errors("[script]\nmove_to 10\nwait -1\n", "must be finite and not negative")
         assert [line for line, _ in err.errors] == [3]
 
     def test_set_velocity_above_speed_limit_rejected_at_its_line(self):

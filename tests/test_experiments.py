@@ -67,6 +67,15 @@ class TestSwitchingTime:
         with pytest.raises(ValueError, match="jitter_sigma_ms must be finite and not negative"):
             run_switching_time(ref_plant, n_trials=1, jitter_sigma_ms=sigma)
 
+    def test_jitter_past_the_float_range_refused(self, ref_plant):
+        with pytest.raises(SwitchSimError, match="drives the durations past the float range"):
+            run_switching_time(ref_plant, jitter_sigma_ms=1e308)
+
+    def test_huge_jitter_within_the_float_range_has_finite_summaries(self, ref_plant):
+        stats = run_switching_time(ref_plant, jitter_sigma_ms=1e306)
+        summaries = (stats.mean_up_ms, stats.mean_down_ms, stats.sigma_up_ms, stats.sigma_down_ms)
+        assert all(math.isfinite(v) for v in summaries)
+
     def test_run_over_the_step_budget_refused_before_it_steps(self, ref_plant, monkeypatch):
         # At dt = 0.1 us one 302 ms move covers 3.02e6 steps: one trial of
         # two moves fits the budget, two trials do not.
@@ -74,8 +83,8 @@ class TestSwitchingTime:
         assert run_switching_time(plant, n_trials=1, jitter=False).mean_up_ms == 302.0
         monkeypatch.setattr("switchsim.experiments.Simulator", None)
         message = (
-            f"2 trials take 12080000 steps of dt=1e-07 s, "
-            f"over the budget of {STEP_BUDGET} steps per run"
+            f"4 x 0.302 s takes 4 x 3.02e+06 steps of dt=1e-07 s, "
+            f"over the budget of {STEP_BUDGET} steps"
         )
         with pytest.raises(SwitchSimError, match=re.escape(message)):
             run_switching_time(plant, n_trials=2, jitter=False)

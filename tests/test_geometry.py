@@ -185,6 +185,16 @@ class TestValidateLayout:
     def test_report_carries_the_engagement(self, ref_layout):
         assert validate_layout(ref_layout).engagement == solve_engagement(ref_layout)
 
+    def test_track_too_small_to_solve_is_degenerate(self):
+        # 2*R*D underflows to zero for gears of module 1e-300.
+        gear = GearSpec(20, 1e-300)
+        layout = MechanismLayout(gear, GearSpec(16, 1e-300), gear, 3e-299, math.radians(25.0))
+        with pytest.raises(TrackDegenerate, match="too small to solve"):
+            solve_engagement(layout)
+        report = validate_layout(layout)
+        assert report.rules() == {"switch-driven-interference"}
+        assert report.engagement is None
+
     def test_insoluble_report_has_no_engagement(self, ref_layout):
         layout = MechanismLayout(
             driving=ref_layout.driving,

@@ -158,6 +158,12 @@ class TestEvaluateDesign:
 
 
 class TestOptimize:
+    def test_subnormal_module_yields_no_design(self, motor):
+        # Clears the driving gear, but 2*R*D underflows to zero in the engagement solve.
+        space = singleton_space(modules=(1e-320,), psi_star_targets=None, center_distances=(3e-319,))
+        with pytest.raises(EmptyFeasibleSet):
+            optimize(space, DesignConstraints(), SLIP_REF, motor)
+
     def test_singleton_space(self, motor):
         results = optimize(singleton_space(), DesignConstraints(), SLIP_REF, motor)
         assert len(results) == 1

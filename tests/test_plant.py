@@ -151,7 +151,7 @@ class TestNonFiniteApiInput:
 
     @pytest.mark.parametrize("omegas", [[math.nan], [180.0, math.nan, 360.0], [180.0, math.inf]])
     def test_sweep_omega(self, ref_plant, omegas):
-        with pytest.raises(ValueError, match="omega values must be finite, got (nan|inf)"):
+        with pytest.raises(ValueError, match="omega values must be finite and positive, got (nan|inf)"):
             run_speed_sweep(ref_plant, omegas)
 
     @pytest.mark.parametrize("dt", [math.inf, math.nan, 0.0])
@@ -180,7 +180,7 @@ class TestNonFiniteApiInput:
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_simulator_move_target(self, ref_plant, value):
         sim = Simulator(ref_plant)
-        with pytest.raises(ValueError, match="move_motor_to target must be finite"):
+        with pytest.raises(ValueError, match="move_to angle must be finite"):
             sim.move_motor_to(value)
         assert sim.t == 0.0
 
@@ -209,7 +209,7 @@ class TestNonFiniteApiInput:
             path.inverse(target)
 
     def test_wait_negative(self):
-        with pytest.raises(ValueError, match="wait duration must not be negative"):
+        with pytest.raises(ValueError, match="wait duration must be finite and not negative"):
             Wait(-1.0)
 
     def test_disturbance_magnitude_nan(self):
@@ -217,7 +217,7 @@ class TestNonFiniteApiInput:
             DisturbancePulses(magnitude=math.nan)
 
     def test_disturbance_magnitude_inf(self):
-        with pytest.raises(ValueError, match="magnitude must be finite and non-negative, got inf"):
+        with pytest.raises(ValueError, match="magnitude must be finite and not negative, got inf"):
             DisturbancePulses(magnitude=math.inf)
 
     @pytest.mark.parametrize("width", [math.inf, math.nan, 0.0])
