@@ -20,12 +20,11 @@ from .errors import ConfigError, SwitchSimError, _in_range
 from .experiments import (
     DEFAULT_JITTER_SIGMA_MS,
     ControlMode,
-    motor_travel_per_traversal,
+    _traversal_time,
     run_independence,
     run_speed_sweep,
     run_switching_time,
 )
-from .motion import trapezoid_duration
 from .geometry import REFERENCE_TRACK_TRAVEL_DEG
 from .optimizer import DEFAULT_SPACE_CAP, DesignConstraints, DesignSpace, optimize
 from .plant import DISTURBANCE_TARGETS, DisturbancePulses, PlantConfig, run_script
@@ -153,8 +152,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--driven-teeth", default="16:24", type=_parse_int_range)
     p.add_argument("--modules", default="1.0", type=_parse_float_list)
     p.add_argument("--phi-d-deg", default="25.0", type=_parse_float_list)
-    p.add_argument("--psi-star-deg", type=_parse_float_list, help="track endpoint targets")
-    p.add_argument("--center-distance-mm", type=_parse_float_list, help="explicit D grid")
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--psi-star-deg", type=_parse_float_list, help="track endpoint targets")
+    grid.add_argument("--center-distance-mm", type=_parse_float_list, help="explicit D grid")
     p.add_argument("--envelope-max", type=float, help="max footprint diameter, mm")
     p.add_argument("--ratio-min", type=float)
     p.add_argument("--ratio-max", type=float)
@@ -319,9 +319,6 @@ def _cmd_sweep(args, cfg: Config, plant: PlantConfig) -> int:
 
 
 def _cmd_optimize(args, cfg: Config, plant: PlantConfig) -> int:
-    if args.psi_star_deg and args.center_distance_mm:
-        print("give either --psi-star-deg or --center-distance-mm, not both", file=sys.stderr)
-        return 2
     if args.center_distance_mm:
         psi_targets, distances = None, tuple(args.center_distance_mm)
     else:
@@ -391,8 +388,7 @@ def _cmd_calibrate(args, cfg: Config, plant: PlantConfig) -> int:
     }
     calibrated = replace(cfg, slip=None, profile_accel=None, **measured).plant()
     accel, model = calibrated.motor.profile_accel, calibrated.traversal
-    travel = motor_travel_per_traversal(calibrated)
-    check_ms = trapezoid_duration(travel, cfg.max_output_speed, accel) * 1000.0
+    check_ms = _traversal_time(calibrated) * 1000.0
     _write(
         args.out,
         _csv(

@@ -9,9 +9,9 @@ line, in keys, knot tables and script arguments alike.
 
 Each key is declared once, by ``_key`` metadata on the ``Config`` or
 ``PathSpec`` field it sets, and parsing, range checks and serialization loop
-over those declarations. Two spellings are extra: ``[layout] module_mm`` sets
-all three gear modules at once, and each ``[paths]`` key is a ``PathSpec``
-key prefixed with ``agonist_`` or ``antagonist_``.
+over those declarations. Each ``[paths]`` key is a ``PathSpec`` key prefixed
+with ``agonist_`` or ``antagonist_``. The three gears share one module, as
+they must to mesh: ``[layout] module_mm``.
 
 The ``[script]`` section is a command list, one command per line::
 
@@ -28,7 +28,7 @@ import math
 from dataclasses import astuple, dataclass, field, fields
 
 from .errors import ConfigError, InvalidDesign, SwitchSimError, _in_range
-from .experiments import calibrate_profile_accel, motor_travel_per_traversal
+from .experiments import _traversal_time, calibrate_profile_accel
 from .geometry import (
     GearSpec,
     MIN_TOOTH_COUNT,
@@ -38,7 +38,6 @@ from .geometry import (
     solve_center_distance,
     validate_layout,
 )
-from .motion import trapezoid_duration
 from .paths import CablePath, CurvedPath, LinearPath, TabulatedPath, X_MAX
 from .plant import (
     DisturbancePulses,
@@ -51,7 +50,6 @@ from .plant import (
     SpoolModel,
     Wait,
     initial_state,
-    steps_to_cover,
 )
 from .switching import TraversalModel, calibrate_slip
 
@@ -116,9 +114,7 @@ class Config:
     drive_teeth: int = _key(20, "layout", int, interval=_TEETH)
     switch_teeth: int = _key(16, "layout", int, interval=_TEETH)
     driven_teeth: int = _key(20, "layout", int, interval=_TEETH)
-    drive_module: float = _key(1.0, "layout", name="drive_module_mm", bound="positive")
-    switch_module: float = _key(1.0, "layout", name="switch_module_mm", bound="positive")
-    driven_module: float = _key(1.0, "layout", name="driven_module_mm", bound="positive")
+    module: float = _key(1.0, "layout", name="module_mm", bound="positive")  # all three gears
     driven_half_angle_deg: float = _key(25.0, "layout")
     center_distance_mm: float | None = _key(  # None: solved from track_travel_deg
         None, "layout", replaces=("track_travel_deg",)
@@ -151,9 +147,9 @@ class Config:
     # -- builders ------------------------------------------------------------
 
     def layout(self) -> MechanismLayout:
-        driving = GearSpec(self.drive_teeth, self.drive_module)
-        switch = GearSpec(self.switch_teeth, self.switch_module)
-        driven = GearSpec(self.driven_teeth, self.driven_module)
+        driving = GearSpec(self.drive_teeth, self.module)
+        switch = GearSpec(self.switch_teeth, self.module)
+        driven = GearSpec(self.driven_teeth, self.module)
         if self.center_distance_mm is not None:
             d = self.center_distance_mm
         else:
@@ -236,8 +232,6 @@ def _keyed(cls) -> tuple[tuple[str, str, _Key], ...]:
 _CONFIG_KEYS = _keyed(Config)
 _PATH_KEYS = _keyed(PathSpec)
 _PATHS = ("agonist", "antagonist")  # Config fields set by the [paths] keys with that prefix
-_MODULE_FIELDS = ("drive_module", "switch_module", "driven_module")  # module_mm sets all three
-_MODULE_KEYS = (*(key for name, key, _ in _CONFIG_KEYS if name in _MODULE_FIELDS), "module_mm")
 
 _SCHEMA: dict[tuple[str, str], _Key] = {
     (spec.section, key): spec for _, key, spec in _CONFIG_KEYS
@@ -245,7 +239,6 @@ _SCHEMA: dict[tuple[str, str], _Key] = {
 _SCHEMA.update(
     ((spec.section, f"{prefix}_{key}"), spec) for prefix in _PATHS for _, key, spec in _PATH_KEYS
 )
-_SCHEMA["layout", "module_mm"] = _Key("layout", bound="positive")
 
 _SECTIONS = ("layout", "traversal", "motor", "paths", "spools", "sim", "script")
 
@@ -406,9 +399,6 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
         for name, key, spec in _CONFIG_KEYS
         if p.has(spec.section, key)
     }
-    if p.has("layout", "module_mm"):
-        for name in _MODULE_FIELDS:
-            values.setdefault(name, p.get("layout", "module_mm", None))
     for prefix in _PATHS:
         values[prefix] = p.path_spec(prefix, getattr(defaults, prefix))
     cfg = Config(**values, script=tuple(cmd for _, cmd in p.script))
@@ -426,29 +416,23 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
     # first), a taut rest state, and one switching trial (two traversals)
     # within the step budget that ``run_switching_time`` applies.
     if not p.errors:
+        motor = MotorModel(cfg.max_output_speed)
         for line_no, cmd in p.script:
-            if isinstance(cmd, SetVelocity) and abs(cmd.rate) > cfg.max_output_speed:
-                message = f"set_velocity {cmd.rate!r} deg/s exceeds max_output_speed_deg_s"
-                p.fail(line_no, f"{message} = {cfg.max_output_speed!r}")
+            if isinstance(cmd, SetVelocity):
+                try:
+                    motor.check_speed(cmd.rate)
+                except ValueError as exc:
+                    p.fail(line_no, str(exc))
             if isinstance(cmd, Wait) and cmd.duration < cfg.dt_s:
                 message = f"wait {cmd.duration!r} s is shorter than one step"
                 p.fail(line_no, f"{message}, dt_s = {cfg.dt_s!r}")
         try:
             plant = cfg.plant()
             initial_state(plant)
-            motor = plant.motor
-            travel = motor_travel_per_traversal(plant)
-            travel_s = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
-            steps_to_cover(travel_s, plant.dt, runs=2)
+            _traversal_time(plant)
         except InvalidDesign as exc:
             for violation in exc.report.violations:
-                if violation.rule == "module-mismatch":
-                    keys = [k for k in _MODULE_KEYS if p.has("layout", k)]
-                    line = max((p.line("layout", k) for k in keys), default=0)
-                    named = ", ".join(keys) or "gear modules"
-                    p.fail(line, f"{violation.message} (keys: {named})")
-                else:
-                    p.fail(0, str(violation))
+                p.fail(0, str(violation))
         except (SwitchSimError, ValueError) as exc:
             p.fail(0, f"configuration cannot be instantiated: {exc}")
 
@@ -495,12 +479,7 @@ def _format(value) -> str:
 def serialize_config(cfg: Config) -> str:
     """Emit a config file that parses back to an identical Config."""
     out: dict[str, list[str]] = {section: [] for section in _SECTIONS}
-    shared_module = cfg.drive_module == cfg.switch_module == cfg.driven_module
-    for name, key, spec, value in _written(cfg, _CONFIG_KEYS):
-        if shared_module and name in _MODULE_FIELDS:  # one module_mm line for all three
-            if name != _MODULE_FIELDS[0]:
-                continue
-            key = "module_mm"
+    for _, key, spec, value in _written(cfg, _CONFIG_KEYS):
         out[spec.section].append(f"{key} = {_format(value)}")
     for prefix in _PATHS:
         for _, key, _, value in _written(getattr(cfg, prefix), _PATH_KEYS):
@@ -513,7 +492,6 @@ def serialize_config(cfg: Config) -> str:
 def load_config(path: str | None) -> tuple[Config, PlantConfig]:
     """Config and its plant from a file path, or the reference rig when ``path`` is None."""
     if path is None:
-        cfg = Config()
-        return cfg, cfg.plant()
+        return _parse("")
     with open(path, "r", encoding="utf-8") as fh:
         return _parse(fh.read())

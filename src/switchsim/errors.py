@@ -7,27 +7,28 @@ _WORDING = {
     None: "finite",
     "positive": "finite and positive",
     "not negative": "finite and not negative",
-    "positive, inf allowed": "positive",
+    "positive, inf allowed": "finite and positive, or inf",
 }
+_FLOAT_MAX = math.nextafter(math.inf, 0.0)  # the largest float: finite is at most this
 
 
 def _in_range(name: str, value, bound: str | None = None):
     """``value`` if it is finite and within ``bound``, else a ValueError naming ``name``.
 
     ``bound`` is None, "positive", "not negative" or "positive, inf allowed";
-    only the last admits a value that is not finite (+inf). NaN never passes.
+    only the last admits a value that is not finite, +inf. NaN never passes.
+    Finite means within the float range, so an int too large for a float fails.
     """
-    wording = _WORDING[bound]
     if bound is None:
-        ok = -math.inf < value < math.inf
+        ok = abs(value) <= _FLOAT_MAX
     elif bound == "not negative":
-        ok = 0 <= value < math.inf
+        ok = 0.0 <= value <= _FLOAT_MAX
     elif bound == "positive":
-        ok = 0 < value < math.inf
+        ok = 0.0 < value <= _FLOAT_MAX
     else:
-        ok = value > 0
+        ok = 0.0 < value <= _FLOAT_MAX or value == math.inf
     if not ok:
-        raise ValueError(f"{name} must be {wording}, got {value!r}")
+        raise ValueError(f"{name} must be {_WORDING[bound]}, got {value!r}")
     return value
 
 

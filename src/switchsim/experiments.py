@@ -50,6 +50,16 @@ def motor_travel_per_traversal(config: PlantConfig) -> float:
     return config.traversal.motor_travel(config.engagement.theta_track)
 
 
+def _traversal_time(config: PlantConfig, n_trials: int = 1) -> float:
+    """Seconds a traversal takes. SwitchSimError if ``n_trials`` switching trials,
+    two traversals each, take more than ``STEP_BUDGET`` steps."""
+    motor = config.motor
+    travel = motor_travel_per_traversal(config)
+    move_s = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
+    steps_to_cover(move_s, config.dt, runs=2 * n_trials)
+    return move_s
+
+
 @dataclass(frozen=True)
 class SwitchingTimeStats:
     """Per-trial durations; the count, means and population sigmas derive from them."""
@@ -102,10 +112,8 @@ def run_switching_time(
     _in_range("n_trials", n_trials, "positive")
     _in_range("jitter_sigma_ms", jitter_sigma_ms, "not negative")
     base_seed = config.seed if seed is None else seed
+    _traversal_time(config, n_trials)
     travel = motor_travel_per_traversal(config)
-    motor = config.motor
-    move_s = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
-    steps_to_cover(move_s, config.dt, runs=2 * n_trials)
     sim = Simulator(config, engaged=Side.MINUS, record=False)
     up: list[float] = []
     down: list[float] = []
@@ -236,11 +244,7 @@ def run_speed_sweep(
         _in_range("omega values", omega, "positive")
     if any(b <= a for a, b in zip(omegas, omegas[1:])):
         raise ValueError("omega values must strictly increase")
-    if omegas[-1] > config.motor.max_output_speed:
-        raise ValueError(
-            f"omega {omegas[-1]} deg/s exceeds the modeled speed bound "
-            f"{config.motor.max_output_speed} deg/s"
-        )
+    config.motor.check_speed(omegas[-1])
 
     travel = motor_travel_per_traversal(config)
     accel = config.motor.profile_accel

@@ -42,7 +42,7 @@ class GearSpec:
     def __post_init__(self):
         if not isinstance(self.tooth_count, int):
             raise ValueError(f"tooth_count must be an integer, got {self.tooth_count!r}")
-        if self.tooth_count < MIN_TOOTH_COUNT:
+        if _in_range("tooth_count", self.tooth_count) < MIN_TOOTH_COUNT:
             raise ValueError(
                 f"tooth_count must be >= {MIN_TOOTH_COUNT}, got {self.tooth_count}"
             )

@@ -13,6 +13,12 @@ from dataclasses import dataclass
 from .errors import _in_range
 
 
+def _limits(max_speed: float, accel: float) -> None:
+    """The range rule on a profile's limits: ``accel = inf`` is allowed, zero is not."""
+    _in_range("max_speed", max_speed, "positive")
+    _in_range("accel", accel, "positive, inf allowed")
+
+
 @dataclass(frozen=True)
 class TrapezoidalProfile:
     """A planned symmetric accelerate/cruise/decelerate move.
@@ -30,9 +36,8 @@ class TrapezoidalProfile:
 
     @classmethod
     def plan(cls, delta: float, max_speed: float, accel: float) -> "TrapezoidalProfile":
-        _in_range("max_speed", max_speed, "positive")
-        _in_range("accel", accel, "positive, inf allowed")
-        dist = abs(delta)
+        _limits(max_speed, accel)
+        dist = abs(_in_range("delta", delta))
         if dist == 0.0:
             return cls(0.0, max_speed, accel, 0.0, 0.0)
         ramp = 0.0 if math.isinf(accel) else max_speed * max_speed / accel
@@ -94,6 +99,7 @@ def trapezoid_duration(distance: float, max_speed: float, accel: float) -> float
     Trapezoidal case: distance/v + v/a. Triangular case (distance < v^2/a):
     2*sqrt(distance/a). ``accel = inf`` gives the kinematic floor distance/v.
     """
+    _limits(max_speed, accel)
     if _in_range("distance", distance, "not negative") == 0.0:
         return 0.0
     if math.isinf(accel):

@@ -49,6 +49,14 @@ class MotorModel:
         _in_range("max_output_speed", self.max_output_speed, "positive")
         _in_range("profile_accel", self.profile_accel, "positive, inf allowed")
 
+    def check_speed(self, rate: float) -> float:
+        """``rate`` (deg/s) if its magnitude is within ``max_output_speed``, else a ValueError."""
+        if abs(rate) > self.max_output_speed:
+            raise ValueError(
+                f"speed {rate!r} deg/s exceeds max_output_speed {self.max_output_speed!r} deg/s"
+            )
+        return rate
+
 
 @dataclass(frozen=True)
 class SpoolModel:
@@ -395,14 +403,8 @@ class Simulator:
         return t_cmd
 
     def set_velocity(self, rate: float) -> None:
-        rate = SetVelocity(rate).rate  # the command's check
-        if abs(rate) > self.config.motor.max_output_speed:
-            raise ValueError(
-                f"velocity {rate!r} deg/s exceeds the modeled limit "
-                f"{self.config.motor.max_output_speed} deg/s"
-            )
+        self._velocity = self.config.motor.check_speed(SetVelocity(rate).rate)
         self._profile = None
-        self._velocity = rate
 
     def wait(self, duration: float) -> None:
         """Run the active motion for ``duration`` s, rounded up to whole steps.
@@ -496,7 +498,7 @@ class Simulator:
         if toward <= 0.0:
             return steps
         gap = abs(until.sign * self.config.engagement.psi_star - switch.psi) - PSI_SNAP
-        gap_deg = math.degrees(gap * self.config.traversal.effective_ratio)
+        gap_deg = self.config.traversal.motor_travel(gap)
         reach = gap_deg / toward  # steps until the snap window; inf for a subnormal delta
         return steps if not reach < steps + 1 else math.floor(reach) - 1
 

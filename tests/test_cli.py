@@ -225,6 +225,19 @@ class TestOptimize:
         assert (code, out) == (1, "")
         assert err == "EmptyFeasibleSet: no design in the space passed validation and constraints\n"
 
+    def test_tooth_count_beyond_the_float_range_exits_1(self, capsys):
+        huge = str(10**400)
+        code, out, err = run_cli(capsys, "optimize", "--drive-teeth", huge)
+        assert (code, out, err) == (1, "", f"ValueError: tooth_count must be finite, got {huge}\n")
+
+    def test_tooth_count_beyond_the_float_range_in_config_exits_1(self, capsys, tmp_path):
+        huge = str(10**400)
+        cfg = tmp_path / "huge.cfg"
+        cfg.write_text(f"[layout]\ndrive_teeth = {huge}\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "validate")
+        assert (code, out) == (1, "")
+        assert err == f"config error: line 2: drive_teeth must be finite, got {huge}\n"
+
     def test_subnormal_module_config_exits_1(self, capsys, tmp_path):
         cfg = tmp_path / "tiny.cfg"
         cfg.write_text("[layout]\nmodule_mm = 1e-300\n")
@@ -234,6 +247,12 @@ class TestOptimize:
 
 
 class TestCalibrate:
+    def test_calibration_over_the_step_budget_exits_1(self, capsys):
+        # A config with this calibration is refused; so is the calibration itself.
+        code, out, err = run_cli(capsys, "calibrate", "--switch-time-ms", "1e12")
+        assert (code, out) == (1, "")
+        assert err.startswith("SwitchSimError: 2 x 1000000000.0 s takes 2 x 1e+12 steps")
+
     def test_reference_measurements(self, capsys):
         code, out, _ = run_cli(capsys, "calibrate")
         assert code == 0
@@ -361,7 +380,7 @@ class TestUsage:
             "--center-distance-mm", "34.76",
         )
         assert code == 2
-        assert "not both" in err
+        assert "argument --center-distance-mm: not allowed with argument --psi-star-deg" in err
 
     @pytest.mark.parametrize("top", ["0", "-1"])
     def test_top_must_be_positive(self, capsys, top):

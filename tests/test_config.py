@@ -17,13 +17,14 @@ from switchsim import (
     SetVelocity,
     SwitchSimError,
     Wait,
+    load_config,
     parse_config,
     run_script,
     run_switching_time,
     serialize_config,
     validate_layout,
 )
-from switchsim.config import _SCHEMA
+from switchsim.config import _SCHEMA, _parse
 
 
 class TestDefaults:
@@ -40,6 +41,16 @@ class TestDefaults:
         cfg = parse_config("[layout]\nswitch_teeth = 14\n")
         assert cfg == Config(switch_teeth=14)
 
+    def test_no_config_file_is_the_empty_file(self):
+        assert load_config(None) == _parse("")
+
+    def test_no_config_file_meets_the_checks_of_a_file(self, monkeypatch):
+        # The reference rig meets a file's checks, here the one-trial step budget.
+        monkeypatch.setattr("switchsim.plant.STEP_BUDGET", 100)
+        with pytest.raises(ConfigError) as err:
+            load_config(None)
+        assert "over the budget of 100 steps" in str(err.value)
+
     def test_reference_plant_numbers(self):
         plant = Config().plant()
         assert math.degrees(plant.engagement.theta_track) == pytest.approx(19.8, abs=1e-9)
@@ -53,7 +64,7 @@ class TestPlantValidates:
     @pytest.mark.parametrize(
         "overrides, rule",
         [
-            ({"switch_module": 1.5}, "module-mismatch"),
+            ({"center_distance_mm": 100.0}, "no-engagement"),
             ({"backlash_margin_mm": 5.0}, "empty-neutral-band"),
             ({"backlash_margin_mm": -1.0}, "invalid-parameter"),
         ],
@@ -70,7 +81,7 @@ class TestPlantValidates:
             cfg = Config(
                 switch_teeth=rng.randint(8, 30),
                 driven_teeth=rng.randint(8, 30),
-                switch_module=rng.choice((1.0, 1.0, 1.0, 0.8)),
+                module=rng.choice((1.0, 1.0, 1.0, 0.8)),
                 driven_half_angle_deg=rng.uniform(5.0, 60.0),
                 center_distance_mm=rng.uniform(20.0, 60.0),
                 backlash_margin_mm=rng.uniform(-0.5, 3.0),
@@ -117,11 +128,12 @@ class TestErrors:
     def test_duplicate_key(self):
         self.assert_errors("[sim]\nseed = 1\nseed = 2\n", "duplicate key")
 
-    def test_mixed_modules_names_keys(self):
-        text = "[layout]\ndrive_module_mm = 1.0\nswitch_module_mm = 0.8\n"
-        err = self.assert_errors(text, "mesh", "drive_module_mm", "switch_module_mm")
-        # attributed to the later of the offending lines
-        assert any(line == 3 for line, _ in err.errors)
+    @pytest.mark.parametrize("key", ["drive_module_mm", "switch_module_mm", "driven_module_mm"])
+    def test_per_gear_module_key_rejected_at_its_line(self, key):
+        # The three gears share one module, module_mm; no key sets one gear's.
+        text = f"[layout]\nmodule_mm = 1.0\n{key} = 0.8\n"
+        message = f"unknown key {key!r} in [layout]"
+        assert self.assert_errors(text, message).errors == [(3, message)]
 
     def test_slip_and_pair_rejected(self):
         self.assert_errors(
@@ -226,9 +238,6 @@ class TestErrors:
             ("layout", "drive_teeth", "7", "drive_teeth must be in [8, inf), got 7"),
             ("layout", "switch_teeth", "7", "switch_teeth must be in [8, inf), got 7"),
             ("layout", "driven_teeth", "0", "driven_teeth must be in [8, inf), got 0"),
-            ("layout", "drive_module_mm", "0", "drive_module_mm must be finite and positive, got 0.0"),
-            ("layout", "switch_module_mm", "-1", "switch_module_mm must be finite and positive, got -1.0"),
-            ("layout", "driven_module_mm", "0", "driven_module_mm must be finite and positive, got 0.0"),
             ("layout", "module_mm", "-0.5", "module_mm must be finite and positive, got -0.5"),
             ("traversal", "revolution_travel_deg", "0", "revolution_travel_deg must be finite and positive, got 0.0"),
             ("motor", "profile_accel_deg_s2", "0", "profile_accel_deg_s2 must be finite and positive, got 0.0"),
@@ -237,6 +246,13 @@ class TestErrors:
     def test_out_of_range_value_rejected_at_its_line(self, section, key, value, message):
         err = self.assert_errors(f"[{section}]\n{key} = {value}\n", message)
         assert err.errors == [(2, message)]
+
+    @pytest.mark.parametrize("key", ["drive_teeth", "switch_teeth", "driven_teeth"])
+    def test_tooth_count_beyond_the_float_range_rejected_at_its_line(self, key):
+        # A count beyond the float range has no float pitch radius.
+        huge = 10**400
+        message = f"{key} must be finite, got {huge}"
+        assert self.assert_errors(f"[layout]\n{key} = {huge}\n", message).errors == [(2, message)]
 
     def test_negative_wait_rejected_with_line(self):
         err = self.assert_errors("[script]\nmove_to 10\nwait -1\n", "must be finite and not negative")
@@ -247,7 +263,7 @@ class TestErrors:
             "[motor]\nmax_output_speed_deg_s = 500.0\n"
             "[script]\nwait 0.1\nset_velocity -600.0\n"
         )
-        message = "set_velocity -600.0 deg/s exceeds max_output_speed_deg_s = 500.0"
+        message = "speed -600.0 deg/s exceeds max_output_speed 500.0 deg/s"
         assert self.assert_errors(text, message).errors == [(5, message)]
 
     @pytest.mark.parametrize(
@@ -318,9 +334,7 @@ class TestRoundTrip:
     def test_customized(self):
         cfg = Config(
             switch_teeth=12,
-            drive_module=0.8,
-            switch_module=0.8,
-            driven_module=0.8,
+            module=0.8,
             driven_half_angle_deg=30.0,
             slip=0.5,
             profile_accel=4800.0,
@@ -346,8 +360,8 @@ class TestRoundTrip:
         assert round_tripped == cfg
         round_tripped.plant()  # buildable
 
-    def test_per_gear_modules(self):
-        cfg = Config(drive_module=0.5, switch_module=0.5, driven_module=0.5)
+    def test_module(self):
+        cfg = Config(module=0.5)
         text = serialize_config(cfg)
         assert "module_mm = 0.5" in text
         assert parse_config(text) == cfg
@@ -383,9 +397,7 @@ class TestSerializedText:
     def test_customized(self):
         cfg = Config(
             switch_teeth=14,
-            drive_module=0.8,
-            switch_module=0.8,
-            driven_module=1.0,
+            module=0.8,
             center_distance_mm=34.757014711652,
             slip=0.5,
             profile_accel=4800.0,
@@ -406,7 +418,7 @@ class TestSerializedText:
         )
         assert serialize_config(cfg) == (
             "[layout]\ndrive_teeth = 20\nswitch_teeth = 14\ndriven_teeth = 20\n"
-            "drive_module_mm = 0.8\nswitch_module_mm = 0.8\ndriven_module_mm = 1.0\n"
+            "module_mm = 0.8\n"
             "driven_half_angle_deg = 25.0\ncenter_distance_mm = 34.757014711652\n"
             "backlash_margin_mm = 0.2\n"
             "\n[traversal]\nslip = 0.5\n"
@@ -427,10 +439,6 @@ def _floats(lo, hi):
     return st.floats(lo, hi).map(repr)
 
 
-_MODULES = st.sampled_from(["0.5", "0.8", "1.0", "1.25"])
-_MODULE_KEYS = {
-    ("layout", key) for key in ("drive_module_mm", "switch_module_mm", "driven_module_mm")
-}
 
 
 @st.composite
@@ -459,10 +467,7 @@ _VALUES = {
     ("layout", "drive_teeth"): st.integers(7, 40).map(str),
     ("layout", "switch_teeth"): st.integers(7, 30).map(str),
     ("layout", "driven_teeth"): st.integers(7, 40).map(str),
-    ("layout", "drive_module_mm"): _MODULES,
-    ("layout", "switch_module_mm"): _MODULES,
-    ("layout", "driven_module_mm"): _MODULES,
-    ("layout", "module_mm"): _MODULES,
+    ("layout", "module_mm"): st.sampled_from(["0.5", "0.8", "1.0", "1.25"]),
     ("layout", "driven_half_angle_deg"): _floats(15.0, 40.0),
     ("layout", "center_distance_mm"): _floats(30.0, 40.0),
     ("layout", "track_travel_deg"): _floats(10.0, 30.0),
@@ -505,20 +510,13 @@ def _config_texts(draw):
     """Config texts over every key, each given about one time in six.
 
     Keys a file may not give together are not drawn together, so that most
-    texts parse: a key that replaces others drops them, the module keys are
-    given together with one value, and the path keys follow the path kind.
+    texts parse: a key that replaces others drops them, and the path keys
+    follow the path kind.
     """
     given = {key for key in _VALUES if draw(st.integers(0, 5)) == 0}
     for section, key in sorted(given):
         given -= {(section, other) for other in _SCHEMA[section, key].replaces}
-    if given & _MODULE_KEYS:
-        given |= _MODULE_KEYS
-    module = draw(_MODULES)
-    values = {
-        (section, key): module if key.endswith("module_mm") else draw(_VALUES[section, key])
-        for section, key in _VALUES
-        if (section, key) in given
-    }
+    values = {key: draw(_VALUES[key]) for key in _VALUES if key in given}
     for prefix, default_kind in (("agonist", "linear"), ("antagonist", "curved")):
         kind = values.get(("paths", f"{prefix}_kind"), default_kind)
         bow, knots = ("paths", f"{prefix}_bow_mm"), ("paths", f"{prefix}_knots")

@@ -59,6 +59,8 @@ class TestPitchRadius:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
             GearSpec(7, 1.0)
+        with pytest.raises(ValueError, match=r"^tooth_count must be finite, got 10{400}$"):
+            GearSpec(10**400, 1.0)  # beyond the float range: no float pitch radius
 
     def test_stored_radius_keeps_the_dataclass_contract(self):
         gear = GearSpec(20, 1.0)

@@ -81,6 +81,33 @@ class TestProfile:
         with pytest.raises(ValueError):
             TrapezoidalProfile.plan(10.0, 100.0, 0.0)
 
+    @pytest.mark.parametrize("delta", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_delta(self, delta):
+        with pytest.raises(ValueError, match=f"delta must be finite, got {delta!r}"):
+            TrapezoidalProfile.plan(delta, 720.0, 1000.0)
+
+
+@pytest.mark.parametrize(
+    "max_speed, accel, message",
+    [
+        (0.0, 5.0, "max_speed must be finite and positive, got 0.0"),
+        (-1.0, 5.0, "max_speed must be finite and positive, got -1.0"),
+        (math.inf, 5.0, "max_speed must be finite and positive, got inf"),
+        (math.nan, 5.0, "max_speed must be finite and positive, got nan"),
+        (720.0, 0.0, "accel must be finite and positive, or inf, got 0.0"),
+        (720.0, -5.0, "accel must be finite and positive, or inf, got -5.0"),
+        (720.0, math.nan, "accel must be finite and positive, or inf, got nan"),
+    ],
+)
+def test_duration_and_plan_refuse_the_same_limits(max_speed, accel, message):
+    """Unchecked, a zero limit divides by zero and a negative one gives a negative time."""
+    for distance in (0.0, 1.0):
+        with pytest.raises(ValueError) as duration:
+            trapezoid_duration(distance, max_speed, accel)
+        with pytest.raises(ValueError) as plan:
+            TrapezoidalProfile.plan(distance, max_speed, accel)
+        assert str(duration.value) == str(plan.value) == message
+
 
 def test_profile_position_move_uses_motor_limits():
     motor = MotorModel(max_output_speed=720.0, profile_accel=CAL_ACCEL)

@@ -5,6 +5,7 @@ import pytest
 
 from switchsim import (
     Config,
+    ConfigError,
     CurvedPath,
     DisturbancePulses,
     InjectDisturbance,
@@ -24,6 +25,7 @@ from switchsim import (
     TabulatedPath,
     Wait,
     initial_state,
+    parse_config,
     run_script,
     run_speed_sweep,
     step_plant,
@@ -306,6 +308,20 @@ class TestRunScript:
     def test_velocity_above_limit_rejected(self, ref_plant):
         with pytest.raises(ValueError):
             run_script(ref_plant, [SetVelocity(1000.0)])
+
+    @pytest.mark.parametrize("speed", [-720.5, 800.0])
+    def test_speed_limit_has_one_message(self, ref_plant, speed):
+        # The Python API, the speed sweep and a config file refuse alike.
+        message = f"speed {speed!r} deg/s exceeds max_output_speed 720.0 deg/s"
+        with pytest.raises(ValueError) as api:
+            Simulator(ref_plant).set_velocity(speed)
+        with pytest.raises(ValueError) as sweep:
+            run_speed_sweep(ref_plant, [180.0, abs(speed)])
+        with pytest.raises(ConfigError) as config:
+            parse_config(f"[script]\nwait 0.1\nset_velocity {speed!r}\n")
+        assert str(api.value) == message
+        assert str(sweep.value) == message.replace(repr(speed), repr(abs(speed)))
+        assert config.value.errors == [(3, message)]
 
     def test_short_wait_takes_a_whole_step(self, ref_plant):
         trace = run_script(ref_plant, [Wait(0.0004)])
