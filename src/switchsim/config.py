@@ -17,7 +17,7 @@ The ``[script]`` section is a command list, one command per line::
 
     move_to 225.0          # Profile-Position move to an absolute angle, deg
     set_velocity 360.0     # constant rate, deg/s (0 stops)
-    wait 0.5               # run the clock, s (at least one step, dt_s)
+    wait 0.5               # run the clock, s (must cover a step of dt_s)
     disturb disengaged 5.0 # random payout pulses: target magnitude_mm [width_s]
     disturb_off
 """
@@ -49,6 +49,7 @@ from .plant import (
     SetVelocity,
     SpoolModel,
     Wait,
+    _check_covers_a_step,
     initial_state,
 )
 from .switching import TraversalModel, calibrate_slip
@@ -411,10 +412,10 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
                 other = f"the ({', '.join(spec.replaces)}) pair"
             p.fail(p.line(section, key), f"give either {key} or {other}, not both")
 
-    # Cross-field checks: script rates within the speed limit, waits of at
-    # least one step, then the plant build (which validates the layout
-    # first), a taut rest state, and one switching trial (two traversals)
-    # within the step budget that ``run_switching_time`` applies.
+    # Cross-field checks: script rates within the speed limit, waits that
+    # ``Simulator.wait`` takes, then the plant build (which validates the
+    # layout first), a taut rest state, and one switching trial (two
+    # traversals) within the step budget that ``run_switching_time`` applies.
     if not p.errors:
         motor = MotorModel(cfg.max_output_speed)
         for line_no, cmd in p.script:
@@ -423,9 +424,11 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
                     motor.check_speed(cmd.rate)
                 except ValueError as exc:
                     p.fail(line_no, str(exc))
-            if isinstance(cmd, Wait) and cmd.duration < cfg.dt_s:
-                message = f"wait {cmd.duration!r} s is shorter than one step"
-                p.fail(line_no, f"{message}, dt_s = {cfg.dt_s!r}")
+            if isinstance(cmd, Wait):
+                try:
+                    _check_covers_a_step("wait", cmd.duration, cfg.dt_s)
+                except SwitchSimError as exc:
+                    p.fail(line_no, str(exc))
         try:
             plant = cfg.plant()
             initial_state(plant)

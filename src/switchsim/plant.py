@@ -168,6 +168,7 @@ def step_plant(
     motor_delta: float = 0.0,
     disturbance_plus: float = 0.0,
     disturbance_minus: float = 0.0,
+    settled: bool = False,
 ) -> tuple[SimState, list[Event]]:
     """Advance the plant to time ``t`` with the given motor increment.
 
@@ -179,6 +180,12 @@ def step_plant(
     that angle. ``disturbance_plus``/``disturbance_minus`` add extra payout
     (mm) on that side for this step only. While traversing or neutral the
     joint is untouched (transparency).
+
+    ``settled=True`` states that the disturbance pair is bit for bit the pair
+    that made ``state``. If no spool turns, the joint, payouts and tensions
+    are then those of ``state``, and the new state reuses its float objects
+    without recomputing or re-checking them. Omitting it gives the same
+    values, recomputed.
 
     Raises:
         RangeExceeded: joint driven outside [-pi/2, +pi/2] (timestamped).
@@ -195,6 +202,9 @@ def step_plant(
         math.radians(motor_delta),
         spool_ratio=config.layout.driven_speed_ratio,
     )
+
+    if settled and spool_rotation == 0.0:
+        return SimState(t, state.motor_angle + motor_delta, switch, *state[3:]), events
 
     joint_angle = state.joint_angle
     if spool_rotation != 0.0:
@@ -327,12 +337,32 @@ class Trace:
     events: list[TimedEvent]
 
     def to_csv(self) -> str:
+        """One line per row, ``TRACE_COLUMNS`` in ``repr`` form.
+
+        A row whose switch is the previous row's object reuses its
+        ``psi_deg,mode`` cells, and one whose joint, payouts and tensions are
+        the previous row's objects reuses its last five cells. Identity, not
+        ``==``, decides, so ``0.0`` and ``-0.0`` never share a cell.
+        """
         lines = [",".join(TRACE_COLUMNS)]
+        last_switch = last_joint = last_plus = last_minus = last_ten_plus = last_ten_minus = None
         for t, motor, switch, joint, pay_plus, pay_minus, ten_plus, ten_minus in self.rows:
-            lines.append(
-                f"{t!r},{motor!r},{math.degrees(switch.psi)!r},{switch.mode.value},"
-                f"{math.degrees(joint)!r},{pay_plus!r},{pay_minus!r},{ten_plus!r},{ten_minus!r}"
-            )
+            if switch is not last_switch:
+                last_switch = switch
+                switch_cells = f"{math.degrees(switch.psi)!r},{switch.mode.value}"
+            if not (
+                joint is last_joint
+                and pay_plus is last_plus
+                and pay_minus is last_minus
+                and ten_plus is last_ten_plus
+                and ten_minus is last_ten_minus
+            ):
+                last_joint, last_plus, last_minus = joint, pay_plus, pay_minus
+                last_ten_plus, last_ten_minus = ten_plus, ten_minus
+                joint_cells = (
+                    f"{math.degrees(joint)!r},{pay_plus!r},{pay_minus!r},{ten_plus!r},{ten_minus!r}"
+                )
+            lines.append(f"{t!r},{motor!r},{switch_cells},{joint_cells}")
         return "\n".join(lines) + "\n"
 
     def events_to_csv(self) -> str:
@@ -362,6 +392,12 @@ class Simulator:
     ``run_until_engaged`` leaps only over the steps that cannot reach its
     endpoint. A failure inside a leap is re-run step by step, so it keeps the
     timestamp of the grid step it happens in.
+
+    A step that turns no spool, with the same disturbance objects as the step
+    before it, is settled: its state reuses the previous state's joint,
+    payouts and tensions (``step_plant``'s ``settled``). Identity, not ``==``,
+    decides, so a pair never stands in for one with other bits, such as
+    ``-0.0`` for ``0.0``.
     """
 
     def __init__(
@@ -381,6 +417,7 @@ class Simulator:
         self._velocity = 0.0
         self._pulses: _PulseState | None = None
         self._n_injections = 0
+        self._disturbed = (0.0, 0.0)  # the disturbance pair that made self.state
 
     @property
     def t(self) -> float:
@@ -412,7 +449,7 @@ class Simulator:
         Raises:
             SwitchSimError: ``duration`` covers no step.
         """
-        self._check_covers_a_step("wait", duration)
+        _check_covers_a_step("wait", duration, self.config.dt)
         self._run(duration)
 
     def inject(self, profile: DisturbancePulses | None) -> None:
@@ -443,7 +480,7 @@ class Simulator:
                 already and the motor does not turn away from it (the run
                 stops after one step).
         """
-        self._check_covers_a_step("timeout", timeout)
+        _check_covers_a_step("timeout", timeout, self.config.dt)
         start = len(self.trace.events)
         self._run(timeout, until=side)
         for event in self.trace.events[start:]:
@@ -454,11 +491,6 @@ class Simulator:
         )
 
     # -- stepping ----------------------------------------------------------
-
-    def _check_covers_a_step(self, name: str, duration: float) -> None:
-        dt = self.config.dt
-        if not duration > 0.0 or steps_to_cover(duration, dt) == 0:
-            raise SwitchSimError(f"{name} of {duration!r} s covers no step of dt={dt!r} s")
 
     def _run(self, duration: float, until: Side | None = None) -> None:
         """Take ``duration`` s of steps, rounded up; stop once ``until`` is engaged.
@@ -484,11 +516,15 @@ class Simulator:
     def _leap(self, steps: int, until: Side | None) -> int:
         """Steps of ``steps`` that one closed-form step may cover.
 
-        None if ``until`` is engaged and a step's motor delta is zero or toward
-        it, as the run stops after one step. Else all of them, unless the delta
+        None if a velocity step's delta underflows to 0.0 rad, as each grid
+        step then halts the switch while the summed delta would move it. None
+        if ``until`` is engaged and a step's motor delta is zero or toward it,
+        as the run stops after one step. Else all of them, unless the delta
         is toward ``until``: then those that stay a step short of its
         endpoint's snap window.
         """
+        if self._velocity != 0.0 and math.radians(self._velocity * self.config.dt) == 0.0:
+            return 0
         if until is None:
             return steps
         toward = self._velocity * self.config.dt * until.sign  # one step's motor delta
@@ -539,7 +575,8 @@ class Simulator:
             covered = self._profile.position(t1 - self._profile_t0)
             delta = covered - self._covered
         signal = self._pulses.step(dt) if self._pulses is not None else 0.0
-        dist_plus, dist_minus = self._disturbances(signal)
+        disturbed = dist_plus, dist_minus = self._disturbances(signal)
+        last_plus, last_minus = self._disturbed
         state, events = step_plant(
             self.state,
             self.config,
@@ -547,12 +584,14 @@ class Simulator:
             motor_delta=delta,
             disturbance_plus=dist_plus,
             disturbance_minus=dist_minus,
+            settled=dist_plus is last_plus and dist_minus is last_minus,
         )
         for event in events:
             self.trace.events.append(
                 TimedEvent(self._event_time(t0, event.motor_progress), event.kind, event.side, event.psi)
             )
         self.state = state
+        self._disturbed = disturbed
         self._covered = covered  # only now: a failed leap re-steps from the old position
         self._step_index += steps
         if self.record:
@@ -572,6 +611,16 @@ def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:
             f"over the budget of {STEP_BUDGET} steps"
         )
     return runs * math.ceil(steps)
+
+
+def _check_covers_a_step(name: str, duration: float, dt: float) -> None:
+    """The rule for a command's ``duration`` s: it covers a step of ``dt`` s, within the budget.
+
+    Raises:
+        SwitchSimError: ``duration`` covers no step, or over ``STEP_BUDGET`` steps.
+    """
+    if not duration > 0.0 or steps_to_cover(duration, dt) == 0:
+        raise SwitchSimError(f"{name} of {duration!r} s covers no step of dt={dt!r} s")
 
 
 def run_script(

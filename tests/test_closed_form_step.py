@@ -24,6 +24,7 @@ from switchsim import (
     Side,
     Simulator,
     SlackDetected,
+    SwitchMode,
     SwitchSimError,
     Wait,
     run_speed_sweep,
@@ -262,19 +263,23 @@ class TestLeapFailures:
         assert "plus cable tension" in leaped[1] and "at t=0.223000 s" in leaped[1]
 
     def test_subnormal_velocity_toward_the_endpoint(self, ref_plant):
-        # One step's motor delta is subnormal, so the steps left to the snap
-        # window overflow to infinity: the leap covers the whole timeout.
-        # (The states differ below any resolution: each grid step's switch
-        # travel underflows to zero, the leap's does not.)
+        # One step's motor delta is subnormal and underflows to 0.0 rad, so
+        # each grid step halts the switch. A leap would sum the deltas into a
+        # nonzero travel that disengages; the unrecorded run must not leap.
         out = []
         for record in (True, False):
             sim = Simulator(ref_plant, record=record)
             sim.set_velocity(-1e-320)
             with pytest.raises(NeverEngaged) as info:
                 sim.run_until_engaged(Side.MINUS, 1.0)
-            out.append((str(info.value), sim.t))
+            out.append(
+                (str(info.value), sim.t, sim.state.switch, [e.kind for e in sim.trace.events])
+            )
         stepped, leaped = out
-        assert leaped == stepped == ("switch did not engage minus within 1.0 s", pytest.approx(1.0))
+        assert leaped == stepped
+        message, t, switch, kinds = leaped
+        assert (message, t) == ("switch did not engage minus within 1.0 s", pytest.approx(1.0))
+        assert (switch.mode, kinds) == (SwitchMode.ENGAGED_PLUS, [])
 
 
 class TestLeapBudget:

@@ -267,15 +267,24 @@ class TestErrors:
         assert self.assert_errors(text, message).errors == [(5, message)]
 
     @pytest.mark.parametrize(
-        "sim, wait",
-        [("", "1e-15"), ("", "0"), ("", "0.0009"), ("dt_s = 0.01\n", "0.005")],
+        "sim, wait", [("", "1e-15"), ("", "0"), ("dt_s = 0.01\n", "1e-15")]
     )
     def test_wait_under_one_step_rejected_at_its_line(self, sim, wait):
+        # Refused exactly when Simulator.wait refuses it: it covers no step.
         text = f"[sim]\n{sim}[script]\nmove_to 10\nwait {wait}\n"
-        err = self.assert_errors(text, "is shorter than one step")
         dt = 0.01 if sim else 0.001
-        line = 4 + bool(sim)
-        assert err.errors == [(line, f"wait {float(wait)!r} s is shorter than one step, dt_s = {dt!r}")]
+        message = f"wait of {float(wait)!r} s covers no step of dt={dt!r} s"
+        assert self.assert_errors(text, message).errors == [(4 + bool(sim), message)]
+
+    @pytest.mark.parametrize("sim, wait", [("", "0.0009"), ("dt_s = 0.01\n", "0.005")])
+    def test_wait_under_one_step_covering_a_step_accepted(self, sim, wait):
+        cfg, plant = _parse(f"[sim]\n{sim}[script]\nwait {wait}\n")
+        assert cfg.script == (Wait(float(wait)),)
+        assert len(run_script(plant, cfg.script).rows) == 2  # the rest state and one step
+
+    def test_wait_over_the_step_budget_rejected_at_its_line(self):
+        err = self.assert_errors("[script]\nmove_to 10\nwait 1e12\n", "1e+15 steps", "over the budget of")
+        assert [line for line, _ in err.errors] == [3]
 
     def test_wait_of_one_step_accepted(self):
         assert parse_config("[script]\nwait 0.001\n").script == (Wait(0.001),)

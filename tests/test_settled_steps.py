@@ -1,0 +1,213 @@
+"""A settled step reuses the previous state, and its CSV row the previous cells.
+
+The reference is the same run with ``step_plant`` never told that a step is
+settled, so it recomputes every state. The fast run must equal it bit for
+bit: every row, the CSV bytes and the event log. ``0.0`` and ``-0.0`` count
+as different values throughout.
+"""
+
+import math
+import random
+from dataclasses import replace
+
+import pytest
+
+from switchsim import (
+    CurvedPath,
+    DisturbancePulses,
+    InjectDisturbance,
+    LinearPath,
+    MoveMotorTo,
+    SetVelocity,
+    SimState,
+    Simulator,
+    SwitchMode,
+    SwitchSimError,
+    SwitchState,
+    TabulatedPath,
+    Trace,
+    Wait,
+)
+from switchsim import plant as plant_module
+from switchsim.experiments import motor_travel_per_traversal
+from switchsim.plant import DISTURBANCE_TARGETS
+
+PATHS = {
+    "linear": (LinearPath(300.0, 25.0), LinearPath(310.0, 27.0)),
+    "curved": (CurvedPath(300.0, 25.0, 5.0), CurvedPath(305.0, 22.0, 6.0)),
+    "tabulated": (
+        TabulatedPath(((-math.pi / 2, 340.0), (0.0, 300.0), (math.pi / 2, 260.0))),
+        TabulatedPath(((-math.pi / 2, 338.0), (-0.3, 309.0), (0.4, 290.0), (math.pi / 2, 262.0))),
+    ),
+}
+
+
+def bits(value):
+    """``value`` with every float replaced by its hex form, which keeps its sign."""
+    if isinstance(value, float):
+        return value.hex()
+    if isinstance(value, tuple):
+        return tuple(bits(item) for item in value)
+    if isinstance(value, list):
+        return [bits(item) for item in value]
+    return value
+
+
+def first_difference(fast, ref):
+    """The first index at which the sequences differ bit for bit, with both items; else None.
+
+    Kept short on failure: a diff of two whole traces takes minutes to render.
+    """
+    for i, (a, b) in enumerate(zip(bits(fast), bits(ref))):
+        if a != b:
+            return i, a, b
+    return None if len(fast) == len(ref) else ("lengths", len(fast), len(ref))
+
+
+def disturbed_script(rng: random.Random, travel: float, target: str, magnitude: float):
+    """Wind plus, park mid-traversal, cross to minus and wind it, creep back; pulses throughout."""
+    up = rng.uniform(60.0, 180.0)
+    park = up - rng.uniform(0.3, 0.7) * travel
+    down = up - travel - rng.uniform(30.0, 150.0)
+    width = rng.uniform(0.005, 0.05)
+    return [
+        InjectDisturbance(DisturbancePulses(target, magnitude, width)),
+        MoveMotorTo(up),
+        Wait(rng.uniform(0.02, 0.2)),
+        MoveMotorTo(park),
+        Wait(rng.uniform(0.02, 0.2)),
+        MoveMotorTo(down),
+        SetVelocity(rng.uniform(100.0, 720.0)),
+        Wait(rng.uniform(0.01, 0.1)),
+        SetVelocity(0.0),
+        Wait(rng.uniform(0.02, 0.2)),
+        InjectDisturbance(None),
+        Wait(rng.uniform(0.01, 0.1)),
+    ]
+
+
+def run(plant, script):
+    """The recorded simulator after ``script``, and the error that ended it, if any."""
+    sim = Simulator(plant)
+    try:
+        for command in script:
+            sim.execute(command)
+    except SwitchSimError as exc:
+        return sim, (type(exc), str(exc))
+    return sim, None
+
+
+def reference_run(monkeypatch, plant, script):
+    """``run`` with ``step_plant`` never passed ``settled``."""
+    step_plant = plant_module.step_plant
+
+    def recomputing(*args, settled=False, **kwargs):
+        return step_plant(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(plant_module, "step_plant", recomputing)
+        return run(plant, script)
+
+
+def shared_rows(rows):
+    """Rows whose joint, payouts and tensions are the previous row's objects."""
+    return sum(
+        all(a is b for a, b in zip(row[3:], last[3:])) for last, row in zip(rows, rows[1:])
+    )
+
+
+@pytest.mark.parametrize("magnitude", [0.0, -0.0, 5.0], ids=["0.0", "-0.0", "5.0"])
+@pytest.mark.parametrize("target", DISTURBANCE_TARGETS)
+@pytest.mark.parametrize("kind", PATHS)
+def test_settled_steps_equal_the_recomputed_run(monkeypatch, ref_plant, kind, target, magnitude):
+    path_plus, path_minus = PATHS[kind]
+    plant = replace(ref_plant, path_plus=path_plus, path_minus=path_minus)
+    travel = motor_travel_per_traversal(plant)
+    for seed in range(3):
+        script = disturbed_script(random.Random(seed), travel, target, magnitude)
+        fast, fast_error = run(plant, script)
+        ref, ref_error = reference_run(monkeypatch, plant, script)
+        assert fast_error == ref_error
+        assert first_difference(fast.trace.rows, ref.trace.rows) is None
+        assert first_difference(fast.trace.events, ref.trace.events) is None
+        csv = fast.trace.to_csv(), ref.trace.to_csv()
+        assert first_difference(*(text.split("\n") for text in csv)) is None
+        assert fast.trace.events_to_csv() == ref.trace.events_to_csv()
+        assert shared_rows(fast.trace.rows) > 0 == shared_rows(ref.trace.rows)
+
+
+def naive_csv(rows) -> str:
+    lines = [",".join(plant_module.TRACE_COLUMNS)]
+    for t, motor, switch, joint, pay_plus, pay_minus, ten_plus, ten_minus in rows:
+        lines.append(
+            f"{t!r},{motor!r},{math.degrees(switch.psi)!r},{switch.mode.value},"
+            f"{math.degrees(joint)!r},{pay_plus!r},{pay_minus!r},{ten_plus!r},{ten_minus!r}"
+        )
+    return "\n".join(lines) + "\n"
+
+
+def test_csv_reuses_cells_only_for_the_same_objects():
+    # Each field is the previous row's object, or a new float of the other
+    # sign: 0.0 and -0.0 alternate, equal under ==, so a cell reused on ==
+    # would show.
+    rng = random.Random(0)
+    rows = [SimState(0.0, 0.0, SwitchState.neutral(0.0), 0.0, 0.0, 0.0, 1.0, 1.0)]
+    modes = [SwitchMode.NEUTRAL, SwitchMode.TRAVERSING, SwitchMode.ENGAGED_PLUS]
+    for k in range(1, 400):
+        last = rows[-1]
+        fields = [value if rng.random() < 0.5 else -value for value in last[3:]]
+        switch = last.switch
+        if rng.random() < 0.5:
+            switch = SwitchState(rng.choice(modes), -switch.psi)
+        rows.append(SimState(k * 1e-3, -last.motor_angle, switch, *fields))
+    trace = Trace(rows=rows, events=[])
+    csv = trace.to_csv()
+    assert first_difference(csv.split("\n"), naive_csv(rows).split("\n")) is None
+    assert shared_rows(rows) > 0 and "-0.0" in csv
+
+
+class CountingPath:
+    """A cable path that counts its ``length`` evaluations."""
+
+    def __init__(self, path):
+        self.path = path
+        self.lengths = 0
+
+    def length(self, x):
+        self.lengths += 1
+        return self.path.length(x)
+
+    def inverse(self, target):
+        return self.path.inverse(target)
+
+
+def test_a_settled_step_evaluates_no_path_length(monkeypatch, ref_plant):
+    # A step settles when its disturbance pair is the previous step's, bit
+    # for bit, and no spool can turn: the switch is not engaged after it, or
+    # the motor stands still. Such a step must evaluate no path length.
+    counting = CountingPath(ref_plant.path_plus), CountingPath(ref_plant.path_minus)
+    plant = replace(ref_plant, path_plus=counting[0], path_minus=counting[1])
+    travel = motor_travel_per_traversal(plant)
+    script = disturbed_script(random.Random(1), travel, "disengaged", 5.0)
+    steps = []
+    step_plant = plant_module.step_plant
+
+    def observed(*args, **kwargs):
+        before = sum(path.lengths for path in counting)
+        new, events = step_plant(*args, **kwargs)
+        lengths = sum(path.lengths for path in counting) - before
+        still = new.switch.engaged_side is None or kwargs["motor_delta"] == 0.0
+        steps.append(((kwargs["disturbance_plus"], kwargs["disturbance_minus"]), still, lengths))
+        return new, events
+
+    monkeypatch.setattr(plant_module, "step_plant", observed)
+    _, error = run(plant, script)
+    assert error is None
+    settled = [
+        lengths
+        for (last, _, _), (pair, still, lengths) in zip(steps, steps[1:])
+        if still and bits(pair) == bits(last)
+    ]
+    assert len(settled) > 100
+    assert settled == [0] * len(settled)
+    assert max(lengths for *_, lengths in steps) > 0
