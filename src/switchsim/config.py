@@ -30,6 +30,7 @@ from dataclasses import astuple, dataclass, field, fields
 from .errors import ConfigError, InvalidDesign, SwitchSimError, _in_range
 from .experiments import _traversal_time, calibrate_profile_accel
 from .geometry import (
+    DEFAULT_BACKLASH_MARGIN,
     GearSpec,
     MIN_TOOTH_COUNT,
     MechanismLayout,
@@ -40,6 +41,7 @@ from .geometry import (
 )
 from .paths import CablePath, CurvedPath, LinearPath, TabulatedPath, X_MAX
 from .plant import (
+    DEFAULT_DT,
     DisturbancePulses,
     InjectDisturbance,
     MotorModel,
@@ -49,7 +51,7 @@ from .plant import (
     SetVelocity,
     SpoolModel,
     Wait,
-    _check_covers_a_step,
+    _command_steps,
     initial_state,
 )
 from .switching import TraversalModel, calibrate_slip
@@ -121,14 +123,14 @@ class Config:
         None, "layout", replaces=("track_travel_deg",)
     )
     track_travel_deg: float = _key(REFERENCE_TRACK_TRAVEL_DEG, "layout")
-    backlash_margin_mm: float = _key(0.2, "layout")
+    backlash_margin_mm: float = _key(DEFAULT_BACKLASH_MARGIN, "layout")
     slip: float | None = _key(  # None: calibrated from the travel pair
         None, "traversal", replaces=("motor_travel_deg", "revolution_travel_deg"), interval=(0, 1)
     )
     motor_travel_deg: float = _key(122.6, "traversal")
     revolution_travel_deg: float = _key(19.8, "traversal", bound="positive")
     max_output_speed: float = _key(  # deg/s
-        720.0, "motor", name="max_output_speed_deg_s", bound="positive"
+        MotorModel.max_output_speed, "motor", name="max_output_speed_deg_s", bound="positive"
     )
     profile_accel: float | None = _key(  # deg/s^2; None: calibrated from target
         None, "motor", name="profile_accel_deg_s2", replaces=("target_switch_time_ms",),
@@ -137,11 +139,11 @@ class Config:
     target_switch_time_ms: float = _key(302.0, "motor")
     agonist: PathSpec = field(default_factory=PathSpec)
     antagonist: PathSpec = field(default_factory=lambda: PathSpec(kind="curved", bow=5.0))
-    spool_radius_mm: float = _key(10.0, "spools", bound="positive")
-    spring_preload_nmm: float = _key(5.0, "spools", bound="positive")
-    spring_rate_nmm_per_deg: float = _key(0.05, "spools")
+    spool_radius_mm: float = _key(SpoolModel.spool_radius, "spools", bound="positive")
+    spring_preload_nmm: float = _key(SpoolModel.spring_preload_torque, "spools", bound="positive")
+    spring_rate_nmm_per_deg: float = _key(SpoolModel.spring_rate, "spools")
     payout_at_zero_mm: float | None = _key(None, "spools")  # None: path length at +90 deg
-    dt_s: float = _key(1e-3, "sim", bound="positive")
+    dt_s: float = _key(DEFAULT_DT, "sim", bound="positive")
     seed: int = _key(0, "sim", int)
     script: tuple[ScriptCommand, ...] = ()
 
@@ -426,7 +428,7 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
                     p.fail(line_no, str(exc))
             if isinstance(cmd, Wait):
                 try:
-                    _check_covers_a_step("wait", cmd.duration, cfg.dt_s)
+                    _command_steps("wait", cmd.duration, cfg.dt_s)
                 except SwitchSimError as exc:
                     p.fail(line_no, str(exc))
         try:

@@ -296,6 +296,7 @@ def calibrate_profile_accel(t_measured: float, delta: float, max_speed: float) -
 
     Raises:
         BelowKinematicFloor: t_measured at or below delta/max_speed.
+        ValueError: the acceleration is not a finite, positive float.
     """
     _in_range("delta", delta, "positive")
     _in_range("max_speed", max_speed, "positive")
@@ -306,6 +307,12 @@ def calibrate_profile_accel(t_measured: float, delta: float, max_speed: float) -
             f"measured time {t_measured} s at or below the constant-speed floor {floor:.6f} s"
         )
     accel = max_speed / (t_measured - floor)
-    if delta >= max_speed * max_speed / accel:
-        return accel
-    return 4.0 * delta / (t_measured * t_measured)
+    if not (accel > 0.0 and delta >= max_speed * max_speed / accel):  # triangular
+        t_squared = t_measured * t_measured
+        accel = 4.0 * delta / t_squared if t_squared > 0.0 else math.inf
+    if not 0.0 < accel < math.inf:
+        raise ValueError(
+            f"no finite, positive profile acceleration moves {delta!r} deg in "
+            f"t_measured {t_measured!r} s at max_speed {max_speed!r} deg/s"
+        )
+    return accel

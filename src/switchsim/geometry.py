@@ -153,7 +153,8 @@ def _solve(r: float, d: float, phi: float, mesh: float, margin: float) -> Engage
     Assumes the field checks have passed: ``r`` and ``d`` finite and
     positive, ``phi`` in (0, pi/2). A negative ``margin`` leaves the band
     empty. Raises like ``solve_engagement``, less its ValueError; a track
-    so small that ``2*r*d`` underflows to zero is degenerate.
+    so small that ``2*r*d`` underflows to zero, or so large that the
+    engagement cosine is NaN, is degenerate.
     """
     try:
         c = _engagement_cosine(r, d, mesh)
@@ -165,9 +166,13 @@ def _solve(r: float, d: float, phi: float, mesh: float, margin: float) -> Engage
         raise NoEngagement(
             "switch track never comes within mesh distance of a driven gear"
         )
-    if c < -1.0:
-        raise TrackDegenerate(
-            "switch is inside mesh distance of a driven gear at every track angle"
+    if not c >= -1.0:
+        if c < -1.0:
+            raise TrackDegenerate(
+                "switch is inside mesh distance of a driven gear at every track angle"
+            )
+        raise TrackDegenerate(  # c is NaN: the squares overflowed
+            f"track radius {r!r} mm and centre distance {d!r} mm are too large to solve"
         )
     psi_star = phi - math.acos(c)
     if psi_star <= 0.0:
@@ -201,7 +206,8 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
     Raises:
         NoEngagement: the track never comes within mesh distance of a driven gear.
         TrackDegenerate: the switch is within mesh distance of a driven gear at
-            the midline (psi* <= 0, or at every track angle).
+            the midline (psi* <= 0, or at every track angle), or the track
+            is too small or too large to solve in floats.
         ValueError: structurally unusable fields (non-positive D, phi_d
             outside (0, pi/2)).
     """
@@ -312,7 +318,7 @@ def solve_center_distance(
 
     Raises:
         ValueError: target outside (0, phi_d].
-        NoEngagement: no real centre distance achieves the target.
+        NoEngagement: no finite centre distance achieves the target.
     """
     if not (0.0 < psi_star <= driven_half_angle):
         raise ValueError(
@@ -322,11 +328,11 @@ def solve_center_distance(
     mesh = switch.pitch_radius + driven.pitch_radius
     c = math.cos(psi_star - driven_half_angle)
     disc = r * r * c * c - r * r + mesh * mesh
-    if disc < 0.0:
+    if not disc >= 0.0:  # NaN: the squares overflowed
         raise NoEngagement(
-            "no centre distance reaches pitch tangency at the requested track endpoint"
+            "no finite centre distance reaches pitch tangency at the requested track endpoint"
         )
     d = r * c + math.sqrt(disc)
-    if d <= 0.0:
-        raise NoEngagement("solved centre distance is not positive")
+    if not 0.0 < d < math.inf:
+        raise NoEngagement(f"solved centre distance {d!r} mm is not finite and positive")
     return d

@@ -426,16 +426,23 @@ class Simulator:
     # -- commands ----------------------------------------------------------
 
     def move_motor_to(self, target: float) -> float:
-        """Run a Profile-Position move to ``target`` deg; returns the command time."""
+        """Run a Profile-Position move to ``target`` deg; returns the command time.
+
+        A move within 1e-9 of max(1, |target|) deg takes no step: a recorded
+        run's motor angle carries a roundoff that a leaped run's does not, and
+        a move back to where the motor stands must take no step in either.
+        """
         target = MoveMotorTo(target).angle  # the command's check
         t_cmd = self.t
         self._velocity = 0.0
         delta = target - self.state.motor_angle
+        if abs(delta) <= 1e-9 * max(1.0, abs(target)):
+            delta = 0.0
         motor = self.config.motor
         profile = TrapezoidalProfile.plan(delta, motor.max_output_speed, motor.profile_accel)
         self._profile = profile
         self._profile_t0, self._covered = t_cmd, 0.0
-        self._run(profile.duration)
+        self._run(steps_to_cover(profile.duration, self.config.dt))
         self._profile = None
         return t_cmd
 
@@ -447,10 +454,9 @@ class Simulator:
         """Run the active motion for ``duration`` s, rounded up to whole steps.
 
         Raises:
-            SwitchSimError: ``duration`` covers no step.
+            SwitchSimError: ``duration`` covers no step, or over ``STEP_BUDGET`` steps.
         """
-        _check_covers_a_step("wait", duration, self.config.dt)
-        self._run(duration)
+        self._run(_command_steps("wait", duration, self.config.dt))
 
     def inject(self, profile: DisturbancePulses | None) -> None:
         if profile is None:
@@ -475,14 +481,14 @@ class Simulator:
         """Step (velocity mode) until the switch engages ``side``; event time.
 
         Raises:
-            SwitchSimError: ``timeout`` covers no step.
+            SwitchSimError: ``timeout`` covers no step, or over ``STEP_BUDGET`` steps.
             NeverEngaged: timeout elapsed first, or ``side`` was engaged
                 already and the motor does not turn away from it (the run
                 stops after one step).
         """
-        _check_covers_a_step("timeout", timeout, self.config.dt)
+        steps = _command_steps("timeout", timeout, self.config.dt)
         start = len(self.trace.events)
-        self._run(timeout, until=side)
+        self._run(steps, until=side)
         for event in self.trace.events[start:]:
             if event.kind is EventKind.ENGAGED and event.side is side:
                 return event.t
@@ -492,13 +498,8 @@ class Simulator:
 
     # -- stepping ----------------------------------------------------------
 
-    def _run(self, duration: float, until: Side | None = None) -> None:
-        """Take ``duration`` s of steps, rounded up; stop once ``until`` is engaged.
-
-        Raises:
-            SwitchSimError: the steps exceed ``STEP_BUDGET``; nothing is stepped.
-        """
-        steps = steps_to_cover(duration, self.config.dt)
+    def _run(self, steps: int, until: Side | None = None) -> None:
+        """Take ``steps`` steps, none if fewer than one; stop once ``until`` is engaged."""
         if not self.record and self._pulses is None:
             leap = self._leap(steps, until)
             if leap > 1:
@@ -613,14 +614,16 @@ def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:
     return runs * math.ceil(steps)
 
 
-def _check_covers_a_step(name: str, duration: float, dt: float) -> None:
-    """The rule for a command's ``duration`` s: it covers a step of ``dt`` s, within the budget.
+def _command_steps(name: str, duration: float, dt: float) -> int:
+    """Whole steps of ``dt`` s that a command of ``duration`` s takes: the run-length rule.
 
     Raises:
         SwitchSimError: ``duration`` covers no step, or over ``STEP_BUDGET`` steps.
     """
-    if not duration > 0.0 or steps_to_cover(duration, dt) == 0:
+    steps = steps_to_cover(duration, dt) if duration > 0.0 else 0
+    if steps < 1:
         raise SwitchSimError(f"{name} of {duration!r} s covers no step of dt={dt!r} s")
+    return steps
 
 
 def run_script(
@@ -631,14 +634,16 @@ def run_script(
 ) -> Trace:
     """Execute script commands in order; identical inputs give bit-identical traces.
 
-    ``duration`` (finite, at least one step) extends the run (with whatever
-    motion mode is active) until at least that much simulated time has elapsed.
+    ``duration`` extends the run (with whatever motion mode is active) until
+    at least that much simulated time has elapsed. Before the script runs it
+    meets ``Simulator.wait``'s rule, else SwitchSimError: it covers a step,
+    and at most ``STEP_BUDGET``.
     """
-    if duration is not None and _in_range("duration", duration, "not negative") < config.dt:
-        raise ValueError(f"duration {duration!r} s is shorter than one step of dt={config.dt!r} s")
+    if duration is not None:
+        _command_steps("duration", duration, config.dt)
     sim = Simulator(config, engaged=engaged)
     for command in script:
         sim.execute(command)
-    if duration is not None and steps_to_cover(duration - sim.t, config.dt) > 0:
-        sim.wait(duration - sim.t)
+    if duration is not None:
+        sim._run(steps_to_cover(duration - sim.t, config.dt))
     return sim.trace

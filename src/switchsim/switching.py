@@ -105,9 +105,9 @@ class TraversalModel:
     slip: float
 
     def __post_init__(self):
-        if not (self.carry_ratio >= 1.0):
+        if not (_in_range("carry_ratio", self.carry_ratio) >= 1.0):
             raise ValueError(f"carry_ratio must be >= 1, got {self.carry_ratio!r}")
-        if not (0.0 <= self.slip < 1.0):
+        if not (0.0 <= _in_range("slip", self.slip) < 1.0):
             raise ValueError(f"slip must be in [0, 1), got {self.slip!r}")
 
     @property

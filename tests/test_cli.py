@@ -341,12 +341,20 @@ class TestSimulate:
 
     @pytest.mark.parametrize("duration", ["1e-300", "0", "0.0009", "-1"])
     def test_duration_under_one_step_exits_2(self, capsys, duration):
+        # Only -1 is a usage error (exit 2): the range rule refuses it as the
+        # flag is parsed. A duration that covers no step fails as a run, with
+        # the wording of a wait that covers no step (exit 1); 0.0009 s covers one.
         code, out, err = run_cli(capsys, "simulate", "--duration", duration)
-        assert code == 2
-        if duration == "-1":  # the range rule refuses it as the flag is parsed
+        if duration == "0.0009":
+            assert code == 0
+            assert len(parse_csv(out)) == 2
+            return
+        if duration == "-1":
+            assert code == 2
             assert "argument --duration: value must be finite and not negative, got -1.0" in err
         else:
-            message = f"--duration {float(duration)!r} s is shorter than one step of dt_s = 0.001 s"
+            assert code == 1
+            message = f"duration of {float(duration)!r} s covers no step of dt=0.001 s"
             assert message in err
         assert out == ""
 

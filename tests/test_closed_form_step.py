@@ -143,6 +143,16 @@ class TestLeapMatchesTheGrid:
                 a, b = getattr(leaped.state, name), getattr(stepped.state, name)
                 assert_close(a, b, 1e-11)
 
+    def test_move_back_to_where_the_motor_stands(self, ref_plant):
+        # The recorded run comes back to 0 deg 1.1e-16 deg short, as it sums
+        # 28 increments; a second move to 0 deg must take no step in either run.
+        sims = [Simulator(ref_plant, record=record) for record in (True, False)]
+        for sim in sims:
+            for angle in (1.0, 0.0, 0.0):
+                sim.move_motor_to(angle)
+        assert sims[0].t == sims[1].t
+        assert len(sims[0].trace.rows) == 57
+
     def test_creep_into_the_snap_window(self, ref_plant):
         # At 1e-4 deg/s a step turns psi by less than the endpoint snap
         # (1e-9 rad), so the stepped run engages a few steps before psi

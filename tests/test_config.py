@@ -178,6 +178,22 @@ class TestErrors:
             "are too small to solve",
         )
 
+    def test_module_too_large_to_solve_rejected(self):
+        err = self.assert_errors(
+            "[layout]\nmodule_mm = 1e155\n",
+            "no finite centre distance reaches pitch tangency",
+        )
+        assert "nan" not in str(err)
+
+    def test_target_switch_time_too_long_to_calibrate_rejected(self):
+        # It names the measurement, not profile_accel, a key that was not set.
+        err = self.assert_errors(
+            "[motor]\ntarget_switch_time_ms = 1e200\n",
+            "no finite, positive profile acceleration",
+            "t_measured 1e+197 s",
+        )
+        assert "profile_accel " not in str(err)
+
     def test_slip_range(self):
         self.assert_errors("[traversal]\nslip = 1.5\n", "slip must be in [0, 1), got 1.5")
 

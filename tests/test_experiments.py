@@ -4,6 +4,7 @@ import statistics
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchsim import (
     BelowKinematicFloor,
@@ -252,6 +253,31 @@ class TestCalibrateProfileAccel:
             calibrate_profile_accel(0.170, 122.6, 720.0)
         with pytest.raises(BelowKinematicFloor):
             calibrate_profile_accel(122.6 / 720.0, 122.6, 720.0)
+
+    def test_reference_calibration_is_bit_identical(self):
+        assert Config().plant().motor.profile_accel == 5466.048080978495
+
+    @pytest.mark.parametrize(
+        "t_measured, delta, max_speed",
+        [
+            (1e-300, 5e-324, 720.0),  # t*t underflows: was a bare ZeroDivisionError
+            (1e200, 122.6, 720.0),  # 4*delta/t^2 underflows: was 0.0
+            (1e300, 1e-300, 1e-300),  # the trapezoid accel underflows: was ZeroDivisionError
+            (2e-300, 1.0, 1e300),  # the trapezoid accel overflows: was ZeroDivisionError
+        ],
+    )
+    def test_extremes_refused_by_name(self, t_measured, delta, max_speed):
+        with pytest.raises(ValueError, match="no finite, positive profile acceleration"):
+            calibrate_profile_accel(t_measured, delta, max_speed)
+
+    @settings(deadline=None, max_examples=300)
+    @given(st.floats(), st.floats(), st.floats())
+    def test_finite_positive_or_a_named_error(self, t_measured, delta, max_speed):
+        try:
+            accel = calibrate_profile_accel(t_measured, delta, max_speed)
+        except (SwitchSimError, ValueError):
+            return
+        assert 0.0 < accel < math.inf
 
     def test_triangular_branch(self):
         # Slow enough that the profile never reaches the speed limit.

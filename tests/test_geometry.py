@@ -177,6 +177,13 @@ class TestSolveCenterDistance:
         with pytest.raises(ValueError):
             solve_center_distance(g, g, g, math.radians(25), math.radians(26))
 
+    @pytest.mark.parametrize("module", [1e153, 1e155, 1e300])
+    def test_radii_too_large_to_square_have_no_engagement(self, module):
+        # The pitch radii square past the float range: no NaN distance.
+        gears = GearSpec(20, module), GearSpec(16, module), GearSpec(20, module)
+        with pytest.raises(NoEngagement, match="no finite centre distance"):
+            solve_center_distance(*gears, math.radians(25), math.radians(9.9))
+
 
 class TestValidateLayout:
     def test_reference_is_clean(self, ref_layout):
@@ -195,6 +202,17 @@ class TestValidateLayout:
             solve_engagement(layout)
         report = validate_layout(layout)
         assert report.rules() == {"switch-driven-interference"}
+        assert report.engagement is None
+
+    @pytest.mark.parametrize("module", [1e152, 1e153, 1e300])
+    def test_track_too_large_to_solve_is_degenerate(self, module):
+        # R^2 or D^2 overflows, so the engagement cosine is NaN.
+        gear = GearSpec(20, module)
+        layout = MechanismLayout(gear, GearSpec(16, module), gear, 1e155, math.radians(25.0))
+        with pytest.raises(TrackDegenerate, match="too large to solve"):
+            solve_engagement(layout)
+        report = validate_layout(layout)
+        assert "switch-driven-interference" in report.rules()
         assert report.engagement is None
 
     def test_insoluble_report_has_no_engagement(self, ref_layout):

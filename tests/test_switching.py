@@ -56,6 +56,11 @@ class TestCalibrateSlip:
         with pytest.raises(ValueError):
             TraversalModel(1.8, 1.0)
 
+    @pytest.mark.parametrize("carry_ratio", [math.inf, math.nan])
+    def test_non_finite_carry_ratio_rejected(self, carry_ratio):
+        with pytest.raises(ValueError, match="carry_ratio must be finite"):
+            TraversalModel(carry_ratio, 0.1)
+
 
 class TestStepSwitch:
     def test_full_traversal_reference_numbers(self, model, ref_engagement):
