@@ -7,6 +7,13 @@ the SWITCHSIM_OUT_DIR environment variable redirects relative output paths.
 Exit codes: 0 success, 1 validation/check failure, 2 usage error. A flag
 value that fails its type is a usage error; a run the plant refuses, such
 as a ``--duration`` that covers no step of ``dt_s``, is a failure (exit 1).
+
+Each subcommand is one ``_COMMANDS`` entry: its help line, its runner and
+the function that adds its flags. ``main`` builds the parser of the one
+subcommand an argv ``[--config VALUE | --config=VALUE]* COMMAND ...`` names,
+which parses it as the full parser would; any other argv (help, an
+abbreviation, no or an unknown command) gets the full parser of
+``build_parser()``, so its help, usage and errors are that parser's.
 """
 
 from __future__ import annotations
@@ -88,93 +95,48 @@ def _non_negative_float(text: str) -> float:
     return _argument(float(text), "not negative")
 
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The parser of every subcommand, or of ``command`` alone.
+
+    A parser of one subcommand parses that subcommand's argv as the full
+    parser does, with the same usage line; other argv needs the full parser.
+    """
     parser = argparse.ArgumentParser(
         prog="switchsim",
         description="Simulate and size the single-motor switch-gear antagonist actuator.",
     )
     parser.add_argument("--config", help="config file (defaults: reference rig)")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("validate", help="check the configured layout")
-    p.set_defaults(run=_cmd_validate)
-    p.add_argument("--out", default="-")
-
-    p = sub.add_parser("simulate", help="run the [script] section and emit the trace")
-    p.set_defaults(run=_cmd_simulate)
-    p.add_argument("--out", default="-")
-    p.add_argument("--events", help="also write the event log CSV here")
-    p.add_argument("--duration", type=_non_negative_float, help="minimum simulated time, s")
-
-    p = sub.add_parser("switching-time", help="repeated traversal timing trials")
-    p.set_defaults(run=_cmd_switching_time)
-    p.add_argument("--out", default="-")
-    p.add_argument("--trials", type=_positive_int, default=10)
-    p.add_argument("--no-jitter", action="store_true")
-    p.add_argument("--jitter-sigma-ms", type=_non_negative_float, default=DEFAULT_JITTER_SIGMA_MS)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--per-trial", help="write per-trial durations CSV here")
-    p.add_argument(
-        "--check",
-        nargs=2,
-        type=float,
-        metavar=("LO", "HI"),
-        help="exit 1 unless both direction means lie in [LO, HI] ms",
-    )
-
-    p = sub.add_parser("independence", help="full-RoM sweep with disturbances")
-    p.set_defaults(run=_cmd_independence)
-    p.add_argument("--out", default="-")
-    p.add_argument("--magnitude", type=_non_negative_float, default=DisturbancePulses.magnitude)
-    p.add_argument("--target", default=DisturbancePulses.target, choices=DISTURBANCE_TARGETS)
-    p.add_argument("--seed", type=int)
-    p.add_argument(
-        "--check-zero",
-        action="store_true",
-        help="exit 1 unless the engaged-payout deviation is exactly 0",
-    )
-
-    p = sub.add_parser("sweep", help="switching time vs motor speed")
-    p.set_defaults(run=_cmd_sweep)
-    p.add_argument("--out", default="-")
-    p.add_argument(
-        "--omegas", default=DEFAULT_SWEEP_OMEGAS, type=_parse_float_list, help="comma list, deg/s"
-    )
-    p.add_argument(
-        "--position-mode",
-        action="store_true",
-        help="trapezoidal moves at each speed instead of steady-speed traversal",
-    )
-
-    p = sub.add_parser("optimize", help="rank gear sizings by predicted switching time")
-    p.set_defaults(run=_cmd_optimize)
-    p.add_argument("--out", default="-")
-    p.add_argument("--drive-teeth", default="16:24", type=_parse_int_range)
-    p.add_argument("--switch-teeth", default="8:20", type=_parse_int_range)
-    p.add_argument("--driven-teeth", default="16:24", type=_parse_int_range)
-    p.add_argument("--modules", default="1.0", type=_parse_float_list)
-    p.add_argument("--phi-d-deg", default="25.0", type=_parse_float_list)
-    grid = p.add_mutually_exclusive_group()
-    grid.add_argument("--psi-star-deg", type=_parse_float_list, help="track endpoint targets")
-    grid.add_argument("--center-distance-mm", type=_parse_float_list, help="explicit D grid")
-    p.add_argument("--envelope-max", type=float, help="max footprint diameter, mm")
-    p.add_argument("--ratio-min", type=float)
-    p.add_argument("--ratio-max", type=float)
-    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SPACE_CAP)
-    p.add_argument("--top", type=_positive_int, help="emit only the best N designs")
-
-    p = sub.add_parser("calibrate", help="pin motor/friction parameters to measurements")
-    p.set_defaults(run=_cmd_calibrate)
-    p.add_argument("--out", default="-")
-    p.add_argument("--switch-time-ms", dest="target_switch_time_ms", type=float)
-    p.add_argument("--motor-travel-deg", dest="motor_travel_deg", type=float)
-    p.add_argument("--revolution-deg", dest="revolution_travel_deg", type=float)
-
+    # One subparser would show as {simulate} in usage lines. The full parser
+    # keeps no metavar, which its "invalid choice" and "required" errors need.
+    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, (help_line, runner, add_flags) in _COMMANDS.items():
+        if command in (None, name):
+            p = sub.add_parser(name, help=help_line)
+            p.set_defaults(run=runner)
+            p.add_argument("--out", default="-")
+            add_flags(p)
     return parser
 
 
+def _command(argv: list[str]) -> str | None:
+    """The subcommand of an argv ``[--config VALUE | --config=VALUE]* COMMAND ...``
+    whose VALUEs do not start with ``-``; None for any other argv."""
+    i = 0
+    while i < len(argv) and argv[i] not in _COMMANDS:
+        flag, eq, value = argv[i].partition("=")
+        if not eq and i + 1 < len(argv):
+            i += 1
+            value = argv[i]
+        if flag != "--config" or value.startswith("-"):
+            return None
+        i += 1
+    return argv[i] if i < len(argv) else None
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser(_command(argv))
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
@@ -193,10 +155,19 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+def _validate_flags(p: argparse.ArgumentParser) -> None:
+    """validate takes ``--out`` alone."""
+
+
 def _cmd_validate(args, cfg: Config, plant: PlantConfig) -> int:
     # Building the plant validated its layout; a failed check never gets here.
     _write(args.out, "0 violations\n")
     return 0
+
+
+def _simulate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--events", help="also write the event log CSV here")
+    p.add_argument("--duration", type=_non_negative_float, help="minimum simulated time, s")
 
 
 def _cmd_simulate(args, cfg: Config, plant: PlantConfig) -> int:
@@ -205,6 +176,21 @@ def _cmd_simulate(args, cfg: Config, plant: PlantConfig) -> int:
     if args.events:
         _write(args.events, trace.events_to_csv())
     return 0
+
+
+def _switching_time_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--trials", type=_positive_int, default=10)
+    p.add_argument("--no-jitter", action="store_true")
+    p.add_argument("--jitter-sigma-ms", type=_non_negative_float, default=DEFAULT_JITTER_SIGMA_MS)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--per-trial", help="write per-trial durations CSV here")
+    p.add_argument(
+        "--check",
+        nargs=2,
+        type=float,
+        metavar=("LO", "HI"),
+        help="exit 1 unless both direction means lie in [LO, HI] ms",
+    )
 
 
 def _cmd_switching_time(args, cfg: Config, plant: PlantConfig) -> int:
@@ -258,6 +244,17 @@ def _cmd_switching_time(args, cfg: Config, plant: PlantConfig) -> int:
     return 0
 
 
+def _independence_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--magnitude", type=_non_negative_float, default=DisturbancePulses.magnitude)
+    p.add_argument("--target", default=DisturbancePulses.target, choices=DISTURBANCE_TARGETS)
+    p.add_argument("--seed", type=int)
+    p.add_argument(
+        "--check-zero",
+        action="store_true",
+        help="exit 1 unless the engaged-payout deviation is exactly 0",
+    )
+
+
 def _cmd_independence(args, cfg: Config, plant: PlantConfig) -> int:
     report = run_independence(
         plant, magnitude=args.magnitude, target=args.target, seed=args.seed
@@ -290,6 +287,17 @@ def _cmd_independence(args, cfg: Config, plant: PlantConfig) -> int:
     return 0
 
 
+def _sweep_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--omegas", default=DEFAULT_SWEEP_OMEGAS, type=_parse_float_list, help="comma list, deg/s"
+    )
+    p.add_argument(
+        "--position-mode",
+        action="store_true",
+        help="trapezoidal moves at each speed instead of steady-speed traversal",
+    )
+
+
 def _cmd_sweep(args, cfg: Config, plant: PlantConfig) -> int:
     mode = ControlMode.PROFILE_POSITION if args.position_mode else ControlMode.PROFILE_VELOCITY
     curve = run_speed_sweep(plant, args.omegas, mode=mode)
@@ -312,6 +320,22 @@ def _cmd_sweep(args, cfg: Config, plant: PlantConfig) -> int:
         ),
     )
     return 0
+
+
+def _optimize_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--drive-teeth", default="16:24", type=_parse_int_range)
+    p.add_argument("--switch-teeth", default="8:20", type=_parse_int_range)
+    p.add_argument("--driven-teeth", default="16:24", type=_parse_int_range)
+    p.add_argument("--modules", default="1.0", type=_parse_float_list)
+    p.add_argument("--phi-d-deg", default="25.0", type=_parse_float_list)
+    grid = p.add_mutually_exclusive_group()
+    grid.add_argument("--psi-star-deg", type=_parse_float_list, help="track endpoint targets")
+    grid.add_argument("--center-distance-mm", type=_parse_float_list, help="explicit D grid")
+    p.add_argument("--envelope-max", type=float, help="max footprint diameter, mm")
+    p.add_argument("--ratio-min", type=float)
+    p.add_argument("--ratio-max", type=float)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_SPACE_CAP)
+    p.add_argument("--top", type=_positive_int, help="emit only the best N designs")
 
 
 def _cmd_optimize(args, cfg: Config, plant: PlantConfig) -> int:
@@ -376,6 +400,12 @@ def _cmd_optimize(args, cfg: Config, plant: PlantConfig) -> int:
     return 0
 
 
+def _calibrate_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--switch-time-ms", dest="target_switch_time_ms", type=float)
+    p.add_argument("--motor-travel-deg", dest="motor_travel_deg", type=float)
+    p.add_argument("--revolution-deg", dest="revolution_travel_deg", type=float)
+
+
 def _cmd_calibrate(args, cfg: Config, plant: PlantConfig) -> int:
     measured = {
         name: getattr(args, name)
@@ -393,6 +423,18 @@ def _cmd_calibrate(args, cfg: Config, plant: PlantConfig) -> int:
         ),
     )
     return 0
+
+
+# Subcommand name -> (help line, runner, adds its flags but --out), in --help order.
+_COMMANDS = {
+    "validate": ("check the configured layout", _cmd_validate, _validate_flags),
+    "simulate": ("run the [script] section and emit the trace", _cmd_simulate, _simulate_flags),
+    "switching-time": ("repeated traversal timing trials", _cmd_switching_time, _switching_time_flags),
+    "independence": ("full-RoM sweep with disturbances", _cmd_independence, _independence_flags),
+    "sweep": ("switching time vs motor speed", _cmd_sweep, _sweep_flags),
+    "optimize": ("rank gear sizings by predicted switching time", _cmd_optimize, _optimize_flags),
+    "calibrate": ("pin motor/friction parameters to measurements", _cmd_calibrate, _calibrate_flags),
+}
 
 
 def run() -> None:

@@ -267,7 +267,8 @@ _ONE_NUMBER = {"move_to": MoveMotorTo, "set_velocity": SetVelocity, "wait": Wait
 
 
 def _parse_script_line(line: str) -> ScriptCommand:
-    """The command of a ``[script]`` line; the command checks its numbers."""
+    """The command of a ``[script]`` line; the command checks its numbers, and a
+    ``wait`` meets the run-length rule in the cross-field checks."""
     name, *args = line.split()
     if name in _ONE_NUMBER and len(args) == 1:
         return _ONE_NUMBER[name](float(args[0]))

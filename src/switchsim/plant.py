@@ -203,8 +203,12 @@ def step_plant(
         spool_ratio=config.layout.driven_speed_ratio,
     )
 
+    # x + 0.0 is x bit for bit unless x is -0.0, so a still motor keeps its angle object.
+    motor_angle = state.motor_angle
+    if motor_delta != 0.0 or motor_angle == 0.0:
+        motor_angle += motor_delta
     if settled and spool_rotation == 0.0:
-        return SimState(t, state.motor_angle + motor_delta, switch, *state[3:]), events
+        return SimState(t, motor_angle, switch, *state[3:]), events
 
     joint_angle = state.joint_angle
     if spool_rotation != 0.0:
@@ -220,7 +224,6 @@ def step_plant(
                 f"joint left [-90, +90] deg at t={t:.6f} s: {exc}"
             ) from exc
 
-    motor_angle = state.motor_angle + motor_delta
     disturbances = (disturbance_plus, disturbance_minus)
     return _state(config, t, motor_angle, switch, joint_angle, disturbances), events
 
@@ -251,12 +254,13 @@ class SetVelocity:
 
 @dataclass(frozen=True)
 class Wait:
-    """Let the simulation run for ``duration`` seconds."""
+    """Let the simulation run for ``duration`` seconds.
+
+    The duration meets the run-length rule (``_command_steps``) when it runs,
+    or when a config reads it: the rule needs ``dt``.
+    """
 
     duration: float
-
-    def __post_init__(self):
-        _in_range("wait duration", self.duration, "not negative")
 
 
 @dataclass(frozen=True)
@@ -339,14 +343,20 @@ class Trace:
     def to_csv(self) -> str:
         """One line per row, ``TRACE_COLUMNS`` in ``repr`` form.
 
-        A row whose switch is the previous row's object reuses its
-        ``psi_deg,mode`` cells, and one whose joint, payouts and tensions are
-        the previous row's objects reuses its last five cells. Identity, not
-        ``==``, decides, so ``0.0`` and ``-0.0`` never share a cell.
+        A row whose motor angle is the previous row's object reuses its
+        ``motor_deg`` cell, one whose switch is the previous row's object
+        reuses its ``psi_deg,mode`` cells, and one whose joint, payouts and
+        tensions are the previous row's objects reuses its last five cells.
+        Identity, not ``==``, decides, so ``0.0`` and ``-0.0`` never share a
+        cell.
         """
         lines = [",".join(TRACE_COLUMNS)]
-        last_switch = last_joint = last_plus = last_minus = last_ten_plus = last_ten_minus = None
+        last_motor = last_switch = None
+        last_joint = last_plus = last_minus = last_ten_plus = last_ten_minus = None
         for t, motor, switch, joint, pay_plus, pay_minus, ten_plus, ten_minus in self.rows:
+            if motor is not last_motor:
+                last_motor = motor
+                motor_cell = repr(motor)
             if switch is not last_switch:
                 last_switch = switch
                 switch_cells = f"{math.degrees(switch.psi)!r},{switch.mode.value}"
@@ -362,7 +372,7 @@ class Trace:
                 joint_cells = (
                     f"{math.degrees(joint)!r},{pay_plus!r},{pay_minus!r},{ten_plus!r},{ten_minus!r}"
                 )
-            lines.append(f"{t!r},{motor!r},{switch_cells},{joint_cells}")
+            lines.append(f"{t!r},{motor_cell},{switch_cells},{joint_cells}")
         return "\n".join(lines) + "\n"
 
     def events_to_csv(self) -> str:
@@ -397,7 +407,9 @@ class Simulator:
     before it, is settled: its state reuses the previous state's joint,
     payouts and tensions (``step_plant``'s ``settled``). Identity, not ``==``,
     decides, so a pair never stands in for one with other bits, such as
-    ``-0.0`` for ``0.0``.
+    ``-0.0`` for ``0.0``. A step with the motor still keeps the motor angle's
+    object, unless that angle is ``-0.0`` (``-0.0 + 0.0`` is ``0.0``), so
+    ``Trace.to_csv`` reuses its cell.
     """
 
     def __init__(

@@ -2,6 +2,7 @@ import argparse
 import csv
 import io
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -9,6 +10,7 @@ import sys
 import pytest
 
 import switchsim
+from switchsim import cli
 from switchsim.cli import _non_negative_float, _parse_float_list, _parse_int_range, build_parser, main
 from switchsim.config import Config
 
@@ -488,3 +490,94 @@ def test_numeric_flag_fuzz_exits_0_1_or_2(capsys, command, flag, count, value):
     code, _, err = run_cli(capsys, *argv)
     assert code in (0, 1, 2)
     assert code == 0 or err.strip()
+
+
+SIM_CFG = "[script]\nset_velocity 360\nwait 0.02\n"
+
+# One valid argv per subcommand, then help, abbreviations, odd --config
+# values, a config file named like a command, no command, unknown flags and
+# the mutually exclusive optimize grid. ``main`` parses each as the full parser.
+DIFFERENTIAL_ARGV = [
+    ["validate"],
+    ["--config", "sim.cfg", "simulate", "--duration", "0.01"],
+    ["switching-time", "--trials", "1", "--no-jitter"],
+    ["independence", "--magnitude", "1"],
+    ["sweep", "--omegas", "360,720"],
+    ["optimize", "--drive-teeth", "16", "--switch-teeth", "12", "--driven-teeth", "18"],
+    ["calibrate", "--switch-time-ms", "300"],
+    ["-h"],
+    ["simulate", "-h"],
+    ["--conf", "sim.cfg", "validate"],
+    ["--config=sim.cfg", "validate"],
+    ["--config", "-x", "validate"],
+    ["--config", "simulate", "validate"],
+    ["--config", "sim.cfg", "--config=simulate", "simulate"],
+    ["--config", "sim.cfg"],
+    ["--config"],
+    ["bogus"],
+    [],
+    ["--"],
+    ["simulate", "--bogus", "1"],
+    ["validate", "extra"],
+    ["sweep", "--position-mode", "--omegas"],
+    ["optimize", "--psi-star-deg", "9", "--center-distance-mm", "30"],
+]
+
+
+@pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
+def test_main_parses_as_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.cfg").write_text(SIM_CFG)
+    (tmp_path / "simulate").write_text(SIM_CFG)  # a config file named like a command
+    fast = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_command", lambda argv: None)  # every subparser, every time
+    assert fast == run_cli(capsys, *argv)
+
+
+@pytest.mark.parametrize(
+    "argv", [["simulate"], ["--config", "sim.cfg", "simulate"], ["--config=sim.cfg", "simulate"]]
+)
+def test_a_simulate_argv_builds_one_subparser(capsys, monkeypatch, tmp_path, argv):
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "sim.cfg").write_text(SIM_CFG)
+    built = []
+    add_parser = argparse._SubParsersAction.add_parser
+
+    def counted(self, name, **kwargs):
+        built.append(name)
+        return add_parser(self, name, **kwargs)
+
+    monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
+    code, out, _ = run_cli(capsys, *argv)
+    assert (code, built) == (0, ["simulate"])
+    assert out.startswith("t_s,motor_deg,")
+
+
+def test_help_lists_every_subcommand():
+    result = subprocess.run(
+        [sys.executable, "-m", "switchsim.cli", "--help"],
+        env=dict(os.environ, PYTHONPATH=SRC, COLUMNS="200"),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    assert list(cli._COMMANDS) == [
+        "validate", "simulate", "switching-time", "independence", "sweep", "optimize", "calibrate"
+    ]
+    for name, (help_line, _, _) in cli._COMMANDS.items():
+        assert re.search(rf"^\s+{re.escape(name)}\s+{re.escape(help_line)}$", result.stdout, re.M)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bogus"], "argument command: invalid choice: 'bogus'"),
+        ([], "the following arguments are required: command"),
+    ],
+)
+def test_a_missing_or_unknown_command_is_named_command(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"switchsim: error: {message}" in err

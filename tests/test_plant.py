@@ -194,9 +194,11 @@ class TestNonFiniteApiInput:
             Simulator(ref_plant).set_velocity(value)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf])
-    def test_wait_non_finite(self, value):
-        with pytest.raises(ValueError, match="wait duration must be finite"):
-            Wait(value)
+    def test_wait_non_finite(self, ref_plant, value):
+        # The run-length rule's wording: a NaN covers no step, inf is over the budget.
+        message = "over the budget" if value == math.inf else r"wait of nan s covers no step of dt=0\.001 s"
+        with pytest.raises(SwitchSimError, match=message):
+            run_script(ref_plant, [Wait(value)])
 
     @pytest.mark.parametrize(
         "path",
@@ -212,9 +214,9 @@ class TestNonFiniteApiInput:
         with pytest.raises(ValueError, match=f"cable length must be finite, got {target!r}"):
             path.inverse(target)
 
-    def test_wait_negative(self):
-        with pytest.raises(ValueError, match="wait duration must be finite and not negative"):
-            Wait(-1.0)
+    def test_wait_negative(self, ref_plant):
+        with pytest.raises(SwitchSimError, match=r"wait of -1\.0 s covers no step of dt=0\.001 s"):
+            run_script(ref_plant, [Wait(-1.0)])
 
     def test_disturbance_magnitude_nan(self):
         with pytest.raises(ValueError, match="magnitude"):

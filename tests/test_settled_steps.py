@@ -2,8 +2,9 @@
 
 The reference is the same run with ``step_plant`` never told that a step is
 settled, so it recomputes every state. The fast run must equal it bit for
-bit: every row, the CSV bytes and the event log. ``0.0`` and ``-0.0`` count
-as different values throughout.
+bit: every row, the CSV bytes and the event log. The CSV must also equal a
+formatter that reprs every cell of every row. ``0.0`` and ``-0.0`` count as
+different values throughout.
 """
 
 import math
@@ -19,6 +20,7 @@ from switchsim import (
     LinearPath,
     MoveMotorTo,
     SetVelocity,
+    Side,
     SimState,
     Simulator,
     SwitchMode,
@@ -30,7 +32,8 @@ from switchsim import (
 )
 from switchsim import plant as plant_module
 from switchsim.experiments import motor_travel_per_traversal
-from switchsim.plant import DISTURBANCE_TARGETS
+from switchsim.plant import DISTURBANCE_TARGETS, initial_state, step_plant
+from test_golden_trace import golden_run, mixed_run
 
 PATHS = {
     "linear": (LinearPath(300.0, 25.0), LinearPath(310.0, 27.0)),
@@ -132,6 +135,7 @@ def test_settled_steps_equal_the_recomputed_run(monkeypatch, ref_plant, kind, ta
         assert first_difference(fast.trace.events, ref.trace.events) is None
         csv = fast.trace.to_csv(), ref.trace.to_csv()
         assert first_difference(*(text.split("\n") for text in csv)) is None
+        assert first_difference(csv[0].split("\n"), naive_csv(fast.trace.rows).split("\n")) is None
         assert fast.trace.events_to_csv() == ref.trace.events_to_csv()
         assert shared_rows(fast.trace.rows) > 0 == shared_rows(ref.trace.rows)
 
@@ -146,6 +150,14 @@ def naive_csv(rows) -> str:
     return "\n".join(lines) + "\n"
 
 
+@pytest.mark.parametrize("run", [golden_run, mixed_run], ids=["golden", "mixed"])
+def test_golden_csv_equals_the_formatter_without_reuse(run):
+    trace = run()
+    assert first_difference(trace.to_csv().split("\n"), naive_csv(trace.rows).split("\n")) is None
+    motors = [row.motor_angle for row in trace.rows]
+    assert any(a is b for a, b in zip(motors, motors[1:]))
+
+
 def test_csv_reuses_cells_only_for_the_same_objects():
     # Each field is the previous row's object, or a new float of the other
     # sign: 0.0 and -0.0 alternate, equal under ==, so a cell reused on ==
@@ -155,15 +167,27 @@ def test_csv_reuses_cells_only_for_the_same_objects():
     modes = [SwitchMode.NEUTRAL, SwitchMode.TRAVERSING, SwitchMode.ENGAGED_PLUS]
     for k in range(1, 400):
         last = rows[-1]
-        fields = [value if rng.random() < 0.5 else -value for value in last[3:]]
+        motor, *fields = [value if rng.random() < 0.5 else -value for value in last[1:2] + last[3:]]
         switch = last.switch
         if rng.random() < 0.5:
             switch = SwitchState(rng.choice(modes), -switch.psi)
-        rows.append(SimState(k * 1e-3, -last.motor_angle, switch, *fields))
+        rows.append(SimState(k * 1e-3, motor, switch, *fields))
     trace = Trace(rows=rows, events=[])
     csv = trace.to_csv()
     assert first_difference(csv.split("\n"), naive_csv(rows).split("\n")) is None
     assert shared_rows(rows) > 0 and "-0.0" in csv
+
+
+@pytest.mark.parametrize("settled", [False, True])
+@pytest.mark.parametrize("engaged", [Side.PLUS, None], ids=["engaged", "neutral"])
+def test_a_still_motor_keeps_its_angle_object_unless_it_is_negative_zero(ref_plant, settled, engaged):
+    rest = initial_state(ref_plant, engaged)
+    for angle in (-0.0, 0.0, 37.5, -1e-300):
+        state = rest._replace(motor_angle=angle)
+        for delta in (0.0, -0.0):
+            new, _ = step_plant(state, ref_plant, 1e-3, motor_delta=delta, settled=settled)
+            assert new.motor_angle.hex() == (angle + delta).hex()  # -0.0 + 0.0 is 0.0
+            assert new.motor_angle is angle or angle == 0.0
 
 
 class CountingPath:
