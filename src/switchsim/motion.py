@@ -100,6 +100,12 @@ def trapezoid_duration(distance: float, max_speed: float, accel: float) -> float
     2*sqrt(distance/a). ``accel = inf`` gives the kinematic floor distance/v.
     """
     _limits(max_speed, accel)
+    return _trapezoid_duration(distance, max_speed, accel)
+
+
+def _trapezoid_duration(distance: float, max_speed: float, accel: float) -> float:
+    """``trapezoid_duration`` for limits that already passed ``_limits``, such as a
+    ``MotorModel``'s: the limits are not checked again."""
     if _in_range("distance", distance, "not negative") == 0.0:
         return 0.0
     if math.isinf(accel):

@@ -29,7 +29,7 @@ from .geometry import (
     validate_layout,
     DEFAULT_BACKLASH_MARGIN,
 )
-from .motion import trapezoid_duration
+from .motion import _trapezoid_duration
 from .plant import MotorModel
 from .switching import TraversalModel
 
@@ -146,7 +146,8 @@ def _design_result(
 ) -> DesignResult:
     """The prediction for a validated layout, its engagement, traversal and envelope."""
     travel = traversal.motor_travel(engagement.theta_track)
-    t_switch = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
+    # MotorModel checked its limits when it was built.
+    t_switch = _trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
     return DesignResult(
         layout=layout,
         predicted_t_switch_ms=t_switch * 1000.0,

@@ -28,6 +28,7 @@ from .switching import (
     Side,
     SwitchState,
     TraversalModel,
+    _switch,
     step_switch,
 )
 
@@ -129,15 +130,17 @@ def _state(
     switch: SwitchState,
     joint_angle: float,
     disturbances: tuple[float, float],
-) -> SimState:
-    """The state at ``t``, with ``disturbances`` mm of extra (plus, minus) payout.
+) -> tuple[SimState, tuple[float, float]]:
+    """The state at ``t``, with ``disturbances`` mm of extra (plus, minus) payout,
+    and the undisturbed (plus, minus) cable lengths at ``joint_angle``.
 
     Raises:
         SlackDetected: a tension is not positive (timestamped).
         SwitchSimError: a tension overflows to infinity (timestamped).
     """
-    payout_plus = config.path_plus.length(joint_angle) + disturbances[0]
-    payout_minus = config.path_minus.length(-joint_angle) + disturbances[1]
+    lengths = config.path_plus.length(joint_angle), config.path_minus.length(-joint_angle)
+    payout_plus = lengths[0] + disturbances[0]
+    payout_minus = lengths[1] + disturbances[1]
     tension_plus = config.spool_plus.tension(payout_plus)
     tension_minus = config.spool_minus.tension(payout_minus)
     if not (0.0 < tension_plus < math.inf and 0.0 < tension_minus < math.inf):
@@ -149,7 +152,7 @@ def _state(
                 raise SwitchSimError(f"{where} finite at t={t:.6f} s")
     return SimState(
         t, motor_angle, switch, joint_angle, payout_plus, payout_minus, tension_plus, tension_minus
-    )
+    ), lengths
 
 
 def initial_state(config: PlantConfig, engaged: Side | None = Side.PLUS) -> SimState:
@@ -158,7 +161,7 @@ def initial_state(config: PlantConfig, engaged: Side | None = Side.PLUS) -> SimS
         switch = SwitchState.neutral()
     else:
         switch = SwitchState.engaged(engaged, config.engagement)
-    return _state(config, 0.0, 0.0, switch, 0.0, (0.0, 0.0))
+    return _state(config, 0.0, 0.0, switch, 0.0, (0.0, 0.0))[0]
 
 
 def step_plant(
@@ -187,35 +190,65 @@ def step_plant(
     without recomputing or re-checking them. Omitting it gives the same
     values, recomputed.
 
+    This entry checks the step end time and, through ``step_switch``, the
+    motor delta and ``state.switch``; the plant's part of the step is
+    ``_advance``, which checks nothing.
+
     Raises:
+        ValueError: ``t`` is not after ``state.t``, or ``motor_delta`` is not finite.
+        InvalidState: ``state.switch`` violates its mode/position invariants.
         RangeExceeded: joint driven outside [-pi/2, +pi/2] (timestamped).
         SlackDetected: a tension is not positive (timestamped).
         SwitchSimError: a tension overflows to infinity (timestamped).
     """
     if not (t > state.t):
         raise ValueError(f"step end time {t!r} must be after the state time {state.t!r}")
-
-    switch, events, spool_rotation = step_switch(
+    stepped = step_switch(
         state.switch,
         config.traversal,
         config.engagement,
         math.radians(motor_delta),
         spool_ratio=config.layout.driven_speed_ratio,
     )
+    disturbances = (disturbance_plus, disturbance_minus)
+    return _advance(state, config, t, motor_delta, stepped, disturbances, settled, None)[:2]
 
+
+def _advance(
+    state: SimState,
+    config: PlantConfig,
+    t: float,
+    motor_delta: float,
+    stepped: tuple[SwitchState, list[Event], float],
+    disturbances: tuple[float, float],
+    settled: bool,
+    lengths: tuple[float, float] | None,
+) -> tuple[SimState, list[Event], tuple[float, float] | None]:
+    """``step_plant``'s step, with no check, once the switch step gave ``stepped``.
+
+    ``lengths`` are the undisturbed (plus, minus) cable lengths that
+    ``_state`` computed at ``state.joint_angle``, or None. A driven step
+    takes its old length from them, never from the payouts, which carry the
+    last step's disturbance. Returns the new state, the events and the
+    lengths at the new joint angle.
+    """
+    switch, events, spool_rotation = stepped
     # x + 0.0 is x bit for bit unless x is -0.0, so a still motor keeps its angle object.
     motor_angle = state.motor_angle
     if motor_delta != 0.0 or motor_angle == 0.0:
         motor_angle += motor_delta
     if settled and spool_rotation == 0.0:
-        return SimState(t, motor_angle, switch, *state[3:]), events
+        return SimState(t, motor_angle, switch, *state[3:]), events, lengths
 
     joint_angle = state.joint_angle
     if spool_rotation != 0.0:
         side = switch.engaged_side
         sign = side.sign
         path = config.path(side)
-        length0 = path.length(sign * joint_angle)
+        if lengths is None:
+            length0 = path.length(sign * joint_angle)
+        else:
+            length0 = lengths[0] if sign > 0 else lengths[1]
         length1 = length0 - sign * config.spool(side).spool_radius * spool_rotation
         try:
             joint_angle = sign * path.inverse(length1)
@@ -224,8 +257,8 @@ def step_plant(
                 f"joint left [-90, +90] deg at t={t:.6f} s: {exc}"
             ) from exc
 
-    disturbances = (disturbance_plus, disturbance_minus)
-    return _state(config, t, motor_angle, switch, joint_angle, disturbances), events
+    new, lengths = _state(config, t, motor_angle, switch, joint_angle, disturbances)
+    return new, events, lengths
 
 
 # --------------------------------------------------------------------------
@@ -410,6 +443,10 @@ class Simulator:
     ``-0.0`` for ``0.0``. A step with the motor still keeps the motor angle's
     object, unless that angle is ``-0.0`` (``-0.0 + 0.0`` is ``0.0``), so
     ``Trace.to_csv`` reuses its cell.
+
+    A run checks its entry state once: its first step, or its leap, goes
+    through ``step_plant``, as ``self.state`` is public and may have been
+    replaced. Its later steps call the unchecked cores (``_steps``).
     """
 
     def __init__(
@@ -512,19 +549,19 @@ class Simulator:
 
     def _run(self, steps: int, until: Side | None = None) -> None:
         """Take ``steps`` steps, none if fewer than one; stop once ``until`` is engaged."""
+        checked = False  # whether step_plant has checked self.state in this run
         if not self.record and self._pulses is None:
             leap = self._leap(steps, until)
             if leap > 1:
                 try:
-                    self._step(leap)
+                    self._steps(1, None, leap)
                 except SwitchSimError:
                     pass  # nothing changed before step_plant raised: step to time the failure
                 else:
                     steps -= leap
-        for _ in range(steps):
-            self._step()
-            if until is not None and self.state.switch.engaged_side is until:
-                return
+                    checked = True
+        if steps >= 1:
+            self._steps(steps, until, checked=checked)
 
     def _leap(self, steps: int, until: Side | None) -> int:
         """Steps of ``steps`` that one closed-form step may cover.
@@ -579,36 +616,60 @@ class Simulator:
             return self._profile_t0 + self._profile.time_at_distance(covered)
         return t0 + progress_deg / abs(self._velocity)  # an event needs motor motion
 
-    def _step(self, steps: int = 1) -> None:
-        dt = self.config.dt
-        t0 = self._step_index * dt
-        t1 = (self._step_index + steps) * dt
-        covered, delta = self._covered, self._velocity * dt * steps
-        if self._profile is not None:
-            covered = self._profile.position(t1 - self._profile_t0)
-            delta = covered - self._covered
-        signal = self._pulses.step(dt) if self._pulses is not None else 0.0
-        disturbed = dist_plus, dist_minus = self._disturbances(signal)
-        last_plus, last_minus = self._disturbed
-        state, events = step_plant(
-            self.state,
-            self.config,
-            t1,
-            motor_delta=delta,
-            disturbance_plus=dist_plus,
-            disturbance_minus=dist_minus,
-            settled=dist_plus is last_plus and dist_minus is last_minus,
-        )
-        for event in events:
-            self.trace.events.append(
-                TimedEvent(self._event_time(t0, event.motor_progress), event.kind, event.side, event.psi)
-            )
-        self.state = state
-        self._disturbed = disturbed
-        self._covered = covered  # only now: a failed leap re-steps from the old position
-        self._step_index += steps
-        if self.record:
-            self.trace.rows.append(state)
+    def _steps(
+        self, count: int, until: Side | None, size: int = 1, checked: bool = False
+    ) -> None:
+        """Take ``count`` plant steps of ``size`` grid steps each; stop once ``until`` is engaged.
+
+        Unless ``checked`` says that ``step_plant`` made ``self.state`` in
+        this run, the first step goes through ``step_plant``, which checks
+        it. Each later step calls the cores on the state the step before
+        made, with the run's constants looked up once. A later step whose end
+        time or motor delta ``step_plant`` would refuse goes through it too,
+        and it raises.
+        """
+        config = self.config
+        dt = config.dt
+        profile, pulses = self._profile, self._pulses
+        rows = self.trace.rows if self.record else None
+        velocity_delta = self._velocity * dt * size
+        if checked or count > 1:
+            engagement = config.engagement
+            k_eff, spool_ratio = config.traversal.effective_ratio, config.layout.driven_speed_ratio
+        lengths = None  # undisturbed, at self.state's joint
+        for _ in range(count):
+            index = self._step_index
+            t0 = index * dt
+            t1 = (index + size) * dt
+            covered, delta = self._covered, velocity_delta
+            if profile is not None:
+                covered = profile.position(t1 - self._profile_t0)
+                delta = covered - self._covered
+            signal = pulses.step(dt) if pulses is not None else 0.0
+            disturbed = dist_plus, dist_minus = self._disturbances(signal)
+            last_plus, last_minus = self._disturbed
+            settled = dist_plus is last_plus and dist_minus is last_minus
+            state = self.state
+            if checked and t1 > state.t and math.isfinite(delta):
+                stepped = _switch(state.switch, engagement, k_eff, math.radians(delta), spool_ratio)
+                state, events, lengths = _advance(
+                    state, config, t1, delta, stepped, disturbed, settled, lengths
+                )
+            else:
+                state, events = step_plant(state, config, t1, delta, dist_plus, dist_minus, settled)
+                checked = True
+            for event in events:
+                self.trace.events.append(
+                    TimedEvent(self._event_time(t0, event.motor_progress), event.kind, event.side, event.psi)
+                )
+            self.state = state
+            self._disturbed = disturbed
+            self._covered = covered  # only now: a failed leap re-steps from the old position
+            self._step_index = index + size
+            if rows is not None:
+                rows.append(state)
+            if until is not None and state.switch.engaged_side is until:
+                return
 
 
 def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:

@@ -208,13 +208,32 @@ def step_switch(
     ``spool_ratio`` (z_drive/z_driven) scales motor rotation to driven-spool
     rotation.
 
+    This entry checks the delta and the entry state, then takes the step in
+    ``_switch``, which checks nothing.
+
     Raises:
+        ValueError: ``motor_delta`` is not finite.
         InvalidState: the entry state violates its mode/position invariants.
     """
     if not math.isfinite(motor_delta):
         raise ValueError(f"motor_delta must be finite, got {motor_delta!r}")
     _check_entry(state, engagement)
+    return _switch(state, engagement, model.effective_ratio, motor_delta, spool_ratio)
 
+
+def _switch(
+    state: SwitchState,
+    engagement: EngagementSolution,
+    k_eff: float,
+    motor_delta: float,
+    spool_ratio: float,
+) -> tuple[SwitchState, list[Event], float]:
+    """``step_switch``'s step, with no check: ``k_eff`` is the model's effective ratio.
+
+    The caller vouches that ``motor_delta`` is finite and that ``state``
+    meets its mode's invariants: ``step_switch`` checked it, or ``_switch``
+    made it.
+    """
     if motor_delta == 0.0:
         if state.mode is SwitchMode.TRAVERSING and engagement.in_neutral_band(state.psi):
             return SwitchState.neutral(state.psi), [], 0.0
@@ -225,7 +244,6 @@ def step_switch(
     if engaged is not None and direction == engaged.sign:
         return state, [], motor_delta * spool_ratio  # engaging direction: all to the spool
 
-    k_eff = model.effective_ratio
     psi0 = state.psi
     events: list[Event] = []
     if engaged is not None:

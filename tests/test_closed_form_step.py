@@ -40,15 +40,19 @@ from switchsim.switching import TraversalModel
 
 @pytest.fixture()
 def step_plant_calls(monkeypatch):
-    """Counts the plant steps every Simulator takes."""
+    """Counts the plant steps every Simulator takes.
+
+    Every step reaches the plant core ``_advance``: the checked ``step_plant``
+    calls it, and so does a run's every step after its first.
+    """
     calls = []
-    step_plant = plant_module.step_plant
+    advance = plant_module._advance
 
     def counted(*args, **kwargs):
         calls.append(args[2])
-        return step_plant(*args, **kwargs)
+        return advance(*args, **kwargs)
 
-    monkeypatch.setattr(plant_module, "step_plant", counted)
+    monkeypatch.setattr(plant_module, "_advance", counted)
     return calls
 
 

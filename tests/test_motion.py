@@ -1,9 +1,11 @@
 import math
+import random
 
 import pytest
 from hypothesis import given, strategies as st
 
 from switchsim import MotorModel, TrapezoidalProfile, trapezoid_duration
+from switchsim import motion
 
 
 CAL_ACCEL = 720.0 / (0.302 - 122.6 / 720.0)  # reference profile acceleration
@@ -114,3 +116,24 @@ def test_profile_position_move_uses_motor_limits():
     p = TrapezoidalProfile.plan(122.6, motor.max_output_speed, motor.profile_accel)
     assert p.duration == pytest.approx(0.302, abs=1e-12)
     assert p.peak_speed == 720.0
+
+
+def test_duration_core_equals_the_checked_duration():
+    """``_trapezoid_duration``, which checks no limit, gives the public function's bits."""
+    rng = random.Random(20)
+    cases = []
+    for _ in range(300):
+        speed = rng.uniform(1.0, 1000.0)
+        accel = rng.choice([rng.uniform(10.0, 1e5), math.inf])
+        ramp = speed * speed / accel
+        cases += [
+            (rng.uniform(ramp, ramp + 500.0), speed, accel),  # trapezoid (floor at inf)
+            (rng.uniform(0.0, ramp) if ramp else 1e-9, speed, accel),  # triangle
+            (ramp, speed, accel),  # the boundary
+            (0.0, speed, accel),
+        ]
+    kinds = {("inf" if a == math.inf else d == 0.0 or d >= v * v / a) for d, v, a in cases}
+    assert kinds == {"inf", True, False}
+    for case in cases:
+        assert motion._trapezoid_duration(*case).hex() == trapezoid_duration(*case).hex(), case
+

@@ -16,9 +16,10 @@ from switchsim import (
     optimize,
     run_switching_time,
     solve_center_distance,
+    trapezoid_duration,
     validate_layout,
 )
-from switchsim import geometry
+from switchsim import geometry, motion
 from switchsim.optimizer import enumerate_layouts
 
 SLIP_REF = 1.0 - 1.8 / (122.6 / 19.8)
@@ -267,6 +268,23 @@ class TestOptimize:
             for layout in checked
         ]
         assert built == valid
+
+    def test_checks_no_motor_limit_per_candidate(self, motor, monkeypatch):
+        # The MotorModel checked its limits once; each candidate's duration
+        # comes from the unchecked core, with the checked function's bits.
+        checks = []
+        limits = motion._limits
+        monkeypatch.setattr(motion, "_limits", lambda *args: checks.append(args) or limits(*args))
+        space = singleton_space(
+            drive_teeth=(16, 20, 24), driven_teeth=(16, 20, 24), psi_star_targets=(0.1, PSI_REF)
+        )
+        ranked = optimize(space, DesignConstraints(), SLIP_REF, motor)
+        assert len(ranked) > 5 and checks == []
+        for result in ranked:
+            travel = math.degrees(result.k_eff * result.theta_track)
+            want = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
+            assert result.predicted_t_switch_ms == want * 1000.0
+        assert len(checks) == len(ranked)
 
     def test_negative_margin_solves_nothing(self, motor, monkeypatch):
         # A negative backlash margin fails every candidate's field checks.

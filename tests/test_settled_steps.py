@@ -101,14 +101,16 @@ def run(plant, script):
 
 
 def reference_run(monkeypatch, plant, script):
-    """``run`` with ``step_plant`` never passed ``settled``."""
-    step_plant = plant_module.step_plant
+    """``run`` with every step recomputed: the plant core ``_advance``, which
+    ``step_plant`` and a run's later steps call, is never told that a step
+    is settled, nor given the lengths at the old joint angle."""
+    advance = plant_module._advance
 
-    def recomputing(*args, settled=False, **kwargs):
-        return step_plant(*args, **kwargs)
+    def recomputing(state, config, t, motor_delta, stepped, disturbances, settled, lengths):
+        return advance(state, config, t, motor_delta, stepped, disturbances, False, None)
 
     with monkeypatch.context() as patch:
-        patch.setattr(plant_module, "step_plant", recomputing)
+        patch.setattr(plant_module, "_advance", recomputing)
         return run(plant, script)
 
 
@@ -214,17 +216,17 @@ def test_a_settled_step_evaluates_no_path_length(monkeypatch, ref_plant):
     travel = motor_travel_per_traversal(plant)
     script = disturbed_script(random.Random(1), travel, "disengaged", 5.0)
     steps = []
-    step_plant = plant_module.step_plant
+    advance = plant_module._advance
 
-    def observed(*args, **kwargs):
+    def observed(state, config, t, motor_delta, stepped, disturbances, settled, lengths):
         before = sum(path.lengths for path in counting)
-        new, events = step_plant(*args, **kwargs)
-        lengths = sum(path.lengths for path in counting) - before
-        still = new.switch.engaged_side is None or kwargs["motor_delta"] == 0.0
-        steps.append(((kwargs["disturbance_plus"], kwargs["disturbance_minus"]), still, lengths))
-        return new, events
+        out = advance(state, config, t, motor_delta, stepped, disturbances, settled, lengths)
+        evaluated = sum(path.lengths for path in counting) - before
+        still = out[0].switch.engaged_side is None or motor_delta == 0.0
+        steps.append((disturbances, still, evaluated))
+        return out
 
-    monkeypatch.setattr(plant_module, "step_plant", observed)
+    monkeypatch.setattr(plant_module, "_advance", observed)
     _, error = run(plant, script)
     assert error is None
     settled = [
