@@ -51,6 +51,7 @@ from .plant import (
     SetVelocity,
     SpoolModel,
     Wait,
+    _check_pulse_dt,
     _command_steps,
     initial_state,
 )
@@ -415,23 +416,22 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
                 other = f"the ({', '.join(spec.replaces)}) pair"
             p.fail(p.line(section, key), f"give either {key} or {other}, not both")
 
-    # Cross-field checks: script rates within the speed limit, waits that
-    # ``Simulator.wait`` takes, then the plant build (which validates the
+    # Cross-field checks: script lines that the speed limit, ``Simulator.wait``
+    # and ``Simulator.inject`` accept, then the plant build (which validates the
     # layout first), a taut rest state, and one switching trial (two
     # traversals) within the step budget that ``run_switching_time`` applies.
     if not p.errors:
         motor = MotorModel(cfg.max_output_speed)
         for line_no, cmd in p.script:
-            if isinstance(cmd, SetVelocity):
-                try:
+            try:
+                if isinstance(cmd, SetVelocity):
                     motor.check_speed(cmd.rate)
-                except ValueError as exc:
-                    p.fail(line_no, str(exc))
-            if isinstance(cmd, Wait):
-                try:
+                if isinstance(cmd, Wait):
                     _command_steps("wait", cmd.duration, cfg.dt_s)
-                except SwitchSimError as exc:
-                    p.fail(line_no, str(exc))
+                if isinstance(cmd, InjectDisturbance) and cmd.profile is not None:
+                    _check_pulse_dt(cfg.dt_s)
+            except (SwitchSimError, ValueError) as exc:
+                p.fail(line_no, str(exc))
         try:
             plant = cfg.plant()
             initial_state(plant)

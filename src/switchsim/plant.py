@@ -171,7 +171,6 @@ def step_plant(
     motor_delta: float = 0.0,
     disturbance_plus: float = 0.0,
     disturbance_minus: float = 0.0,
-    settled: bool = False,
 ) -> tuple[SimState, list[Event]]:
     """Advance the plant to time ``t`` with the given motor increment.
 
@@ -184,15 +183,9 @@ def step_plant(
     (mm) on that side for this step only. While traversing or neutral the
     joint is untouched (transparency).
 
-    ``settled=True`` states that the disturbance pair is bit for bit the pair
-    that made ``state``. If no spool turns, the joint, payouts and tensions
-    are then those of ``state``, and the new state reuses its float objects
-    without recomputing or re-checking them. Omitting it gives the same
-    values, recomputed.
-
     This entry checks the step end time and, through ``step_switch``, the
     motor delta and ``state.switch``; the plant's part of the step is
-    ``_advance``, which checks nothing.
+    ``_advance``, which checks nothing, and it recomputes the new state.
 
     Raises:
         ValueError: ``t`` is not after ``state.t``, or ``motor_delta`` is not finite.
@@ -211,7 +204,7 @@ def step_plant(
         spool_ratio=config.layout.driven_speed_ratio,
     )
     disturbances = (disturbance_plus, disturbance_minus)
-    return _advance(state, config, t, motor_delta, stepped, disturbances, settled, None)[:2]
+    return _advance(state, config, t, motor_delta, stepped, disturbances, False, None)[:2]
 
 
 def _advance(
@@ -226,11 +219,13 @@ def _advance(
 ) -> tuple[SimState, list[Event], tuple[float, float] | None]:
     """``step_plant``'s step, with no check, once the switch step gave ``stepped``.
 
-    ``lengths`` are the undisturbed (plus, minus) cable lengths that
-    ``_state`` computed at ``state.joint_angle``, or None. A driven step
-    takes its old length from them, never from the payouts, which carry the
-    last step's disturbance. Returns the new state, the events and the
-    lengths at the new joint angle.
+    ``settled`` states that ``disturbances`` is bit for bit the pair that
+    made ``state``: a step that turns no spool then reuses ``state``'s joint,
+    payouts and tensions, unchecked. ``lengths`` are the undisturbed (plus,
+    minus) cable lengths that ``_state`` computed at ``state.joint_angle``,
+    or None. A driven step takes its old length from them, never from the
+    payouts, which carry the last step's disturbance. Returns the new state,
+    the events and the lengths at the new joint angle.
     """
     switch, events, spool_rotation = stepped
     # x + 0.0 is x bit for bit unless x is -0.0, so a still motor keeps its angle object.
@@ -437,16 +432,16 @@ class Simulator:
     timestamp of the grid step it happens in.
 
     A step that turns no spool, with the same disturbance objects as the step
-    before it, is settled: its state reuses the previous state's joint,
-    payouts and tensions (``step_plant``'s ``settled``). Identity, not ``==``,
+    that made its state, is settled: its state reuses that state's joint,
+    payouts and tensions (``_advance``'s ``settled``). Identity, not ``==``,
     decides, so a pair never stands in for one with other bits, such as
     ``-0.0`` for ``0.0``. A step with the motor still keeps the motor angle's
     object, unless that angle is ``-0.0`` (``-0.0 + 0.0`` is ``0.0``), so
     ``Trace.to_csv`` reuses its cell.
 
-    A run checks its entry state once: its first step, or its leap, goes
-    through ``step_plant``, as ``self.state`` is public and may have been
-    replaced. Its later steps call the unchecked cores (``_steps``).
+    It reuses only the state it made (``_steps``): a new simulator's state,
+    or one after ``state`` or ``config`` was replaced, goes through
+    ``step_plant``, which checks it and recomputes it.
     """
 
     def __init__(
@@ -466,7 +461,7 @@ class Simulator:
         self._velocity = 0.0
         self._pulses: _PulseState | None = None
         self._n_injections = 0
-        self._disturbed = (0.0, 0.0)  # the disturbance pair that made self.state
+        self._made: tuple = (None, None, None, None)  # see _steps
 
     @property
     def t(self) -> float:
@@ -508,9 +503,11 @@ class Simulator:
         self._run(_command_steps("wait", duration, self.config.dt))
 
     def inject(self, profile: DisturbancePulses | None) -> None:
+        """Start ``profile``'s pulses, or stop them with None; refuses dt > PULSE_MIN_GAP."""
         if profile is None:
             self._pulses = None
             return
+        _check_pulse_dt(self.config.dt)
         self._n_injections += 1
         self._pulses = _PulseState(profile, self.config.seed + 7919 * self._n_injections)
 
@@ -549,19 +546,17 @@ class Simulator:
 
     def _run(self, steps: int, until: Side | None = None) -> None:
         """Take ``steps`` steps, none if fewer than one; stop once ``until`` is engaged."""
-        checked = False  # whether step_plant has checked self.state in this run
         if not self.record and self._pulses is None:
             leap = self._leap(steps, until)
             if leap > 1:
                 try:
                     self._steps(1, None, leap)
                 except SwitchSimError:
-                    pass  # nothing changed before step_plant raised: step to time the failure
+                    pass  # nothing changed before the leap raised: step to time the failure
                 else:
                     steps -= leap
-                    checked = True
         if steps >= 1:
-            self._steps(steps, until, checked=checked)
+            self._steps(steps, until)
 
     def _leap(self, steps: int, until: Side | None) -> int:
         """Steps of ``steps`` that one closed-form step may cover.
@@ -616,27 +611,26 @@ class Simulator:
             return self._profile_t0 + self._profile.time_at_distance(covered)
         return t0 + progress_deg / abs(self._velocity)  # an event needs motor motion
 
-    def _steps(
-        self, count: int, until: Side | None, size: int = 1, checked: bool = False
-    ) -> None:
+    def _steps(self, count: int, until: Side | None, size: int = 1) -> None:
         """Take ``count`` plant steps of ``size`` grid steps each; stop once ``until`` is engaged.
 
-        Unless ``checked`` says that ``step_plant`` made ``self.state`` in
-        this run, the first step goes through ``step_plant``, which checks
-        it. Each later step calls the cores on the state the step before
-        made, with the run's constants looked up once. A later step whose end
-        time or motor delta ``step_plant`` would refuse goes through it too,
-        and it raises.
+        ``self._made`` is the (state, config, disturbance pair, lengths or None)
+        that the last run ended with. A step on a state that its record or the
+        step before made, under that record's config, calls the cores with the
+        run's constants looked up once; any other state, or an end time or
+        motor delta that ``step_plant`` refuses, goes through ``step_plant``.
+        A run that raises keeps the old record.
         """
         config = self.config
         dt = config.dt
         profile, pulses = self._profile, self._pulses
         rows = self.trace.rows if self.record else None
         velocity_delta = self._velocity * dt * size
-        if checked or count > 1:
+        made, made_config, last, lengths = self._made
+        trusted = made is self.state and made_config is config
+        if trusted or count > 1:
             engagement = config.engagement
             k_eff, spool_ratio = config.traversal.effective_ratio, config.layout.driven_speed_ratio
-        lengths = None  # undisturbed, at self.state's joint
         for _ in range(count):
             index = self._step_index
             t0 = index * dt
@@ -646,30 +640,29 @@ class Simulator:
                 covered = profile.position(t1 - self._profile_t0)
                 delta = covered - self._covered
             signal = pulses.step(dt) if pulses is not None else 0.0
-            disturbed = dist_plus, dist_minus = self._disturbances(signal)
-            last_plus, last_minus = self._disturbed
-            settled = dist_plus is last_plus and dist_minus is last_minus
+            disturbed = self._disturbances(signal)
             state = self.state
-            if checked and t1 > state.t and math.isfinite(delta):
+            if trusted and t1 > state.t and math.isfinite(delta):
+                settled = disturbed[0] is last[0] and disturbed[1] is last[1]
                 stepped = _switch(state.switch, engagement, k_eff, math.radians(delta), spool_ratio)
                 state, events, lengths = _advance(
                     state, config, t1, delta, stepped, disturbed, settled, lengths
                 )
             else:
-                state, events = step_plant(state, config, t1, delta, dist_plus, dist_minus, settled)
-                checked = True
+                state, events = step_plant(state, config, t1, delta, *disturbed)
+                trusted, lengths = True, None
             for event in events:
                 self.trace.events.append(
                     TimedEvent(self._event_time(t0, event.motor_progress), event.kind, event.side, event.psi)
                 )
-            self.state = state
-            self._disturbed = disturbed
+            self.state, last = state, disturbed
             self._covered = covered  # only now: a failed leap re-steps from the old position
             self._step_index = index + size
             if rows is not None:
                 rows.append(state)
             if until is not None and state.switch.engaged_side is until:
-                return
+                break
+        self._made = (self.state, config, last, lengths)
 
 
 def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:
@@ -685,6 +678,12 @@ def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:
             f"over the budget of {STEP_BUDGET} steps"
         )
     return runs * math.ceil(steps)
+
+
+def _check_pulse_dt(dt: float) -> None:
+    """SwitchSimError for pulses on steps over ``PULSE_MIN_GAP`` s, which toggle without bound."""
+    if dt > PULSE_MIN_GAP:
+        raise SwitchSimError(f"disturbance pulses need dt of at most {PULSE_MIN_GAP!r} s, got {dt!r} s")
 
 
 def _command_steps(name: str, duration: float, dt: float) -> int:

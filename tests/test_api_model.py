@@ -9,6 +9,11 @@ step, state within 1e-12, event kinds and sides exactly, tensions finite
 and positive and the joint within +/-90 deg. Only ``SwitchSimError`` and
 ``ValueError`` may escape a command.
 
+A simulator reuses only the state it made. So one rule puts a state that
+neither made into both: the recorded state with its payouts recomputed
+under a disturbance pair, as ``step_plant`` gives it. The next step of each
+must then be ``step_plant``'s from that state, bit for bit.
+
 The stepped run sums one increment per step where the leap adds once, so
 their roundoff grows with the magnitudes the run passed through: after a
 move to -332 deg and back, the motor angles differ by 1e-12 deg. Each
@@ -16,13 +21,15 @@ quantity is compared within 1e-12 of the largest magnitude it has reached,
 and at least 1e-12.
 """
 
+import copy
 import math
 
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from switchsim import Config, DisturbancePulses, Side, Simulator, SwitchSimError
-from switchsim.plant import DISTURBANCE_TARGETS
+from switchsim.plant import DISTURBANCE_TARGETS, step_plant
+from test_settled_steps import bits
 
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan)
 
@@ -34,6 +41,7 @@ rates = st.sampled_from(EXTREMES + (721.0,)) | st.floats(-720.0, 720.0)
 sides = st.sampled_from([Side.PLUS, Side.MINUS])
 magnitudes = st.sampled_from(EXTREMES) | st.floats(0.0, 20.0)
 widths = st.sampled_from(EXTREMES) | st.floats(1e-3, 0.3)
+disturbances = st.sampled_from(EXTREMES) | st.floats(-20.0, 20.0)
 
 
 class SimulatorModel(RuleBasedStateMachine):
@@ -86,6 +94,34 @@ class SimulatorModel(RuleBasedStateMachine):
             sim.inject(profile)
 
         self._command(command)
+
+    @rule(plus=disturbances, minus=disturbances)
+    def replace_state(self, plus, minus):
+        if self.refused:
+            return
+        recorded = self.sims[0]
+        plant, state = recorded.config, recorded.state
+        try:
+            stepped, _ = step_plant(state, plant, state.t + plant.dt, 0.0, plus, minus)
+        except SwitchSimError:
+            return  # the pair leaves a tension that is not positive and finite
+        foreign = stepped._replace(t=state.t)
+        for sim in self.sims:
+            sim.state = foreign
+        # The next step's motor delta and pair, as the simulator makes them.
+        pulses = copy.deepcopy(recorded._pulses)
+        signal = pulses.step(plant.dt) if pulses is not None else 0.0
+        pair = recorded._disturbances(signal)
+        delta = recorded._velocity * plant.dt
+        self._command(lambda sim: sim.wait(plant.dt))
+        try:
+            want, _ = step_plant(foreign, plant, state.t + plant.dt, delta, *pair)
+        except (SwitchSimError, ValueError) as exc:
+            assert self.refused, exc
+            return
+        assert not self.refused
+        for sim in self.sims:
+            assert bits(tuple(sim.state)[1:]) == bits(tuple(want)[1:]), (sim.state, want)
 
     @invariant()
     def runs_agree(self):

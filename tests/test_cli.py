@@ -140,6 +140,27 @@ class TestIndependence:
         assert "deviated" in err
 
 
+class TestDisturbanceStep:
+    @pytest.mark.parametrize(
+        "command, script",
+        [("simulate", "disturb disengaged 5.0\n"), ("independence", "")],
+    )
+    def test_a_disturbance_on_steps_over_the_shortest_gap_exits_1(self, tmp_path, command, script):
+        # Past the shortest gap a step may toggle a pulse without bound: at
+        # dt_s = 1e15 the gaps round away and the run would never end.
+        cfg = tmp_path / "coarse.cfg"
+        cfg.write_text(f"[sim]\ndt_s = 1e15\n[script]\n{script}wait 1e15\n")
+        result = subprocess.run(
+            [sys.executable, "-m", "switchsim.cli", "--config", str(cfg), command],
+            env=dict(os.environ, PYTHONPATH=SRC),
+            capture_output=True,
+            text=True,
+            timeout=30,
+        )
+        assert (result.returncode, result.stdout) == (1, "")
+        assert "disturbance pulses need dt of at most 0.05 s, got 1000000000000000.0 s" in result.stderr
+
+
 class TestSweep:
     def test_fit_recovers_travel(self, capsys):
         code, out, _ = run_cli(capsys, "sweep")

@@ -43,7 +43,7 @@ def step_plant_calls(monkeypatch):
     """Counts the plant steps every Simulator takes.
 
     Every step reaches the plant core ``_advance``: the checked ``step_plant``
-    calls it, and so does a run's every step after its first.
+    calls it, and so does every step on a state the simulator made.
     """
     calls = []
     advance = plant_module._advance

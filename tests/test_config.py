@@ -276,6 +276,13 @@ class TestErrors:
         err = self.assert_errors("[script]\nmove_to 10\nwait -1\n", "wait of -1.0 s covers no step of dt=0.001 s")
         assert [line for line, _ in err.errors] == [3]
 
+    @pytest.mark.parametrize("dt", ["0.05000000000000001", "1e8", "1e15"])
+    def test_disturbance_over_the_shortest_gap_rejected_at_its_line(self, dt):
+        # Refused exactly when Simulator.inject refuses it; disturb_off starts no pulses.
+        text = f"[sim]\ndt_s = {dt}\n[script]\ndisturb_off\ndisturb disengaged 5.0\nwait {dt}\n"
+        message = f"disturbance pulses need dt of at most 0.05 s, got {float(dt)!r} s"
+        assert self.assert_errors(text, message).errors == [(5, message)]
+
     def test_set_velocity_above_speed_limit_rejected_at_its_line(self):
         text = (
             "[motor]\nmax_output_speed_deg_s = 500.0\n"

@@ -1,4 +1,5 @@
 import math
+import re
 from dataclasses import replace
 
 import pytest
@@ -32,7 +33,9 @@ from switchsim import (
 )
 from switchsim.experiments import full_rom_script, motor_travel_per_traversal
 from switchsim.motion import TrapezoidalProfile
-from switchsim.plant import STEP_BUDGET, steps_to_cover
+from switchsim.plant import PULSE_MIN_GAP, STEP_BUDGET, steps_to_cover
+
+COARSE_DT_MESSAGE = "disturbance pulses need dt of at most 0.05 s, got {!r} s"
 
 
 @pytest.fixture()
@@ -250,6 +253,26 @@ class TestNonFiniteApiInput:
     def test_config_nan_path_parameter(self):
         with pytest.raises(ValueError, match="bow must be finite"):
             Config(antagonist=replace(Config().antagonist, bow=math.nan)).plant()
+
+
+class TestDisturbanceStep:
+    @pytest.mark.parametrize("dt", [0.05000000000000001, 1e8, 1e15])
+    def test_inject_refuses_a_step_over_the_shortest_gap(self, ref_plant, dt):
+        # A pulse toggles until it has time left; past the shortest gap a step
+        # can need any number of toggles, and at 1e15 s the gaps round away.
+        sim = Simulator(replace(ref_plant, dt=dt))
+        with pytest.raises(SwitchSimError, match=f"^{re.escape(COARSE_DT_MESSAGE.format(dt))}$"):
+            sim.inject(DisturbancePulses())
+        sim.inject(None)  # stopping starts no pulse
+        sim.wait(dt)
+        assert len(sim.trace.rows) == 2
+        with pytest.raises(SwitchSimError, match="disturbance pulses need dt of at most"):
+            run_script(replace(ref_plant, dt=dt), [InjectDisturbance(DisturbancePulses())])
+
+    def test_a_step_of_the_shortest_gap_is_accepted(self, ref_plant):
+        plant = replace(ref_plant, dt=PULSE_MIN_GAP)
+        script = [InjectDisturbance(DisturbancePulses("plus", 5.0, 1e-300)), Wait(20.0)]
+        assert len(run_script(plant, script).rows) == 401
 
 
 class TestRunScript:

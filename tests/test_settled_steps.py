@@ -1,7 +1,7 @@
 """A settled step reuses the previous state, and its CSV row the previous cells.
 
-The reference is the same run with ``step_plant`` never told that a step is
-settled, so it recomputes every state. The fast run must equal it bit for
+The reference is the same run with the plant core ``_advance`` never told
+that a step is settled, so it recomputes every state. The fast run must equal it bit for
 bit: every row, the CSV bytes and the event log. The CSV must also equal a
 formatter that reprs every cell of every row. ``0.0`` and ``-0.0`` count as
 different values throughout.
@@ -29,10 +29,11 @@ from switchsim import (
     TabulatedPath,
     Trace,
     Wait,
+    step_switch,
 )
 from switchsim import plant as plant_module
 from switchsim.experiments import motor_travel_per_traversal
-from switchsim.plant import DISTURBANCE_TARGETS, initial_state, step_plant
+from switchsim.plant import DISTURBANCE_TARGETS, _advance, initial_state, step_plant
 from test_golden_trace import golden_run, mixed_run
 
 PATHS = {
@@ -100,15 +101,14 @@ def run(plant, script):
     return sim, None
 
 
+def recomputing(state, config, t, motor_delta, stepped, disturbances, settled, lengths):
+    """The plant core ``_advance``, which every step reaches, never told that a
+    step is settled, nor given the lengths at the old joint angle."""
+    return _advance(state, config, t, motor_delta, stepped, disturbances, False, None)
+
+
 def reference_run(monkeypatch, plant, script):
-    """``run`` with every step recomputed: the plant core ``_advance``, which
-    ``step_plant`` and a run's later steps call, is never told that a step
-    is settled, nor given the lengths at the old joint angle."""
-    advance = plant_module._advance
-
-    def recomputing(state, config, t, motor_delta, stepped, disturbances, settled, lengths):
-        return advance(state, config, t, motor_delta, stepped, disturbances, False, None)
-
+    """``run`` with every step recomputed (``recomputing``)."""
     with monkeypatch.context() as patch:
         patch.setattr(plant_module, "_advance", recomputing)
         return run(plant, script)
@@ -183,11 +183,18 @@ def test_csv_reuses_cells_only_for_the_same_objects():
 @pytest.mark.parametrize("settled", [False, True])
 @pytest.mark.parametrize("engaged", [Side.PLUS, None], ids=["engaged", "neutral"])
 def test_a_still_motor_keeps_its_angle_object_unless_it_is_negative_zero(ref_plant, settled, engaged):
+    # step_plant recomputes; a settled step is the core's, on the pair that made rest.
     rest = initial_state(ref_plant, engaged)
     for angle in (-0.0, 0.0, 37.5, -1e-300):
         state = rest._replace(motor_angle=angle)
         for delta in (0.0, -0.0):
-            new, _ = step_plant(state, ref_plant, 1e-3, motor_delta=delta, settled=settled)
+            if settled:
+                stepped = step_switch(
+                    state.switch, ref_plant.traversal, ref_plant.engagement, math.radians(delta)
+                )
+                new = _advance(state, ref_plant, 1e-3, delta, stepped, (0.0, 0.0), True, None)[0]
+            else:
+                new, _ = step_plant(state, ref_plant, 1e-3, motor_delta=delta)
             assert new.motor_angle.hex() == (angle + delta).hex()  # -0.0 + 0.0 is 0.0
             assert new.motor_angle is angle or angle == 0.0
 

@@ -2,10 +2,10 @@
 
 ``step_switch`` is its checks plus ``switching._switch``, and ``step_plant``
 is its checks plus ``step_switch`` and ``plant._advance``. A ``Simulator``
-run checks its entry state once, in its first step through ``step_plant``;
-its later steps call the cores on states the cores made. The cores must give
-the public functions' results bit for bit, and the public functions must
-keep every check and its wording.
+sends a state it did not make through ``step_plant`` once, for its next
+step; every other step calls the cores on states the cores made. The cores
+must give the public functions' results bit for bit, a settled step
+included, and the public functions must keep every check and its wording.
 """
 
 import math
@@ -34,7 +34,7 @@ from switchsim import plant as plant_module
 from switchsim.experiments import motor_travel_per_traversal
 from switchsim.plant import _advance, _state, step_plant
 from switchsim.switching import _switch
-from test_settled_steps import CountingPath, bits
+from test_settled_steps import CountingPath, bits, recomputing
 
 PATHS = {
     "linear": (LinearPath(300.0, 25.0), LinearPath(310.0, 27.0)),
@@ -112,10 +112,9 @@ def test_plant_core_equals_step_plant(ref_plant, kind, mode, disturbance):
             (plant.path_plus.length(joint), plant.path_minus.length(-joint))
         )
         for delta in random_deltas(rng, travel):
+            # step_plant recomputes; the state was made under pair, so settling is right.
+            public = outcome(lambda: step_plant(state, plant, 0.501, delta, *pair))
             for settled in (False, True):
-                public = outcome(
-                    lambda: step_plant(state, plant, 0.501, delta, *pair, settled=settled)
-                )
                 for carried in (None, lengths):
                     stepped = _switch(switch, engagement, k_eff, math.radians(delta), ratio)
 
@@ -189,7 +188,54 @@ def test_a_replaced_invalid_state_is_refused_by_the_next_run(ref_plant, command,
 
 
 @pytest.mark.parametrize("record", [True, False], ids=["recorded", "leaped"])
-def test_step_plant_is_entered_once_per_run(monkeypatch, ref_plant, record):
+def test_a_replaced_state_is_recomputed_by_the_next_still_step(ref_plant, record):
+    # The replacement's payout carries a disturbance that no later step of
+    # the run applies: its next still step must drop it, as step_plant does.
+    sim = Simulator(ref_plant, record=record)
+    rest = sim.state
+    sim.wait(0.01)
+    sim.state, _ = step_plant(rest, ref_plant, sim.t, 0.0, disturbance_plus=5.0)
+    replaced = sim.state
+    assert replaced.payout_plus == 305.0
+    sim.wait(0.01)
+    after = sim.trace.rows[-10] if record else sim.state
+    assert bits(after) == bits(step_plant(replaced, ref_plant, after.t, 0.0)[0])
+    assert sim.state.payout_plus == 300.0
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "leaped"])
+def test_a_run_from_a_replaced_state_equals_the_recomputed_run(monkeypatch, ref_plant, record):
+    # The replacement sits at another joint angle than the state the simulator
+    # made, so no length carried from that state may reach its run.
+    other = Simulator(ref_plant, record=False)
+    other.move_motor_to(-250.0)
+
+    def run():
+        sim = Simulator(ref_plant, record=record)
+        sim.move_motor_to(90.0)
+        sim.state = other.state._replace(t=sim.t)
+        sim.move_motor_to(-300.0)
+        return sim.trace.rows, sim.state
+
+    fast = run()
+    monkeypatch.setattr(plant_module, "_advance", recomputing)
+    assert bits(fast) == bits(run())
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "leaped"])
+def test_a_replaced_config_is_checked_by_the_next_run(ref_plant, record):
+    sim = Simulator(ref_plant, record=record)
+    sim.wait(0.01)
+    engagement = ref_plant.engagement
+    sim.config = replace(ref_plant, engagement=engagement._replace(psi_star=0.9 * engagement.psi_star))
+    with pytest.raises(InvalidState, match="requires psi"):
+        sim.wait(0.01)
+
+
+@pytest.mark.parametrize("record", [True, False], ids=["recorded", "leaped"])
+def test_step_plant_is_entered_once_per_foreign_state(monkeypatch, ref_plant, record):
+    # A foreign state is one the simulator did not make: its first, or one
+    # put in sim.state, or any state after sim.config was replaced.
     entries, steps = [], []
     checked, advance = plant_module.step_plant, plant_module._advance
 
@@ -205,19 +251,26 @@ def test_step_plant_is_entered_once_per_run(monkeypatch, ref_plant, record):
     monkeypatch.setattr(plant_module, "_advance", counted_step)
     sim = Simulator(ref_plant, record=record)
     commands = [
-        (lambda: sim.move_motor_to(-200.0), 1),
+        (lambda: sim.move_motor_to(-200.0), 1),  # a new simulator's state
         (lambda: sim.move_motor_to(-200.0), 0),  # already there: no step
         (lambda: sim.set_velocity(300.0), 0),
-        (lambda: sim.wait(0.2), 1),
-        (lambda: sim.wait(0.001), 1),  # a run of one step
+        (lambda: sim.wait(0.2), 0),
+        (lambda: sim.wait(0.001), 0),  # a run of one step
+        (lambda: setattr(sim, "state", sim.state), 0),  # the state it made
+        (lambda: sim.wait(0.01), 0),
+        (lambda: setattr(sim, "state", sim.state._replace()), 0),  # equal, but not made here
+        (lambda: sim.wait(0.001), 1),
+        (lambda: sim.wait(0.01), 0),
+        (lambda: setattr(sim, "config", replace(sim.config)), 0),  # an equal config
         (lambda: sim.set_velocity(-360.0), 0),
         (lambda: sim.run_until_engaged(Side.MINUS, 1.0), 1),  # leaped: a leap, then steps
+        (lambda: sim.wait(0.01), 0),
     ]
     for command, want in commands:
         before = len(entries)
         command()
         assert len(entries) - before == want
-    assert len(steps) > len(entries) == 4
+    assert len(steps) > len(entries) == 3
     if record:
         assert steps == [row.t for row in sim.trace.rows[1:]]
 
