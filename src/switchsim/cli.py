@@ -9,16 +9,14 @@ value that fails its type is a usage error; a run the plant refuses, such
 as a ``--duration`` that covers no step of ``dt_s``, is a failure (exit 1).
 
 Each subcommand is one ``_COMMANDS`` entry: its help line, its runner and
-the function that adds its flags. ``main`` builds the parser of the one
-subcommand an argv ``[--config VALUE | --config=VALUE]* COMMAND ...`` names,
-which parses it as the full parser would; any other argv (help, an
-abbreviation, no or an unknown command) gets the full parser of
-``build_parser()``, so its help, usage and errors are that parser's.
+the function that adds its flags. ``main`` parses every argv with one
+``build_parser()`` parser, built on its first call.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import os
 import sys
@@ -83,8 +81,12 @@ def _argument(value, bound: str | None = None):
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
+def _finite_float(text: str) -> float:
+    return _argument(float(text))
+
+
 def _parse_float_list(text: str) -> tuple[float, ...]:
-    return tuple(_argument(float(p)) for p in text.split(","))
+    return tuple(_finite_float(p) for p in text.split(","))
 
 
 def _positive_int(text: str) -> int:
@@ -95,50 +97,32 @@ def _non_negative_float(text: str) -> float:
     return _argument(float(text), "not negative")
 
 
-def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The parser of every subcommand, or of ``command`` alone.
-
-    A parser of one subcommand parses that subcommand's argv as the full
-    parser does, with the same usage line; other argv needs the full parser.
-    """
+def build_parser() -> argparse.ArgumentParser:
+    """A new parser of every subcommand, which its caller may edit: ``main``
+    parses with its own one."""
     parser = argparse.ArgumentParser(
         prog="switchsim",
         description="Simulate and size the single-motor switch-gear antagonist actuator.",
     )
     parser.add_argument("--config", help="config file (defaults: reference rig)")
-    # One subparser would show as {simulate} in usage lines. The full parser
-    # keeps no metavar, which its "invalid choice" and "required" errors need.
-    metavar = None if command is None else "{" + ",".join(_COMMANDS) + "}"
-    sub = parser.add_subparsers(dest="command", required=True, metavar=metavar)
+    sub = parser.add_subparsers(dest="command", required=True)
     for name, (help_line, runner, add_flags) in _COMMANDS.items():
-        if command in (None, name):
-            p = sub.add_parser(name, help=help_line)
-            p.set_defaults(run=runner)
-            p.add_argument("--out", default="-")
-            add_flags(p)
+        p = sub.add_parser(name, help=help_line)
+        p.set_defaults(run=runner)
+        p.add_argument("--out", default="-")
+        add_flags(p)
     return parser
 
 
-def _command(argv: list[str]) -> str | None:
-    """The subcommand of an argv ``[--config VALUE | --config=VALUE]* COMMAND ...``
-    whose VALUEs do not start with ``-``; None for any other argv."""
-    i = 0
-    while i < len(argv) and argv[i] not in _COMMANDS:
-        flag, eq, value = argv[i].partition("=")
-        if not eq and i + 1 < len(argv):
-            i += 1
-            value = argv[i]
-        if flag != "--config" or value.startswith("-"):
-            return None
-        i += 1
-    return argv[i] if i < len(argv) else None
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of every ``main`` call in this process."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(_command(argv))
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -331,9 +315,9 @@ def _optimize_flags(p: argparse.ArgumentParser) -> None:
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--psi-star-deg", type=_parse_float_list, help="track endpoint targets")
     grid.add_argument("--center-distance-mm", type=_parse_float_list, help="explicit D grid")
-    p.add_argument("--envelope-max", type=float, help="max footprint diameter, mm")
-    p.add_argument("--ratio-min", type=float)
-    p.add_argument("--ratio-max", type=float)
+    p.add_argument("--envelope-max", type=_finite_float, help="max footprint diameter, mm")
+    p.add_argument("--ratio-min", type=_finite_float)
+    p.add_argument("--ratio-max", type=_finite_float)
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_SPACE_CAP)
     p.add_argument("--top", type=_positive_int, help="emit only the best N designs")
 
@@ -401,9 +385,9 @@ def _cmd_optimize(args, cfg: Config, plant: PlantConfig) -> int:
 
 
 def _calibrate_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--switch-time-ms", dest="target_switch_time_ms", type=float)
-    p.add_argument("--motor-travel-deg", dest="motor_travel_deg", type=float)
-    p.add_argument("--revolution-deg", dest="revolution_travel_deg", type=float)
+    p.add_argument("--switch-time-ms", dest="target_switch_time_ms", type=_finite_float)
+    p.add_argument("--motor-travel-deg", dest="motor_travel_deg", type=_finite_float)
+    p.add_argument("--revolution-deg", dest="revolution_travel_deg", type=_finite_float)
 
 
 def _cmd_calibrate(args, cfg: Config, plant: PlantConfig) -> int:

@@ -429,7 +429,7 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
                 if isinstance(cmd, Wait):
                     _command_steps("wait", cmd.duration, cfg.dt_s)
                 if isinstance(cmd, InjectDisturbance) and cmd.profile is not None:
-                    _check_pulse_dt(cfg.dt_s)
+                    _check_pulse_dt(cmd.profile, cfg.dt_s)
             except (SwitchSimError, ValueError) as exc:
                 p.fail(line_no, str(exc))
         try:

@@ -503,11 +503,12 @@ class Simulator:
         self._run(_command_steps("wait", duration, self.config.dt))
 
     def inject(self, profile: DisturbancePulses | None) -> None:
-        """Start ``profile``'s pulses, or stop them with None; refuses dt > PULSE_MIN_GAP."""
+        """Start ``profile``'s pulses, or stop them with None; refuses dt > PULSE_MIN_GAP
+        and a width under dt."""
         if profile is None:
             self._pulses = None
             return
-        _check_pulse_dt(self.config.dt)
+        _check_pulse_dt(profile, self.config.dt)
         self._n_injections += 1
         self._pulses = _PulseState(profile, self.config.seed + 7919 * self._n_injections)
 
@@ -628,9 +629,8 @@ class Simulator:
         velocity_delta = self._velocity * dt * size
         made, made_config, last, lengths = self._made
         trusted = made is self.state and made_config is config
-        if trusted or count > 1:
-            engagement = config.engagement
-            k_eff, spool_ratio = config.traversal.effective_ratio, config.layout.driven_speed_ratio
+        engagement = config.engagement
+        k_eff, spool_ratio = config.traversal.effective_ratio, config.layout.driven_speed_ratio
         for _ in range(count):
             index = self._step_index
             t0 = index * dt
@@ -680,10 +680,13 @@ def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:
     return runs * math.ceil(steps)
 
 
-def _check_pulse_dt(dt: float) -> None:
-    """SwitchSimError for pulses on steps over ``PULSE_MIN_GAP`` s, which toggle without bound."""
+def _check_pulse_dt(profile: DisturbancePulses, dt: float) -> None:
+    """SwitchSimError for ``profile``'s pulses on steps over ``PULSE_MIN_GAP`` s,
+    which toggle without bound, or over its width, which a step may not show."""
     if dt > PULSE_MIN_GAP:
         raise SwitchSimError(f"disturbance pulses need dt of at most {PULSE_MIN_GAP!r} s, got {dt!r} s")
+    if profile.width < dt:
+        raise SwitchSimError(f"disturbance width {profile.width!r} s is under one step of dt={dt!r} s")
 
 
 def _command_steps(name: str, duration: float, dt: float) -> int:

@@ -11,7 +11,14 @@ import pytest
 
 import switchsim
 from switchsim import cli
-from switchsim.cli import _non_negative_float, _parse_float_list, _parse_int_range, build_parser, main
+from switchsim.cli import (
+    _finite_float,
+    _non_negative_float,
+    _parse_float_list,
+    _parse_int_range,
+    build_parser,
+    main,
+)
 from switchsim.config import Config
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(switchsim.__file__)))
@@ -159,6 +166,13 @@ class TestDisturbanceStep:
         )
         assert (result.returncode, result.stdout) == (1, "")
         assert "disturbance pulses need dt of at most 0.05 s, got 1000000000000000.0 s" in result.stderr
+
+    def test_a_pulse_narrower_than_a_step_exits_1(self, capsys, tmp_path):
+        cfg = tmp_path / "narrow.cfg"
+        cfg.write_text("[script]\ndisturb plus 5.0 1e-06\nwait 1.0\n")
+        code, out, err = run_cli(capsys, "--config", str(cfg), "simulate")
+        assert (code, out) == (1, "")
+        assert err == "config error: line 2: disturbance width 1e-06 s is under one step of dt=0.001 s\n"
 
 
 class TestSweep:
@@ -473,16 +487,17 @@ def _typed_flags():
 
 def _float_flags():
     """(subcommand, flag, value count) of every float-valued flag the parser declares."""
-    floats = (float, _parse_float_list, _non_negative_float)
+    floats = (float, _finite_float, _parse_float_list, _non_negative_float)
     return [flag[:3] for flag in _typed_flags() if flag[3] in floats]
 
 
 @pytest.mark.parametrize("value", ["nan", "inf"])
 @pytest.mark.parametrize("command, flag, count", _float_flags())
 def test_non_finite_float_flag_fails_cleanly(capsys, command, flag, count, value):
-    code, _, err = run_cli(capsys, command, flag, *[value] * count)
-    assert code != 0
-    assert err
+    code, out, err = run_cli(capsys, command, flag, *[value] * count)
+    assert (code, out) == (2, "")
+    # --check checks its bounds itself, so that its message names the bound.
+    assert (f"{flag} LO must be finite" if flag == "--check" else f"argument {flag}:") in err
 
 
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -547,21 +562,26 @@ DIFFERENTIAL_ARGV = [
 
 @pytest.mark.parametrize("argv", DIFFERENTIAL_ARGV, ids=" ".join)
 def test_main_parses_as_the_full_parser(capsys, monkeypatch, tmp_path, argv):
+    # The shared parser gives the same result on its first use, after an
+    # error, and as a parser built for this call alone.
     monkeypatch.setenv("COLUMNS", "80")
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sim.cfg").write_text(SIM_CFG)
     (tmp_path / "simulate").write_text(SIM_CFG)  # a config file named like a command
-    fast = run_cli(capsys, *argv)
-    monkeypatch.setattr(cli, "_command", lambda argv: None)  # every subparser, every time
-    assert fast == run_cli(capsys, *argv)
+    first = run_cli(capsys, *argv)
+    run_cli(capsys, "bogus")
+    again = run_cli(capsys, *argv)
+    monkeypatch.setattr(cli, "_parser", cli.build_parser)
+    assert first == again == run_cli(capsys, *argv)
 
 
 @pytest.mark.parametrize(
     "argv", [["simulate"], ["--config", "sim.cfg", "simulate"], ["--config=sim.cfg", "simulate"]]
 )
-def test_a_simulate_argv_builds_one_subparser(capsys, monkeypatch, tmp_path, argv):
+def test_a_second_main_call_builds_no_subparser(capsys, monkeypatch, tmp_path, argv):
     monkeypatch.chdir(tmp_path)
     (tmp_path / "sim.cfg").write_text(SIM_CFG)
+    assert run_cli(capsys, "validate")[0] == 0
     built = []
     add_parser = argparse._SubParsersAction.add_parser
 
@@ -571,8 +591,30 @@ def test_a_simulate_argv_builds_one_subparser(capsys, monkeypatch, tmp_path, arg
 
     monkeypatch.setattr(argparse._SubParsersAction, "add_parser", counted)
     code, out, _ = run_cli(capsys, *argv)
-    assert (code, built) == (0, ["simulate"])
+    assert (code, built) == (0, [])
     assert out.startswith("t_s,motor_deg,")
+
+
+def test_importing_the_cli_builds_no_parser():
+    script = (
+        "import argparse\n"
+        "built = []\n"
+        "init = argparse.ArgumentParser.__init__\n"
+        "argparse.ArgumentParser.__init__ = lambda self, *a, **k: built.append(1) or init(self, *a, **k)\n"
+        "from switchsim import cli\n"
+        "print(len(built), cli._parser.cache_info().currsize)\n"
+        "cli.main(['validate'])\n"
+        "print(len(built), cli._parser.cache_info().currsize)\n"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        env=dict(os.environ, PYTHONPATH=SRC),
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    # The top parser and its seven subparsers, on the first main call only.
+    assert (result.returncode, result.stdout, result.stderr) == (0, "0 0\n0 violations\n8 1\n", "")
 
 
 def test_help_lists_every_subcommand():

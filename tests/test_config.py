@@ -283,6 +283,12 @@ class TestErrors:
         message = f"disturbance pulses need dt of at most 0.05 s, got {float(dt)!r} s"
         assert self.assert_errors(text, message).errors == [(5, message)]
 
+    def test_disturbance_narrower_than_a_step_rejected_at_its_line(self):
+        # Refused exactly when Simulator.inject refuses it; a width of one step is accepted.
+        text = "[sim]\ndt_s = 0.01\n[script]\ndisturb plus 5.0 0.01\ndisturb plus 5.0 0.00999\nwait 0.1\n"
+        message = "disturbance width 0.00999 s is under one step of dt=0.01 s"
+        assert self.assert_errors(text, message).errors == [(5, message)]
+
     def test_set_velocity_above_speed_limit_rejected_at_its_line(self):
         text = (
             "[motor]\nmax_output_speed_deg_s = 500.0\n"

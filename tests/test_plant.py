@@ -271,8 +271,18 @@ class TestDisturbanceStep:
 
     def test_a_step_of_the_shortest_gap_is_accepted(self, ref_plant):
         plant = replace(ref_plant, dt=PULSE_MIN_GAP)
-        script = [InjectDisturbance(DisturbancePulses("plus", 5.0, 1e-300)), Wait(20.0)]
+        script = [InjectDisturbance(DisturbancePulses("plus", 5.0, plant.dt)), Wait(20.0)]
         assert len(run_script(plant, script).rows) == 401
+
+    @pytest.mark.parametrize("width", [1e-300, 1e-6, math.nextafter(1e-3, 0.0)])
+    def test_inject_refuses_a_pulse_narrower_than_a_step(self, ref_plant, width):
+        # Such a pulse can toggle on and off inside one step and show on no row.
+        message = f"disturbance width {width!r} s is under one step of dt=0.001 s"
+        sim = Simulator(ref_plant)
+        with pytest.raises(SwitchSimError, match=f"^{re.escape(message)}$"):
+            sim.inject(DisturbancePulses(width=width))
+        with pytest.raises(SwitchSimError, match=f"^{re.escape(message)}$"):
+            run_script(ref_plant, [InjectDisturbance(DisturbancePulses(width=width))])
 
 
 class TestRunScript:
