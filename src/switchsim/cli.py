@@ -65,24 +65,28 @@ def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
 def _parse_int_range(text: str) -> range | tuple[int, ...]:
     """'a:b' or 'a:b:step' (inclusive, either direction) or a comma list. A
     range stays a ``range``, so a huge one meets the space cap without being built."""
-    if ":" in text:
-        parts = [int(p) for p in text.split(":")]
-        start, stop = parts[0], parts[1]
-        step = parts[2] if len(parts) > 2 else 1
-        return range(start, stop + (1 if step > 0 else -1), step)
-    return tuple(int(p) for p in text.split(","))
-
-
-def _argument(value, bound: str | None = None):
-    """``value`` under the range rule, whose ValueError becomes a usage error."""
     try:
-        return _in_range("value", value, bound)
+        if ":" in text:
+            parts = [int(p) for p in text.split(":")]
+            start, stop = parts[0], parts[1]
+            step = parts[2] if len(parts) > 2 else 1
+            return range(start, stop + (1 if step > 0 else -1), step)
+        return tuple(int(p) for p in text.split(","))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
+
+
+def _argument(text: str, convert, bound: str | None = None):
+    """``convert(text)`` under the range rule. Either one's ValueError becomes an
+    ArgumentTypeError, whose usage error names the flag, not the type callable."""
+    try:
+        return _in_range("value", convert(text), bound)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _finite_float(text: str) -> float:
-    return _argument(float(text))
+    return _argument(text, float)
 
 
 def _parse_float_list(text: str) -> tuple[float, ...]:
@@ -90,11 +94,11 @@ def _parse_float_list(text: str) -> tuple[float, ...]:
 
 
 def _positive_int(text: str) -> int:
-    return _argument(int(text), "positive")
+    return _argument(text, int, "positive")
 
 
 def _non_negative_float(text: str) -> float:
-    return _argument(float(text), "not negative")
+    return _argument(text, float, "not negative")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -367,6 +367,19 @@ class _Parser:
     def line(self, section: str, key: str) -> int:
         return self.lines.get((section, key), 0)
 
+    def fail_build(self, cfg: Config, exc: Exception) -> None:
+        """Report ``exc``, raised by building ``cfg``'s plant, at the first
+        ``[paths]`` line of each side whose path alone raises, else at no line."""
+        known = len(self.errors)
+        for prefix in _PATHS:
+            try:
+                getattr(cfg, prefix).build()
+            except ValueError as path_exc:
+                lines = [n for (_, key), n in self.lines.items() if key.startswith(f"{prefix}_")]
+                self.fail(min(lines, default=0), f"{prefix} path: {path_exc}")
+        if len(self.errors) == known:
+            self.fail(0, f"configuration cannot be instantiated: {exc}")
+
     def path_spec(self, prefix: str, default: PathSpec) -> PathSpec:
         kind = self.get("paths", f"{prefix}_kind", default.kind)
         if kind not in ("linear", "curved", "tabulated"):
@@ -440,7 +453,7 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
             for violation in exc.report.violations:
                 p.fail(0, str(violation))
         except (SwitchSimError, ValueError) as exc:
-            p.fail(0, f"configuration cannot be instantiated: {exc}")
+            p.fail_build(cfg, exc)
 
     if p.errors:
         raise ConfigError(sorted(p.errors))

@@ -98,12 +98,6 @@ class PlantConfig:
     def __post_init__(self):
         _in_range("dt", self.dt, "positive")
 
-    def path(self, side: Side) -> CablePath:
-        return self.path_plus if side is Side.PLUS else self.path_minus
-
-    def spool(self, side: Side) -> SpoolModel:
-        return self.spool_plus if side is Side.PLUS else self.spool_minus
-
 
 class SimState(NamedTuple):
     t: float
@@ -237,14 +231,13 @@ def _advance(
 
     joint_angle = state.joint_angle
     if spool_rotation != 0.0:
-        side = switch.engaged_side
-        sign = side.sign
-        path = config.path(side)
-        if lengths is None:
-            length0 = path.length(sign * joint_angle)
+        sign = switch.mode.sign  # a spool turns only on the engaged side
+        if sign > 0:
+            path, spool, carried = config.path_plus, config.spool_plus, 0
         else:
-            length0 = lengths[0] if sign > 0 else lengths[1]
-        length1 = length0 - sign * config.spool(side).spool_radius * spool_rotation
+            path, spool, carried = config.path_minus, config.spool_minus, 1
+        length0 = path.length(sign * joint_angle) if lengths is None else lengths[carried]
+        length1 = length0 - sign * spool.spool_radius * spool_rotation
         try:
             joint_angle = sign * path.inverse(length1)
         except OutOfRange as exc:
@@ -589,20 +582,11 @@ class Simulator:
         if self._pulses is None or value == 0.0:
             return 0.0, 0.0
         target = self._pulses.profile.target
-        engaged = self.state.switch.engaged_side
-        plus = minus = 0.0
-        if target == "plus":
-            plus = value if engaged is not Side.PLUS else 0.0
-        elif target == "minus":
-            minus = value if engaged is not Side.MINUS else 0.0
-        elif target == "disengaged":
-            plus = value if engaged is not Side.PLUS else 0.0
-            minus = value if engaged is not Side.MINUS else 0.0
-        else:  # "engaged": negative control
-            if engaged is Side.PLUS:
-                plus = value
-            elif engaged is Side.MINUS:
-                minus = value
+        sign = self.state.switch.mode.sign  # the engaged side's, 0 for none
+        if target == "engaged":  # negative control
+            return (value if sign > 0 else 0.0), (value if sign < 0 else 0.0)
+        plus = value if sign <= 0 and target != "minus" else 0.0
+        minus = value if sign >= 0 and target != "plus" else 0.0
         return plus, minus
 
     def _event_time(self, t0: float, motor_progress: float) -> float:

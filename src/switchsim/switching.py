@@ -29,9 +29,8 @@ class Side(enum.Enum):
     PLUS = "plus"
     MINUS = "minus"
 
-    @property
-    def sign(self) -> int:
-        return 1 if self is Side.PLUS else -1
+    def __init__(self, value: str):
+        self.sign = 1 if value == "plus" else -1
 
     @staticmethod
     def from_sign(sign: int) -> "Side":
@@ -44,8 +43,10 @@ class SwitchMode(enum.Enum):
     TRAVERSING = "traversing"
     NEUTRAL = "neutral"
 
-
-_ENGAGED_MODE = {Side.PLUS: SwitchMode.ENGAGED_PLUS, Side.MINUS: SwitchMode.ENGAGED_MINUS}
+    def __init__(self, value: str):
+        """``side``: the engaged side, or None; ``sign``: its sign, or 0."""
+        self.side = {"engaged+": Side.PLUS, "engaged-": Side.MINUS}.get(value)
+        self.sign = 0 if self.side is None else self.side.sign
 
 
 class EventKind(enum.Enum):
@@ -77,7 +78,8 @@ class SwitchState(NamedTuple):
 
     @staticmethod
     def engaged(side: Side, engagement: EngagementSolution) -> "SwitchState":
-        return SwitchState(_ENGAGED_MODE[side], side.sign * engagement.psi_star)
+        mode = SwitchMode.ENGAGED_PLUS if side.sign > 0 else SwitchMode.ENGAGED_MINUS
+        return SwitchState(mode, side.sign * engagement.psi_star)
 
     @staticmethod
     def neutral(psi: float = 0.0) -> "SwitchState":
@@ -85,11 +87,7 @@ class SwitchState(NamedTuple):
 
     @property
     def engaged_side(self) -> Side | None:
-        if self.mode is SwitchMode.ENGAGED_PLUS:
-            return Side.PLUS
-        if self.mode is SwitchMode.ENGAGED_MINUS:
-            return Side.MINUS
-        return None
+        return self.mode.side
 
 
 @dataclass(frozen=True)
@@ -149,8 +147,8 @@ def _check_entry(state: SwitchState, engagement: EngagementSolution) -> None:
     if not math.isfinite(psi):
         raise InvalidState(f"psi is not finite: {psi!r}")
     mode = state.mode
-    if mode is SwitchMode.ENGAGED_PLUS or mode is SwitchMode.ENGAGED_MINUS:
-        endpoint = psi_star if mode is SwitchMode.ENGAGED_PLUS else -psi_star
+    if mode.sign:
+        endpoint = mode.sign * psi_star
         if abs(psi - endpoint) > PSI_SNAP:
             raise InvalidState(f"mode {mode.value} requires psi = {endpoint!r}, got {psi!r}")
     elif abs(psi) > psi_star + PSI_SNAP:
@@ -240,14 +238,14 @@ def _switch(
         return state, [], 0.0
 
     direction = 1 if motor_delta > 0 else -1
-    engaged = state.engaged_side
-    if engaged is not None and direction == engaged.sign:
+    mode = state.mode
+    if direction == mode.sign:
         return state, [], motor_delta * spool_ratio  # engaging direction: all to the spool
 
     psi0 = state.psi
     events: list[Event] = []
-    if engaged is not None:
-        events.append(Event(EventKind.DISENGAGED, engaged, psi0, motor_progress=0.0))
+    if mode.sign:
+        events.append(Event(EventKind.DISENGAGED, mode.side, psi0, motor_progress=0.0))
 
     raw = psi0 + motor_delta / k_eff
     endpoint = direction * engagement.psi_star
@@ -269,4 +267,4 @@ def _switch(
     )
     residual = motor_delta - traverse_progress
     spool_rotation = residual * spool_ratio if abs(residual) > PSI_SNAP * k_eff else 0.0
-    return SwitchState(_ENGAGED_MODE[new_side], endpoint), events, spool_rotation
+    return SwitchState.engaged(new_side, engagement), events, spool_rotation

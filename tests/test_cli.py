@@ -500,6 +500,14 @@ def test_non_finite_float_flag_fails_cleanly(capsys, command, flag, count, value
     assert (f"{flag} LO must be finite" if flag == "--check" else f"argument {flag}:") in err
 
 
+@pytest.mark.parametrize("command, flag, count", [flag[:3] for flag in _typed_flags()])
+def test_non_numeric_flag_is_a_usage_error_naming_the_flag(capsys, command, flag, count):
+    code, out, err = run_cli(capsys, command, flag, *["abc"] * count)
+    assert (code, out) == (2, "")
+    assert f"argument {flag}:" in err
+    assert "invalid _" not in err  # argparse names a type callable that raises ValueError
+
+
 @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
 @pytest.mark.parametrize(
     "command, flag",

@@ -229,6 +229,46 @@ class TestErrors:
         err = self.assert_errors(f"[{section}]\n{key} = {value}\n", "must be finite")
         assert err.errors == [(2, f"{key} must be {rule}, got {value}")]
 
+    @pytest.mark.parametrize(
+        "text, error",
+        [
+            (
+                "[paths]\nagonist_moment_arm_mm = -1\n",
+                (2, "agonist path: moment_arm must be finite and positive, got -1.0"),
+            ),
+            (
+                "[sim]\nseed = 3\n[paths]\nantagonist_kind = curved\nantagonist_bow_mm = -30\n",
+                (4, "antagonist path: curved path not strictly decreasing: moment_arm=25.0, bow=-30.0"),
+            ),
+            (
+                "[paths]\nagonist_kind = linear\nagonist_reference_length_mm = 10\n",
+                (2, "agonist path: cable length must stay positive over the pull range"),
+            ),
+        ],
+    )
+    def test_a_path_the_plant_refuses_names_its_side_and_first_line(self, text, error):
+        assert self.assert_errors(text, error[1]).errors == [error]
+
+    def test_two_refused_paths_are_both_named(self):
+        text = "[paths]\nagonist_moment_arm_mm = -1\nantagonist_moment_arm_mm = -2\n"
+        assert [line for line, _ in self.assert_errors(text, "agonist path").errors] == [2, 3]
+
+    def test_unknown_path_kind_rejected_with_line(self):
+        err = self.assert_errors("[paths]\nagonist_kind = spiral\n", "unknown path kind")
+        assert err.errors == [(2, "unknown path kind 'spiral'")]
+
+    def test_tabulated_kind_without_knots_rejected(self):
+        err = self.assert_errors("[paths]\nantagonist_kind = tabulated\n", "requires")
+        assert err.errors == [(0, "antagonist_kind = tabulated requires antagonist_knots")]
+
+    @pytest.mark.parametrize(
+        "kind, message",
+        [("tabulated", "tabulated path requires knots"), ("spiral", "unknown path kind 'spiral'")],
+    )
+    def test_path_spec_build_refuses_a_kind_it_cannot_build(self, kind, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            PathSpec(kind=kind).build()
+
     def test_non_finite_knot_rejected_with_line(self):
         text = "[paths]\nantagonist_kind = tabulated\nantagonist_knots = -90:344, nan:300, 90:256\n"
         err = self.assert_errors(text, "bad knot table")

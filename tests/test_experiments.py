@@ -225,6 +225,15 @@ class TestSpeedSweep:
             w for w in omegas if w > threshold
         }
 
+    def test_position_mode_needs_two_trapezoidal_points(self):
+        # Same plant as above: 540 deg/s is triangular, leaving one point to fit.
+        plant = Config(slip=0.0).plant()
+        plant = replace(plant, motor=replace(plant.motor, profile_accel=5466.0))
+        with pytest.raises(
+            ValueError, match="^need at least two points in the trapezoidal regime to fit$"
+        ):
+            run_speed_sweep(plant, [180.0, 540.0], mode=ControlMode.PROFILE_POSITION)
+
     def test_rejects_bad_omegas(self, ref_plant):
         with pytest.raises(ValueError):
             run_speed_sweep(ref_plant, [])

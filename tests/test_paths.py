@@ -62,6 +62,10 @@ class TestCurved:
         with pytest.raises(ValueError):
             CurvedPath(300.0, 5.0, -6.0)
 
+    def test_rejects_a_length_not_positive_at_the_pull_limit(self):
+        with pytest.raises(ValueError, match="^cable length must stay positive over the pull range$"):
+            CurvedPath(10.0, 25.0, 0.0)
+
 
 @pytest.fixture(scope="module")
 def table():
@@ -94,6 +98,10 @@ class TestTabulated:
             TabulatedPath(((-2.0, 300.0), (0.0, 310.0), (2.0, 280.0)))
         with pytest.raises(ValueError):
             TabulatedPath(((-0.5, 300.0), (0.5, 280.0)))  # does not cover the range
+
+    def test_rejects_a_last_knot_length_not_positive(self):
+        with pytest.raises(ValueError, match="^cable length must stay positive over the pull range$"):
+            TabulatedPath(((-2.0, 300.0), (2.0, 0.0)))
 
 
 def _oracle_paths():

@@ -33,7 +33,7 @@ from switchsim import (
 )
 from switchsim.experiments import full_rom_script, motor_travel_per_traversal
 from switchsim.motion import TrapezoidalProfile
-from switchsim.plant import PULSE_MIN_GAP, STEP_BUDGET, steps_to_cover
+from switchsim.plant import DISTURBANCE_TARGETS, PULSE_MIN_GAP, STEP_BUDGET, steps_to_cover
 
 COARSE_DT_MESSAGE = "disturbance pulses need dt of at most 0.05 s, got {!r} s"
 
@@ -255,7 +255,37 @@ class TestNonFiniteApiInput:
             Config(antagonist=replace(Config().antagonist, bow=math.nan)).plant()
 
 
+# (plus, minus) payout that a pulse of 5.0 mm adds, by target and by the
+# switch mode at the start of the step, in PULSE_MODES order.
+PULSE_MODES = (
+    SwitchMode.ENGAGED_PLUS, SwitchMode.ENGAGED_MINUS, SwitchMode.TRAVERSING, SwitchMode.NEUTRAL
+)
+PULSE_PAIRS = {
+    "disengaged": ((0.0, 5.0), (5.0, 0.0), (5.0, 5.0), (5.0, 5.0)),
+    "engaged": ((5.0, 0.0), (0.0, 5.0), (0.0, 0.0), (0.0, 0.0)),
+    "plus": ((0.0, 0.0), (5.0, 0.0), (5.0, 0.0), (5.0, 0.0)),
+    "minus": ((0.0, 5.0), (0.0, 0.0), (0.0, 5.0), (0.0, 5.0)),
+}
+
+
 class TestDisturbanceStep:
+    def test_unknown_target_rejected(self):
+        with pytest.raises(ValueError, match="^unknown disturbance target 'slack'$"):
+            DisturbancePulses(target="slack")
+
+    @pytest.mark.parametrize("value", [0.0, 5.0])
+    @pytest.mark.parametrize("mode_index", range(len(PULSE_MODES)))
+    @pytest.mark.parametrize("target", DISTURBANCE_TARGETS)
+    def test_pulse_pair_by_target_and_mode(self, ref_plant, target, mode_index, value):
+        sim = Simulator(ref_plant)
+        sim.inject(DisturbancePulses(target, 5.0))
+        sim.state = sim.state._replace(switch=SwitchState(PULSE_MODES[mode_index], 0.0))
+        pair = sim._disturbances(value)
+        assert pair == (PULSE_PAIRS[target][mode_index] if value else (0.0, 0.0))
+        # Zeros are one object from call to call, so a settled step stays settled.
+        again = sim._disturbances(value)
+        assert all(a is b for a, b in zip(pair, again) if a == 0.0)
+
     @pytest.mark.parametrize("dt", [0.05000000000000001, 1e8, 1e15])
     def test_inject_refuses_a_step_over_the_shortest_gap(self, ref_plant, dt):
         # A pulse toggles until it has time left; past the shortest gap a step

@@ -56,10 +56,40 @@ class TestCalibrateSlip:
         with pytest.raises(ValueError):
             TraversalModel(1.8, 1.0)
 
+    def test_carry_ratio_below_one_rejected(self):
+        with pytest.raises(ValueError, match=r"^carry_ratio must be >= 1, got 0\.5$"):
+            TraversalModel(0.5, 0.1)
+
     @pytest.mark.parametrize("carry_ratio", [math.inf, math.nan])
     def test_non_finite_carry_ratio_rejected(self, carry_ratio):
         with pytest.raises(ValueError, match="carry_ratio must be finite"):
             TraversalModel(carry_ratio, 0.1)
+
+
+class TestMemberFacts:
+    def test_side_sign(self):
+        assert (Side.PLUS.sign, Side.MINUS.sign) == (1, -1)
+        assert all(Side.from_sign(side.sign) is side for side in Side)
+
+    @pytest.mark.parametrize(
+        "mode, side, sign",
+        [
+            (SwitchMode.ENGAGED_PLUS, Side.PLUS, 1),
+            (SwitchMode.ENGAGED_MINUS, Side.MINUS, -1),
+            (SwitchMode.TRAVERSING, None, 0),
+            (SwitchMode.NEUTRAL, None, 0),
+        ],
+    )
+    def test_mode_side_and_sign(self, mode, side, sign):
+        assert mode.side is side
+        assert type(mode.sign) is int and mode.sign == sign
+        assert SwitchState(mode, 0.0).engaged_side is side
+
+    @pytest.mark.parametrize("side", list(Side))
+    def test_engaged_state_has_its_side(self, side, ref_engagement):
+        state = SwitchState.engaged(side, ref_engagement)
+        assert state.mode.side is side
+        assert state.psi == side.sign * ref_engagement.psi_star
 
 
 class TestStepSwitch:
