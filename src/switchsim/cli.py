@@ -68,6 +68,8 @@ def _parse_int_range(text: str) -> range | tuple[int, ...]:
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
+            if len(parts) > 3:
+                raise ValueError(f"a tooth range is 'a:b' or 'a:b:step', got {text!r}")
             start, stop = parts[0], parts[1]
             step = parts[2] if len(parts) > 2 else 1
             return range(start, stop + (1 if step > 0 else -1), step)

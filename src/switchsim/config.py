@@ -367,6 +367,13 @@ class _Parser:
     def line(self, section: str, key: str) -> int:
         return self.lines.get((section, key), 0)
 
+    def first_line(self, section: str, prefix: str = "") -> int:
+        """The first line of a ``section`` key starting with ``prefix``, or 0 if none."""
+        lines = [
+            n for (sec, key), n in self.lines.items() if sec == section and key.startswith(prefix)
+        ]
+        return min(lines, default=0)
+
     def fail_build(self, cfg: Config, exc: Exception) -> None:
         """Report ``exc``, raised by building ``cfg``'s plant, at the first
         ``[paths]`` line of each side whose path alone raises, else at no line."""
@@ -375,8 +382,7 @@ class _Parser:
             try:
                 getattr(cfg, prefix).build()
             except ValueError as path_exc:
-                lines = [n for (_, key), n in self.lines.items() if key.startswith(f"{prefix}_")]
-                self.fail(min(lines, default=0), f"{prefix} path: {path_exc}")
+                self.fail(self.first_line("paths", f"{prefix}_"), f"{prefix} path: {path_exc}")
         if len(self.errors) == known:
             self.fail(0, f"configuration cannot be instantiated: {exc}")
 
@@ -451,7 +457,7 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
             _traversal_time(plant)
         except InvalidDesign as exc:
             for violation in exc.report.violations:
-                p.fail(0, str(violation))
+                p.fail(p.first_line("layout"), str(violation))
         except (SwitchSimError, ValueError) as exc:
             p.fail_build(cfg, exc)
 

@@ -146,39 +146,52 @@ def _engagement_cosine(r: float, d: float, mesh_distance: float) -> float:
     return (r * r + d * d - mesh_distance * mesh_distance) / (2.0 * r * d)
 
 
-def _solve(r: float, d: float, phi: float, mesh: float, margin: float) -> EngagementSolution:
+# Built once: it is the rule most rejected candidates of a centre-distance grid break.
+_NO_ENGAGEMENT = Violation(
+    "no-engagement", "switch track never comes within mesh distance of a driven gear"
+)
+# What ``solve_engagement`` raises for each rule ``_solve`` can return.
+_RAISES = {"no-engagement": NoEngagement, "switch-driven-interference": TrackDegenerate}
+
+
+def _solve(
+    r: float, d: float, phi: float, mesh: float, margin: float
+) -> EngagementSolution | Violation:
     """The engagement of track radius ``r``, centre distance ``d``, half-angle
-    ``phi`` and mesh distance ``mesh``, with neutral band ``margin``.
+    ``phi`` and mesh distance ``mesh``, with neutral band ``margin``, or the
+    violation that rules the layout out.
 
     Assumes the field checks have passed: ``r`` and ``d`` finite and
     positive, ``phi`` in (0, pi/2). A negative ``margin`` leaves the band
-    empty. Raises like ``solve_engagement``, less its ValueError; a track
-    so small that ``2*r*d`` underflows to zero, or so large that the
-    engagement cosine is NaN, is degenerate.
+    empty. Returns, never raises: ``solve_engagement`` raises from the
+    violation. A track so small that ``2*r*d`` underflows to zero, or so
+    large that the engagement cosine is NaN, is degenerate.
     """
     try:
         c = _engagement_cosine(r, d, mesh)
     except ZeroDivisionError:  # 2*r*d underflowed
-        raise TrackDegenerate(
-            f"track radius {r!r} mm and centre distance {d!r} mm are too small to solve"
-        ) from None
-    if c > 1.0:
-        raise NoEngagement(
-            "switch track never comes within mesh distance of a driven gear"
+        return Violation(
+            "switch-driven-interference",
+            f"track radius {r!r} mm and centre distance {d!r} mm are too small to solve",
         )
+    if c > 1.0:
+        return _NO_ENGAGEMENT
     if not c >= -1.0:
         if c < -1.0:
-            raise TrackDegenerate(
-                "switch is inside mesh distance of a driven gear at every track angle"
+            return Violation(
+                "switch-driven-interference",
+                "switch is inside mesh distance of a driven gear at every track angle",
             )
-        raise TrackDegenerate(  # c is NaN: the squares overflowed
-            f"track radius {r!r} mm and centre distance {d!r} mm are too large to solve"
+        return Violation(  # c is NaN: the squares overflowed
+            "switch-driven-interference",
+            f"track radius {r!r} mm and centre distance {d!r} mm are too large to solve",
         )
     psi_star = phi - math.acos(c)
     if psi_star <= 0.0:
-        raise TrackDegenerate(
+        return Violation(
+            "switch-driven-interference",
             f"switch meshes a driven gear at the midline "
-            f"(psi* = {math.degrees(psi_star):.4f} deg <= 0); no usable track"
+            f"(psi* = {math.degrees(psi_star):.4f} deg <= 0); no usable track",
         )
 
     half_width = 0.0
@@ -187,11 +200,7 @@ def _solve(r: float, d: float, phi: float, mesh: float, margin: float) -> Engage
         if cm > -1.0:
             half_width = max(0.0, phi - math.acos(cm))
 
-    return EngagementSolution(
-        psi_star=psi_star,
-        theta_track=2.0 * psi_star,
-        neutral_half_width=half_width,
-    )
+    return EngagementSolution(psi_star, 2.0 * psi_star, half_width)
 
 
 def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
@@ -201,7 +210,7 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
     has two roots; the one nearer the midline is the physical endpoint (the
     switch approaches from the midline side). Checks D and phi_d, then hands
     the layout's scalars to the core that ``optimize`` also calls, so both
-    share one engagement formula.
+    share one engagement formula, and raises from the violation it returns.
 
     Raises:
         NoEngagement: the track never comes within mesh distance of a driven gear.
@@ -215,7 +224,10 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
     phi = layout.driven_half_angle
     if not (0.0 < phi < math.pi / 2):
         raise ValueError(f"driven_half_angle must be in (0, pi/2), got {phi!r}")
-    return _solve(layout.track_radius, d, phi, layout.mesh_distance, layout.backlash_margin)
+    solution = _solve(layout.track_radius, d, phi, layout.mesh_distance, layout.backlash_margin)
+    if type(solution) is Violation:
+        raise _RAISES[solution.rule](solution.message)
+    return solution
 
 
 def validate_layout(layout: MechanismLayout) -> ValidationReport:
@@ -295,12 +307,19 @@ def kinematic_carry_ratio(layout: MechanismLayout) -> float:
 
 def envelope_diameter(layout: MechanismLayout) -> float:
     """Overall footprint diameter at the pitch-circle level, mm."""
-    reach = max(
-        layout.driving.pitch_radius,
-        layout.track_radius + layout.switch.pitch_radius,
-        layout.driven_center_distance + layout.driven.pitch_radius,
-    )
-    return 2.0 * reach
+    reach = _reach(layout.driving, layout.switch)
+    return _envelope(reach, layout.driven_center_distance, layout.driven.pitch_radius)
+
+
+def _reach(driving: GearSpec, switch: GearSpec) -> float:
+    """How far the driving gear and the switch on its track reach from the motor axis, mm."""
+    track_radius = driving.pitch_radius + switch.pitch_radius
+    return max(driving.pitch_radius, track_radius + switch.pitch_radius)
+
+
+def _envelope(reach: float, d: float, driven_radius: float) -> float:
+    """``envelope_diameter`` from a gear set's ``_reach``, D and the driven pitch radius."""
+    return 2.0 * max(reach, d + driven_radius)
 
 
 def solve_center_distance(
@@ -326,13 +345,21 @@ def solve_center_distance(
         )
     r = driving.pitch_radius + switch.pitch_radius
     mesh = switch.pitch_radius + driven.pitch_radius
-    c = math.cos(psi_star - driven_half_angle)
-    disc = r * r * c * c - r * r + mesh * mesh
-    if not disc >= 0.0:  # NaN: the squares overflowed
+    d = _center_distance(r, mesh, math.cos(psi_star - driven_half_angle))
+    if d is None:
         raise NoEngagement(
             "no finite centre distance reaches pitch tangency at the requested track endpoint"
         )
-    d = r * c + math.sqrt(disc)
     if not 0.0 < d < math.inf:
         raise NoEngagement(f"solved centre distance {d!r} mm is not finite and positive")
     return d
+
+
+def _center_distance(r: float, mesh: float, c: float) -> float | None:
+    """The larger root D of r^2 + D^2 - 2*r*D*c = mesh^2, for track radius
+    ``r``, mesh distance ``mesh`` and c = cos(psi* - phi_d), or None when it
+    has no real root. The root may be infinite or not positive."""
+    disc = r * r * c * c - r * r + mesh * mesh
+    if not disc >= 0.0:  # also NaN: the squares overflowed
+        return None
+    return r * c + math.sqrt(disc)

@@ -12,18 +12,20 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import (
-    EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge, TrackDegenerate, _in_range
-)
+from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge, _in_range
 from .geometry import (
-    EngagementSolution,
     GearSpec,
     MechanismLayout,
     MIN_TOOTH_COUNT,
+    Violation,
     envelope_diameter,
     kinematic_carry_ratio,
+    _center_distance,
+    _envelope,
+    _reach,
     _solve,
     solve_center_distance,
     validate_layout,
@@ -102,6 +104,14 @@ class DesignConstraints:
                 _in_range(name, getattr(self, name))
 
 
+def _rank_key(t_switch_ms: float, envelope: float, zd: int, zs: int, zg: int) -> tuple:
+    """Rank by predicted time, then envelope, then tooth counts. Times and
+    envelopes are quantized below any physical resolution so designs that tie
+    in exact arithmetic (same endpoint target and ratios) tie here too instead
+    of ordering by trig roundoff."""
+    return (round(t_switch_ms, 9), round(envelope, 9), zd, zs, zg)
+
+
 class DesignResult(NamedTuple):
     layout: MechanismLayout
     predicted_t_switch_ms: float
@@ -112,16 +122,9 @@ class DesignResult(NamedTuple):
 
     @property
     def sort_key(self):
-        # Times/envelopes quantized below any physical resolution so designs
-        # that tie in exact arithmetic (same endpoint target and ratios) tie
-        # here too instead of ordering by trig roundoff.
-        return (
-            round(self.predicted_t_switch_ms, 9),
-            round(self.envelope, 9),
-            self.layout.driving.tooth_count,
-            self.layout.switch.tooth_count,
-            self.layout.driven.tooth_count,
-        )
+        layout = self.layout
+        teeth = (layout.driving.tooth_count, layout.switch.tooth_count, layout.driven.tooth_count)
+        return _rank_key(self.predicted_t_switch_ms, self.envelope, *teeth)
 
 
 def evaluate_design(layout: MechanismLayout, slip: float, motor: MotorModel) -> DesignResult:
@@ -133,29 +136,26 @@ def evaluate_design(layout: MechanismLayout, slip: float, motor: MotorModel) -> 
     report = validate_layout(layout)
     if not report.ok:
         raise InvalidDesign(report)
-    traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
-    return _design_result(layout, report.engagement, traversal, motor, envelope_diameter(layout))
+    k_eff = TraversalModel(kinematic_carry_ratio(layout), slip).effective_ratio
+    theta, ratio = report.engagement.theta_track, layout.driven_speed_ratio
+    return _design_result(layout, theta, k_eff, ratio, motor, envelope_diameter(layout))
 
 
 def _design_result(
     layout: MechanismLayout,
-    engagement: EngagementSolution,
-    traversal: TraversalModel,
+    theta: float,
+    k_eff: float,
+    ratio: float,
     motor: MotorModel,
     envelope: float,
 ) -> DesignResult:
-    """The prediction for a validated layout, its engagement, traversal and envelope."""
-    travel = traversal.motor_travel(engagement.theta_track)
+    """The prediction for a validated layout with track travel ``theta`` (rad),
+    effective ratio ``k_eff``, driven ratio and envelope: the trapezoid time
+    of the motor travel ``TraversalModel.motor_travel`` gives."""
+    travel = math.degrees(k_eff * theta)
     # MotorModel checked its limits when it was built.
     t_switch = _trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
-    return DesignResult(
-        layout=layout,
-        predicted_t_switch_ms=t_switch * 1000.0,
-        theta_track=engagement.theta_track,
-        k_eff=traversal.effective_ratio,
-        driven_ratio=layout.driven_speed_ratio,
-        envelope=envelope,
-    )
+    return DesignResult(layout, t_switch * 1000.0, theta, k_eff, ratio, envelope)
 
 
 def _gear_sets(space: DesignSpace):
@@ -167,26 +167,18 @@ def _gear_sets(space: DesignSpace):
         yield gears[zd, m], gears[zs, m], gears[zg, m]
 
 
-def _placements(space: DesignSpace, driving: GearSpec, switch: GearSpec, driven: GearSpec, phis):
-    """Yield a gear set's (phi_d, D) over the half-angles ``phis`` and the psi*
-    target or D axis, in grid order. A target no centre distance reaches is skipped."""
-    targets = space.psi_star_targets
-    for phi_d, last in itertools.product(phis, targets or space.center_distances):
-        if targets is None:
-            yield phi_d, last
-            continue
-        try:
-            d = solve_center_distance(driving, switch, driven, phi_d, last)
-        except (NoEngagement, ValueError):
-            continue
-        yield phi_d, d
-
-
 def enumerate_layouts(space: DesignSpace):
-    """Yield candidate layouts in deterministic grid order."""
+    """Yield candidate layouts in deterministic grid order. A psi* target no
+    centre distance reaches is skipped."""
+    targets = space.psi_star_targets
     for gears in _gear_sets(space):
-        for phi_d, d in _placements(space, *gears, space.half_angles):
-            yield MechanismLayout(*gears, d, phi_d, space.backlash_margin)
+        for phi_d, last in itertools.product(space.half_angles, targets or space.center_distances):
+            if targets is not None:
+                try:
+                    last = solve_center_distance(*gears, phi_d, last)
+                except (NoEngagement, ValueError):
+                    continue
+            yield MechanismLayout(*gears, last, phi_d, space.backlash_margin)
 
 
 def optimize(
@@ -200,10 +192,12 @@ def optimize(
     Ties break by smaller envelope diameter, then lexicographic tooth counts,
     so the ranking is deterministic. The records equal ``evaluate_design``'s
     over ``enumerate_layouts``, but a candidate gets no layout until it
-    passes ``validate_layout``'s rules on scalars: the margin and each phi_d
-    are checked once; the ratio bounds, track radius, mesh distance and
-    driving-driven clearance once per gear set; then per candidate the D
-    rules, the engagement core of ``solve_engagement`` and the neutral band.
+    passes ``validate_layout``'s rules on scalars, and a rejected one is
+    skipped by a plain test, with nothing raised: the margin and each phi_d
+    (and each psi* target's cos(psi* - phi_d)) once; the ratio bounds, track
+    radius, mesh distance, reach and driving-driven clearance once per gear
+    set; then per candidate the D rules, the envelope bound, the engagement
+    core of ``solve_engagement`` and the neutral band, cheapest first.
 
     Raises:
         SpaceTooLarge: candidate count exceeds the cap.
@@ -214,36 +208,42 @@ def optimize(
             f"design space has {space.size} candidates, cap is {constraints.cap}"
         )
     lo, hi = constraints.driven_ratio_min, constraints.driven_ratio_max
-    limit = space.envelope_max_diameter
+    limit = space.envelope_max_diameter or math.inf  # None: no bound
     margin = space.backlash_margin
+    targets = space.psi_star_targets
     # validate_layout's invalid-parameter rules for the margin and phi_d.
     phis = [phi for phi in space.half_angles if 0.0 < phi < math.pi / 2 and margin >= 0.0]
-    results: list[DesignResult] = []
+    if targets is None:
+        placements = list(itertools.product(phis, space.center_distances))
+    else:  # cos(psi* - phi_d) of each target in solve_center_distance's range
+        placements = [(phi, math.cos(t - phi)) for phi in phis for t in targets if 0.0 < t <= phi]
+    keyed: list[tuple[tuple, DesignResult]] = []
     for driving, switch, driven in _gear_sets(space):
-        ratio = driving.tooth_count / driven.tooth_count  # MechanismLayout.driven_speed_ratio
+        zd, zs, zg = driving.tooth_count, switch.tooth_count, driven.tooth_count
+        ratio = zd / zg  # MechanismLayout.driven_speed_ratio
         if (lo is not None and ratio < lo) or (hi is not None and ratio > hi):
             continue
         r = driving.pitch_radius + switch.pitch_radius
         mesh = switch.pitch_radius + driven.pitch_radius
         clear = driving.pitch_radius + driven.pitch_radius
-        traversal = None
-        for phi_d, d in _placements(space, driving, switch, driven, phis):
-            if not clear <= d < math.inf:  # also D <= 0 and NaN: invalid-parameter
-                continue  # driving-driven-interference
-            try:
-                engagement = _solve(r, d, phi_d, mesh, margin)
-            except (NoEngagement, TrackDegenerate):
+        reach, driven_radius = _reach(driving, switch), driven.pitch_radius
+        k_eff = None
+        for phi_d, last in placements:
+            d = last if targets is None else _center_distance(r, mesh, last)
+            if d is None or not clear <= d < math.inf:  # also D <= 0 and NaN
+                continue  # no D reaches psi*, invalid-parameter, driving-driven-interference
+            envelope = _envelope(reach, d, driven_radius)
+            if envelope > limit:
                 continue
-            if engagement.neutral_half_width <= 0.0:
-                continue  # empty-neutral-band
+            engagement = _solve(r, d, phi_d, mesh, margin)
+            if type(engagement) is Violation or engagement.neutral_half_width <= 0.0:
+                continue  # no-engagement, switch-driven-interference, empty-neutral-band
             layout = MechanismLayout(driving, switch, driven, d, phi_d, margin)
-            envelope = envelope_diameter(layout)
-            if limit is not None and envelope > limit:
-                continue
-            if traversal is None:
-                traversal = TraversalModel(carry_ratio=kinematic_carry_ratio(layout), slip=slip)
-            results.append(_design_result(layout, engagement, traversal, motor, envelope))
-    if not results:
+            if k_eff is None:
+                k_eff = TraversalModel(kinematic_carry_ratio(layout), slip).effective_ratio
+            result = _design_result(layout, engagement.theta_track, k_eff, ratio, motor, envelope)
+            keyed.append((_rank_key(result.predicted_t_switch_ms, envelope, zd, zs, zg), result))
+    if not keyed:
         raise EmptyFeasibleSet("no design in the space passed validation and constraints")
-    results.sort(key=lambda r: r.sort_key)
-    return results
+    keyed.sort(key=itemgetter(0))
+    return [result for _, result in keyed]

@@ -257,6 +257,11 @@ class TestOptimize:
     def test_tooth_range_includes_both_ends_either_way(self, text, teeth):
         assert list(_parse_int_range(text)) == teeth
 
+    def test_tooth_range_of_more_than_three_parts_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "optimize", "--drive-teeth", "16:24:2:99")
+        assert (code, out) == (2, "")
+        assert "argument --drive-teeth: a tooth range is 'a:b' or 'a:b:step', got '16:24:2:99'" in err
+
     def test_subnormal_module_exits_1(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--modules", "1e-320")
         assert (code, out) == (1, "")
@@ -280,7 +285,7 @@ class TestOptimize:
         cfg.write_text("[layout]\nmodule_mm = 1e-300\n")
         code, out, err = run_cli(capsys, "--config", str(cfg), "validate")
         assert (code, out) == (1, "")
-        assert "config error: switch-driven-interference: track radius 1.8e-299 mm" in err
+        assert "config error: line 2: switch-driven-interference: track radius 1.8e-299 mm" in err
 
 
 class TestCalibrate:

@@ -253,6 +253,24 @@ class TestErrors:
         text = "[paths]\nagonist_moment_arm_mm = -1\nantagonist_moment_arm_mm = -2\n"
         assert [line for line, _ in self.assert_errors(text, "agonist path").errors] == [2, 3]
 
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[layout]\ncenter_distance_mm = 100.0\n", 2),
+            ("[sim]\nseed = 3\n[layout]\n\ndrive_teeth = 20\ncenter_distance_mm = 100.0\n", 5),
+        ],
+    )
+    def test_a_layout_violation_names_the_first_layout_line(self, text, line):
+        message = "no-engagement: switch track never comes within mesh distance of a driven gear"
+        assert self.assert_errors(text, "no-engagement").errors == [(line, message)]
+
+    def test_a_layout_violation_without_a_layout_key_names_no_line(self, monkeypatch):
+        # The default layout validates, so a failing report has to be injected.
+        far = Config(center_distance_mm=100.0).layout()
+        monkeypatch.setattr("switchsim.config.validate_layout", lambda _: validate_layout(far))
+        err = self.assert_errors("[sim]\nseed = 3\n", "no-engagement")
+        assert [line for line, _ in err.errors] == [0]
+
     def test_unknown_path_kind_rejected_with_line(self):
         err = self.assert_errors("[paths]\nagonist_kind = spiral\n", "unknown path kind")
         assert err.errors == [(2, "unknown path kind 'spiral'")]

@@ -10,6 +10,7 @@ from switchsim import (
     GearSpec,
     MechanismLayout,
     NoEngagement,
+    SwitchSimError,
     TrackDegenerate,
     envelope_diameter,
     kinematic_carry_ratio,
@@ -367,3 +368,84 @@ def test_envelope_diameter(ref_layout):
     d = envelope_diameter(ref_layout)
     expected = 2 * (ref_layout.driven_center_distance + 10.0)
     assert d == pytest.approx(expected)
+
+
+_PHI = math.radians(25.0)
+_TINY, _HUGE = GearSpec(20, 1e-300), GearSpec(20, 1e153)
+# One layout per engagement failure kind, with the exception and the
+# violation it gives, word for word.
+ENGAGEMENT_FAILURES = [
+    (  # 2*R*D underflows to zero
+        MechanismLayout(_TINY, GearSpec(16, 1e-300), _TINY, 3e-299, _PHI),
+        TrackDegenerate,
+        "switch-driven-interference",
+        "track radius 1.8e-299 mm and centre distance 3e-299 mm are too small to solve",
+    ),
+    (  # c > 1: the driven gears are out of reach
+        MechanismLayout(GearSpec(20, 1.0), GearSpec(16, 1.0), GearSpec(20, 1.0), 100.0, _PHI),
+        NoEngagement,
+        "no-engagement",
+        "switch track never comes within mesh distance of a driven gear",
+    ),
+    (  # c < -1: D < mesh - R
+        MechanismLayout(GearSpec(8, 1.0), GearSpec(16, 1.0), GearSpec(40, 1.0), 10.0, _PHI),
+        TrackDegenerate,
+        "switch-driven-interference",
+        "switch is inside mesh distance of a driven gear at every track angle",
+    ),
+    (  # the squares overflow, so the cosine is NaN
+        MechanismLayout(_HUGE, GearSpec(16, 1e153), _HUGE, 1e155, _PHI),
+        TrackDegenerate,
+        "switch-driven-interference",
+        "track radius 1.8e+154 mm and centre distance 1e+155 mm are too large to solve",
+    ),
+    (  # psi* <= 0
+        MechanismLayout(GearSpec(20, 1.0), GearSpec(16, 1.0), GearSpec(20, 1.0), 18.0, _PHI),
+        TrackDegenerate,
+        "switch-driven-interference",
+        "switch meshes a driven gear at the midline (psi* = -35.0000 deg <= 0); no usable track",
+    ),
+]
+
+
+@pytest.mark.parametrize("layout, error, rule, message", ENGAGEMENT_FAILURES)
+def test_engagement_failure_wording(layout, error, rule, message):
+    with pytest.raises(SwitchSimError) as info:
+        solve_engagement(layout)
+    assert type(info.value) is error and str(info.value) == message
+    report = validate_layout(layout)
+    engagement_rules = {"no-engagement", "switch-driven-interference"}
+    assert [v for v in report.violations if v.rule in engagement_rules] == [(rule, message)]
+    assert report.engagement is None
+
+
+_GEARS = GearSpec(20, 1.0), GearSpec(16, 1.0)
+CENTER_DISTANCE_FAILURES = [
+    (
+        (*_GEARS, GearSpec(20, 1.0), _PHI, math.radians(26.0)),
+        ValueError,
+        "psi_star target 0.4537856055185257 must be in (0, driven_half_angle]",
+    ),
+    (  # the discriminant is NaN
+        (GearSpec(20, 1e155), GearSpec(16, 1e155), GearSpec(20, 1e155), _PHI, math.radians(9.9)),
+        NoEngagement,
+        "no finite centre distance reaches pitch tangency at the requested track endpoint",
+    ),
+    (  # the larger root is negative
+        (*_GEARS, GearSpec(19, 1.0), 2.0, 0.1),
+        NoEngagement,
+        "solved centre distance -1.8050833229682857 mm is not finite and positive",
+    ),
+    (  # the larger root is infinite
+        (*_GEARS, GearSpec(20, 1e200), _PHI, math.radians(9.9)),
+        NoEngagement,
+        "solved centre distance inf mm is not finite and positive",
+    ),
+]
+
+
+@pytest.mark.parametrize("args, error, message", CENTER_DISTANCE_FAILURES)
+def test_center_distance_failure_wording(args, error, message):
+    with pytest.raises(Exception) as info:
+        solve_center_distance(*args)
+    assert type(info.value) is error and str(info.value) == message

@@ -11,7 +11,10 @@ from switchsim import (
     GearSpec,
     InvalidDesign,
     MechanismLayout,
+    NoEngagement,
     SpaceTooLarge,
+    TrackDegenerate,
+    envelope_diameter,
     evaluate_design,
     optimize,
     run_switching_time,
@@ -77,6 +80,46 @@ def random_problem(seed: int) -> tuple[DesignSpace, DesignConstraints]:
     )
     lo, hi = rng.choice(((None, None), (0.7, None), (None, 1.3), (0.8, 1.25)))
     return space, DesignConstraints(driven_ratio_min=lo, driven_ratio_max=hi)
+
+
+# A centre-distance space whose candidates reach every rule optimize checks.
+COUNTED_SPACE = dict(
+    drive_teeth=(16, 20, 24),
+    switch_teeth=(10, 16),
+    driven_teeth=(16, 20, 24),
+    modules=(1.0,),
+    half_angles=(math.radians(20.0), math.radians(95.0), 0.0, math.radians(30.0)),
+    center_distances=(19.0, 25.0, 34.76, 45.0),
+)
+
+
+def solve_args(layout) -> tuple:
+    """The engagement core's arguments for ``layout``."""
+    return (
+        layout.track_radius,
+        layout.driven_center_distance,
+        layout.driven_half_angle,
+        layout.mesh_distance,
+        layout.backlash_margin,
+    )
+
+
+def counted_optimize(space, constraints, motor, monkeypatch):
+    """``optimize``'s ranking, the arguments of each engagement-core call it
+    made and each layout it built, in order."""
+    solved, built = [], []
+
+    def counted_solve(*args):
+        solved.append(args)
+        return geometry._solve(*args)
+
+    def counted_layout(*args, **kwargs):
+        built.append(MechanismLayout(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("switchsim.optimizer._solve", counted_solve)
+    monkeypatch.setattr("switchsim.optimizer.MechanismLayout", counted_layout)
+    return optimize(space, constraints, SLIP_REF, motor), solved, built
 
 
 def evaluate_design_rescan(space, constraints, motor) -> list:
@@ -226,14 +269,7 @@ class TestOptimize:
         # One engagement-core call per candidate that is within the ratio
         # bounds and passes the field checks, in grid order; a layout only
         # for a candidate that validates.
-        space = DesignSpace(
-            drive_teeth=(16, 20, 24),
-            switch_teeth=(10, 16),
-            driven_teeth=(16, 20, 24),
-            modules=(1.0,),
-            half_angles=(math.radians(20.0), math.radians(95.0), 0.0, math.radians(30.0)),
-            center_distances=(19.0, 25.0, 34.76, 45.0),
-        )
+        space = DesignSpace(**COUNTED_SPACE)
         constraints = DesignConstraints(driven_ratio_min=0.8, driven_ratio_max=1.25)
         reaching = [
             layout for layout in enumerate_layouts(space)
@@ -244,30 +280,65 @@ class TestOptimize:
         valid = [layout for layout in checked if validate_layout(layout).ok]
         assert 0 < len(valid) < len(checked) < len(reaching) < space.size
 
-        solved, built = [], []
-
-        def counted_solve(*args):
-            solved.append(args)
-            return geometry._solve(*args)
-
-        def counted_layout(*args, **kwargs):
-            built.append(MechanismLayout(*args, **kwargs))
-            return built[-1]
-
-        monkeypatch.setattr("switchsim.optimizer._solve", counted_solve)
-        monkeypatch.setattr("switchsim.optimizer.MechanismLayout", counted_layout)
-        optimize(space, constraints, SLIP_REF, motor)
-        assert solved == [
-            (
-                layout.track_radius,
-                layout.driven_center_distance,
-                layout.driven_half_angle,
-                layout.mesh_distance,
-                layout.backlash_margin,
-            )
-            for layout in checked
-        ]
+        _, solved, built = counted_optimize(space, constraints, motor, monkeypatch)
+        assert solved == [solve_args(layout) for layout in checked]
         assert built == valid
+
+    def test_solves_no_candidate_over_the_envelope_bound(self, motor, monkeypatch):
+        # The bounded twin of the test above: the envelope bound is checked
+        # before the engagement core, so a candidate over it is never solved,
+        # whether it would engage or not.
+        limit = 80.0
+        space = DesignSpace(**COUNTED_SPACE, envelope_max_diameter=limit)
+        constraints = DesignConstraints(driven_ratio_min=0.8, driven_ratio_max=1.25)
+        field_rules = {"invalid-parameter", "driving-driven-interference"}
+        checked = [
+            layout for layout in enumerate_layouts(space)
+            if 0.8 <= layout.driven_speed_ratio <= 1.25
+            and not validate_layout(layout).rules() & field_rules
+        ]
+        within = [layout for layout in checked if envelope_diameter(layout) <= limit]
+        over = {validate_layout(layout).ok for layout in checked if layout not in within}
+        valid = [layout for layout in within if validate_layout(layout).ok]
+        assert over == {True, False} and 0 < len(valid) < len(within)
+        rescan = evaluate_design_rescan(space, constraints, motor)
+
+        ranked, solved, built = counted_optimize(space, constraints, motor, monkeypatch)
+        assert solved == [solve_args(layout) for layout in within]
+        assert built == valid
+        assert ranked == rescan
+
+    def test_rejects_candidates_without_raising(self, motor, monkeypatch):
+        # The candidates reach every engagement failure that can follow the
+        # D checks: out of reach (c > 1), psi* <= 0, 2*R*D underflowing and
+        # the squares overflowing. (c < -1 needs D < r_driven - r_drive,
+        # which the driving-driven clearance rejects first.)
+        space = DesignSpace(
+            drive_teeth=(16, 20, 24),
+            switch_teeth=(10, 16),
+            driven_teeth=(16, 20, 24),
+            modules=(1.0, 1e-300, 1e153),
+            half_angles=(math.radians(20.0), math.radians(30.0)),
+            center_distances=(3e-299, 19.0, 25.0, 34.76, 45.0, 1e155),
+        )
+        field_rules = {"invalid-parameter", "driving-driven-interference"}
+        messages = " ".join(
+            str(report)
+            for report in map(validate_layout, enumerate_layouts(space))
+            if not report.rules() & field_rules
+        )
+        for kind in ("never comes within", "at the midline", "too small", "too large"):
+            assert kind in messages
+
+        constructed = []
+        for error in (NoEngagement, TrackDegenerate):
+            def counted_init(self, *args, error=error):
+                constructed.append(error)
+                Exception.__init__(self, *args)
+
+            monkeypatch.setattr(error, "__init__", counted_init)
+        assert optimize(space, DesignConstraints(), SLIP_REF, motor)
+        assert constructed == []
 
     def test_checks_no_motor_limit_per_candidate(self, motor, monkeypatch):
         # The MotorModel checked its limits once; each candidate's duration
