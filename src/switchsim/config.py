@@ -374,17 +374,16 @@ class _Parser:
         ]
         return min(lines, default=0)
 
-    def fail_build(self, cfg: Config, exc: Exception) -> None:
-        """Report ``exc``, raised by building ``cfg``'s plant, at the first
-        ``[paths]`` line of each side whose path alone raises, else at no line."""
+    def fail_paths(self, cfg: Config) -> bool:
+        """Report each side whose path alone raises at that side's first
+        ``[paths]`` line; whether any did."""
         known = len(self.errors)
         for prefix in _PATHS:
             try:
                 getattr(cfg, prefix).build()
             except ValueError as path_exc:
                 self.fail(self.first_line("paths", f"{prefix}_"), f"{prefix} path: {path_exc}")
-        if len(self.errors) == known:
-            self.fail(0, f"configuration cannot be instantiated: {exc}")
+        return len(self.errors) > known
 
     def path_spec(self, prefix: str, default: PathSpec) -> PathSpec:
         kind = self.get("paths", f"{prefix}_kind", default.kind)
@@ -456,10 +455,13 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
             initial_state(plant)
             _traversal_time(plant)
         except InvalidDesign as exc:
+            # The layout is checked before any path is built, so check the paths too.
             for violation in exc.report.violations:
                 p.fail(p.first_line("layout"), str(violation))
+            p.fail_paths(cfg)
         except (SwitchSimError, ValueError) as exc:
-            p.fail_build(cfg, exc)
+            if not p.fail_paths(cfg):
+                p.fail(0, f"configuration cannot be instantiated: {exc}")
 
     if p.errors:
         raise ConfigError(sorted(p.errors))

@@ -55,10 +55,6 @@ class TrapezoidalProfile:
     def duration(self) -> float:
         return 2.0 * self.t_accel + self.t_cruise
 
-    @property
-    def sign(self) -> float:
-        return math.copysign(1.0, self.delta) if self.delta else 0.0
-
     def position(self, t: float) -> float:
         """Signed displacement covered at time ``t`` since the move started."""
         dist = abs(self.delta)
@@ -75,7 +71,7 @@ class TrapezoidalProfile:
         else:
             remaining = total - t
             covered = dist - 0.5 * self.accel * remaining * remaining
-        return self.sign * min(covered, dist)
+        return math.copysign(min(covered, dist), self.delta)
 
     def time_at_distance(self, distance: float) -> float:
         """First time at which |covered displacement| reaches ``distance``."""

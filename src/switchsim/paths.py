@@ -25,9 +25,16 @@ X_MAX = math.pi / 2
 _RANGE_TOL = 1e-9
 
 # Root-finder steps an inverse may take. Most inverses take under ten; the
-# most seen is 53, for a root within 1e-13 rad of zero, where floats are
+# most seen is 20, for a root within 1e-13 rad of zero, where floats are
 # dense. Reaching the cap is a defect.
 _MAX_ITERATIONS = 100
+
+# Smallest bisection step (rad). Near x = 0 a length near 300 mm resolves
+# angle steps of only about 2.6e-15 rad, so Newton stalls on a staircase of
+# equal lengths and bisection takes over; without this floor it would go on
+# to adjacent floats near 1e-30 rad. The floor acts only where adjacent
+# floats lie closer than twice it, within about 1e-4 rad of zero.
+_BISECT_TOL = 1e-20
 
 
 @dataclass(frozen=True)
@@ -65,6 +72,7 @@ class CurvedPath:
     moment_arm: float
     bow: float
     length_range: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _start: tuple[float, float] = field(init=False, repr=False, compare=False)  # (L(0), L'(0))
 
     def __post_init__(self):
         _in_range("reference_length", self.reference_length)
@@ -78,6 +86,7 @@ class CurvedPath:
         if self.length(X_MAX) <= 0:
             raise ValueError("cable length must stay positive over the pull range")
         object.__setattr__(self, "length_range", (self.length(X_MAX), self.length(X_MIN)))
+        object.__setattr__(self, "_start", self._length_and_slope(0.0))
 
     def length(self, x: float) -> float:
         return self.reference_length - self.moment_arm * x - self.bow * math.sin(x)
@@ -102,6 +111,7 @@ class TabulatedPath:
 
     knots: tuple[tuple[float, float], ...]
     length_range: tuple[float, float] = field(init=False, repr=False, compare=False)
+    _start: tuple[float, float] = field(init=False, repr=False, compare=False)  # (L(0), L'(0))
 
     def __post_init__(self):
         if len(self.knots) < 2:
@@ -120,6 +130,7 @@ class TabulatedPath:
         if ls[-1] <= 0:
             raise ValueError("cable length must stay positive over the pull range")
         object.__setattr__(self, "length_range", (self.length(X_MAX), self.length(X_MIN)))
+        object.__setattr__(self, "_start", self._length_and_slope(0.0))
 
     @cached_property
     def _spline(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
@@ -182,17 +193,17 @@ def _boundary_angle(path, target: float) -> float | None:
         ValueError: the target is not finite.
         OutOfRange: the target lies past an end by more than _RANGE_TOL.
     """
+    l_min, l_max = path.length_range
+    if l_min < target < l_max:  # false for nan, as for every target checked below
+        return None
     if not math.isfinite(target):
         raise ValueError(f"cable length must be finite, got {target!r}")
-    l_min, l_max = path.length_range
     if target > l_max + _RANGE_TOL or target < l_min - _RANGE_TOL:
         raise OutOfRange(
             f"cable length {target!r} mm outside attainable range "
             f"[{l_min!r}, {l_max!r}] mm"
         )
-    if target >= l_max:
-        return X_MIN
-    return X_MAX if target <= l_min else None
+    return X_MIN if target >= l_max else X_MAX
 
 
 def _bounded_inverse(path, target: float) -> float:
@@ -200,9 +211,11 @@ def _bounded_inverse(path, target: float) -> float:
 
     Away from the range boundaries (``_boundary_angle``), a safeguarded
     Newton iteration on the path's analytic slope answers (Numerical Recipes'
-    rtsafe): it keeps a bracket around the root and bisects whenever a
-    Newton step would leave the bracket or fail to halve the step before
-    last. It stops on an exact root or once the bracket is down to adjacent
+    rtsafe): it starts at x = 0 from the path's ``_start``, (L(0), L'(0)),
+    keeps a bracket around the root and bisects whenever a Newton step would
+    leave the bracket or fail to halve the step before last. It stops on an
+    exact root, on a Newton step that no longer moves x, or once a bisection
+    step would be at most ``_BISECT_TOL`` or the bracket is down to adjacent
     floats, so ``length(inverse(L))`` is within 1e-9 mm of L.
 
     Raises:
@@ -215,9 +228,9 @@ def _bounded_inverse(path, target: float) -> float:
         return boundary
     lo, hi = X_MIN, X_MAX
     x = 0.0  # the midpoint
+    length, slope = path._start
     step = before = hi - lo
     for _ in range(_MAX_ITERATIONS):
-        length, slope = path._length_and_slope(x)
         excess = length - target
         if excess == 0.0:
             return x
@@ -237,9 +250,10 @@ def _bounded_inverse(path, target: float) -> float:
         else:
             before, step = step, 0.5 * (hi - lo)
             middle = lo + step
-            if not (lo < middle < hi):  # lo and hi are adjacent floats
+            if step <= _BISECT_TOL or not (lo < middle < hi):  # or lo, hi adjacent floats
                 return x
             x = middle
+        length, slope = path._length_and_slope(x)
     raise SwitchSimError(
         f"inverse of cable length {target!r} mm did not converge in {_MAX_ITERATIONS} steps"
     )

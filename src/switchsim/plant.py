@@ -434,7 +434,9 @@ class Simulator:
 
     It reuses only the state it made (``_steps``): a new simulator's state,
     or one after ``state`` or ``config`` was replaced, goes through
-    ``step_plant``, which checks it and recomputes it.
+    ``step_plant``, which checks it and recomputes it. A run holds its step
+    index, profile position and state in locals: ``t``, ``state`` and the
+    trace's rows agree again once the run returns or raises.
     """
 
     def __init__(
@@ -589,11 +591,12 @@ class Simulator:
         minus = value if sign >= 0 and target != "plus" else 0.0
         return plus, minus
 
-    def _event_time(self, t0: float, motor_progress: float) -> float:
+    def _event_time(self, t0: float, covered: float, motor_progress: float) -> float:
+        """When an event ``motor_progress`` rad into the step from ``t0`` happens; the
+        active profile, if any, had moved ``covered`` deg by ``t0``."""
         progress_deg = abs(math.degrees(motor_progress))
         if self._profile is not None:
-            covered = abs(self._covered) + progress_deg
-            return self._profile_t0 + self._profile.time_at_distance(covered)
+            return self._profile_t0 + self._profile.time_at_distance(abs(covered) + progress_deg)
         return t0 + progress_deg / abs(self._velocity)  # an event needs motor motion
 
     def _steps(self, count: int, until: Side | None, size: int = 1) -> None:
@@ -604,49 +607,61 @@ class Simulator:
         step before made, under that record's config, calls the cores with the
         run's constants looked up once; any other state, or an end time or
         motor delta that ``step_plant`` refuses, goes through ``step_plant``.
-        A run that raises keeps the old record.
+
+        The step index, the profile's covered distance, the state and the
+        last pair live in locals, and reach ``self`` once, as of the last
+        step that completed, also when a step raises. A run that raises keeps
+        the old record. ``_disturbances`` gates on ``self.state``, so a
+        step with a pulse on stores its start state there first.
         """
         config = self.config
         dt = config.dt
-        profile, pulses = self._profile, self._pulses
+        profile, profile_t0, pulses = self._profile, self._profile_t0, self._pulses
         rows = self.trace.rows if self.record else None
+        timed = self.trace.events
         velocity_delta = self._velocity * dt * size
+        undisturbed = self._disturbances(0.0)
         made, made_config, last, lengths = self._made
-        trusted = made is self.state and made_config is config
+        index, covered, state = self._step_index, self._covered, self.state
+        trusted = made is state and made_config is config
         engagement = config.engagement
         k_eff, spool_ratio = config.traversal.effective_ratio, config.layout.driven_speed_ratio
-        for _ in range(count):
-            index = self._step_index
-            t0 = index * dt
-            t1 = (index + size) * dt
-            covered, delta = self._covered, velocity_delta
-            if profile is not None:
-                covered = profile.position(t1 - self._profile_t0)
-                delta = covered - self._covered
-            signal = pulses.step(dt) if pulses is not None else 0.0
-            disturbed = self._disturbances(signal)
-            state = self.state
-            if trusted and t1 > state.t and math.isfinite(delta):
-                settled = disturbed[0] is last[0] and disturbed[1] is last[1]
-                stepped = _switch(state.switch, engagement, k_eff, math.radians(delta), spool_ratio)
-                state, events, lengths = _advance(
-                    state, config, t1, delta, stepped, disturbed, settled, lengths
-                )
-            else:
-                state, events = step_plant(state, config, t1, delta, *disturbed)
-                trusted, lengths = True, None
-            for event in events:
-                self.trace.events.append(
-                    TimedEvent(self._event_time(t0, event.motor_progress), event.kind, event.side, event.psi)
-                )
-            self.state, last = state, disturbed
-            self._covered = covered  # only now: a failed leap re-steps from the old position
-            self._step_index = index + size
-            if rows is not None:
-                rows.append(state)
-            if until is not None and state.switch.engaged_side is until:
-                break
-        self._made = (self.state, config, last, lengths)
+        try:
+            for _ in range(count):
+                t1 = (index + size) * dt
+                reached, delta = covered, velocity_delta
+                if profile is not None:
+                    reached = profile.position(t1 - profile_t0)
+                    delta = reached - covered
+                disturbed = undisturbed
+                if pulses is not None:
+                    signal = pulses.step(dt)
+                    if signal:  # a pulse that is off gives the undisturbed pair
+                        self.state = state
+                        disturbed = self._disturbances(signal)
+                if trusted and t1 > state.t and math.isfinite(delta):
+                    settled = disturbed is last or (
+                        disturbed[0] is last[0] and disturbed[1] is last[1]
+                    )
+                    stepped = _switch(state.switch, engagement, k_eff, math.radians(delta), spool_ratio)
+                    new, events, lengths = _advance(
+                        state, config, t1, delta, stepped, disturbed, settled, lengths
+                    )
+                else:
+                    new, events = step_plant(state, config, t1, delta, *disturbed)
+                    trusted, lengths = True, None
+                for event in events:
+                    at = self._event_time(index * dt, covered, event.motor_progress)
+                    timed.append(TimedEvent(at, event.kind, event.side, event.psi))
+                # Only now: a failed leap re-steps from the old state and position.
+                state, last, covered, index = new, disturbed, reached, index + size
+                if rows is not None:
+                    rows.append(state)
+                if until is not None and state.switch.engaged_side is until:
+                    break
+        finally:
+            self.state, self._covered, self._step_index = state, covered, index
+        self._made = (state, config, last, lengths)
 
 
 def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:

@@ -264,6 +264,13 @@ class TestErrors:
         message = "no-engagement: switch track never comes within mesh distance of a driven gear"
         assert self.assert_errors(text, "no-engagement").errors == [(line, message)]
 
+    def test_a_layout_violation_does_not_hide_a_refused_path(self):
+        text = "[layout]\ncenter_distance_mm = 100.0\n[paths]\nagonist_moment_arm_mm = -1\n"
+        assert self.assert_errors(text, "no-engagement").errors == [
+            (2, "no-engagement: switch track never comes within mesh distance of a driven gear"),
+            (4, "agonist path: moment_arm must be finite and positive, got -1.0"),
+        ]
+
     def test_a_layout_violation_without_a_layout_key_names_no_line(self, monkeypatch):
         # The default layout validates, so a failing report has to be injected.
         far = Config(center_distance_mm=100.0).layout()

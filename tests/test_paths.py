@@ -133,6 +133,7 @@ class _Counted:
     def __init__(self, path):
         self.path = path
         self.length_range = path.length_range
+        self._start = path._start  # (L(0), L'(0)), which costs no evaluation
         self.evaluations = 0
         self.length_calls = 0
 
@@ -199,6 +200,20 @@ class TestInverseProperties:
     def test_curved(self, moment_arm, bow_ratio, fractions):
         _check_inverse(CurvedPath(300.0, moment_arm, bow_ratio * moment_arm), fractions)
 
+    def test_roots_near_zero_end_within_a_few_evaluations(self):
+        # Near x = 0 a 300 mm length resolves angle steps of only ~2.6e-15 rad,
+        # so Newton stalls there and the root-finder bisects; it must stop at
+        # _BISECT_TOL, not halve the bracket down to adjacent floats near 1e-30.
+        path = CurvedPath(300.0, 22.0, 6.0)
+        zero = path.length(0.0)
+        for k in range(-40, 41):
+            target = zero + k * math.ulp(zero)
+            counted = _Counted(path)
+            x = paths._bounded_inverse(counted, target)
+            assert counted.evaluations <= 20, k
+            assert x == path.inverse(target)
+            assert abs(path.length(x) - target) <= 1e-9
+
     def test_cap_names_the_target(self, monkeypatch):
         monkeypatch.setattr(paths, "_MAX_ITERATIONS", 2)
         with pytest.raises(SwitchSimError, match="inverse of cable length 301.5 mm did not converge"):
@@ -214,6 +229,10 @@ class TestStoredRange:
     @ALL_KINDS
     def test_range_is_the_end_lengths(self, path):
         assert path.length_range == (path.length(paths.X_MAX), path.length(paths.X_MIN))
+
+    @pytest.mark.parametrize("path", [CURVED, TABLE], ids=["curved", "tabulated"])
+    def test_newton_start_is_the_length_and_slope_at_zero(self, path):
+        assert path._start == path._length_and_slope(0.0)
 
     @ALL_KINDS
     @pytest.mark.parametrize("past", [0.0, 0.5, 1.0])
