@@ -156,16 +156,19 @@ _RAISES = {"no-engagement": NoEngagement, "switch-driven-interference": TrackDeg
 
 def _solve(
     r: float, d: float, phi: float, mesh: float, margin: float
-) -> EngagementSolution | Violation:
+) -> tuple[float, float, float] | Violation:
     """The engagement of track radius ``r``, centre distance ``d``, half-angle
-    ``phi`` and mesh distance ``mesh``, with neutral band ``margin``, or the
+    ``phi`` and mesh distance ``mesh``, with neutral band ``margin``, as the
+    plain triple ``(psi_star, theta_track, neutral_half_width)``, or the
     violation that rules the layout out.
 
     Assumes the field checks have passed: ``r`` and ``d`` finite and
     positive, ``phi`` in (0, pi/2). A negative ``margin`` leaves the band
     empty. Returns, never raises: ``solve_engagement`` raises from the
-    violation. A track so small that ``2*r*d`` underflows to zero, or so
-    large that the engagement cosine is NaN, is degenerate.
+    violation or wraps the triple in an ``EngagementSolution``, and
+    ``optimize`` unpacks the triple. A track so small that ``2*r*d``
+    underflows to zero, or so large that the engagement cosine is NaN, is
+    degenerate.
     """
     try:
         c = _engagement_cosine(r, d, mesh)
@@ -200,7 +203,7 @@ def _solve(
         if cm > -1.0:
             half_width = max(0.0, phi - math.acos(cm))
 
-    return EngagementSolution(psi_star, 2.0 * psi_star, half_width)
+    return psi_star, 2.0 * psi_star, half_width
 
 
 def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
@@ -210,7 +213,8 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
     has two roots; the one nearer the midline is the physical endpoint (the
     switch approaches from the midline side). Checks D and phi_d, then hands
     the layout's scalars to the core that ``optimize`` also calls, so both
-    share one engagement formula, and raises from the violation it returns.
+    share one engagement formula. Raises from the violation the core
+    returns, or wraps its triple in an ``EngagementSolution``.
 
     Raises:
         NoEngagement: the track never comes within mesh distance of a driven gear.
@@ -227,7 +231,7 @@ def solve_engagement(layout: MechanismLayout) -> EngagementSolution:
     solution = _solve(layout.track_radius, d, phi, layout.mesh_distance, layout.backlash_margin)
     if type(solution) is Violation:
         raise _RAISES[solution.rule](solution.message)
-    return solution
+    return EngagementSolution(*solution)
 
 
 def validate_layout(layout: MechanismLayout) -> ValidationReport:

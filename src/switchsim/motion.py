@@ -94,15 +94,18 @@ def trapezoid_duration(distance: float, max_speed: float, accel: float) -> float
 
     Trapezoidal case: distance/v + v/a. Triangular case (distance < v^2/a):
     2*sqrt(distance/a). ``accel = inf`` gives the kinematic floor distance/v.
+    Checks the limits, then the distance.
     """
     _limits(max_speed, accel)
+    _in_range("distance", distance, "not negative")
     return _trapezoid_duration(distance, max_speed, accel)
 
 
 def _trapezoid_duration(distance: float, max_speed: float, accel: float) -> float:
     """``trapezoid_duration`` for limits that already passed ``_limits``, such as a
-    ``MotorModel``'s: the limits are not checked again."""
-    if _in_range("distance", distance, "not negative") == 0.0:
+    ``MotorModel``'s, and a finite, non-negative distance, such as a motor
+    travel ``k_eff * theta``: checks nothing."""
+    if distance == 0.0:
         return 0.0
     if math.isinf(accel):
         return distance / max_speed

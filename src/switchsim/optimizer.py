@@ -33,7 +33,7 @@ from .geometry import (
 )
 from .motion import _trapezoid_duration
 from .plant import MotorModel
-from .switching import TraversalModel
+from .switching import TraversalModel, _check_slip, _effective_ratio
 
 DEFAULT_SPACE_CAP = 1_000_000
 
@@ -153,6 +153,8 @@ def _design_result(
     effective ratio ``k_eff``, driven ratio and envelope: the trapezoid time
     of the motor travel ``TraversalModel.motor_travel`` gives."""
     travel = math.degrees(k_eff * theta)
+    if travel == math.inf:  # k_eff * theta overflowed; otherwise it is finite and positive
+        _in_range("distance", travel, "not negative")
     # MotorModel checked its limits when it was built.
     t_switch = _trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
     return DesignResult(layout, t_switch * 1000.0, theta, k_eff, ratio, envelope)
@@ -197,16 +199,23 @@ def optimize(
     (and each psi* target's cos(psi* - phi_d)) once; the ratio bounds, track
     radius, mesh distance, reach and driving-driven clearance once per gear
     set; then per candidate the D rules, the envelope bound, the engagement
-    core of ``solve_engagement`` and the neutral band, cheapest first.
+    core of ``solve_engagement`` (its plain triple, unpacked) and the neutral
+    band, cheapest first. ``slip`` is checked once, by ``TraversalModel``'s
+    rule, before any candidate; each gear set's k_eff then comes from the
+    unchecked ratio core, so no traversal model is built, and each duration
+    from the unchecked trapezoid core, as its motor travel is positive (one
+    that overflows to inf is refused as before).
 
     Raises:
         SpaceTooLarge: candidate count exceeds the cap.
+        ValueError: ``slip`` is not finite or outside [0, 1).
         EmptyFeasibleSet: nothing validated.
     """
     if space.size > constraints.cap:
         raise SpaceTooLarge(
             f"design space has {space.size} candidates, cap is {constraints.cap}"
         )
+    _check_slip(slip)
     lo, hi = constraints.driven_ratio_min, constraints.driven_ratio_max
     limit = space.envelope_max_diameter or math.inf  # None: no bound
     margin = space.backlash_margin
@@ -236,12 +245,15 @@ def optimize(
             if envelope > limit:
                 continue
             engagement = _solve(r, d, phi_d, mesh, margin)
-            if type(engagement) is Violation or engagement.neutral_half_width <= 0.0:
-                continue  # no-engagement, switch-driven-interference, empty-neutral-band
+            if type(engagement) is Violation:
+                continue  # no-engagement, switch-driven-interference
+            _, theta, half_width = engagement
+            if half_width <= 0.0:
+                continue  # empty-neutral-band
             layout = MechanismLayout(driving, switch, driven, d, phi_d, margin)
             if k_eff is None:
-                k_eff = TraversalModel(kinematic_carry_ratio(layout), slip).effective_ratio
-            result = _design_result(layout, engagement.theta_track, k_eff, ratio, motor, envelope)
+                k_eff = _effective_ratio(kinematic_carry_ratio(layout), slip)
+            result = _design_result(layout, theta, k_eff, ratio, motor, envelope)
             keyed.append((_rank_key(result.predicted_t_switch_ms, envelope, zd, zs, zg), result))
     if not keyed:
         raise EmptyFeasibleSet("no design in the space passed validation and constraints")

@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_right
 from dataclasses import dataclass, field
-from functools import cached_property
 
 from .errors import OutOfRange, SwitchSimError, _in_range
 
@@ -110,6 +109,10 @@ class TabulatedPath:
     """
 
     knots: tuple[tuple[float, float], ...]
+    # _pchip of the knots: (interior knot angles, (x_k, c0, c1, c2, c3) per interval)
+    _spline: tuple[tuple[float, ...], tuple[tuple[float, ...], ...]] = field(
+        init=False, repr=False, compare=False
+    )
     length_range: tuple[float, float] = field(init=False, repr=False, compare=False)
     _start: tuple[float, float] = field(init=False, repr=False, compare=False)  # (L(0), L'(0))
 
@@ -129,37 +132,9 @@ class TabulatedPath:
             raise ValueError("knots must cover the full pull range [-pi/2, +pi/2]")
         if ls[-1] <= 0:
             raise ValueError("cable length must stay positive over the pull range")
+        object.__setattr__(self, "_spline", _pchip(xs, ls))
         object.__setattr__(self, "length_range", (self.length(X_MAX), self.length(X_MIN)))
         object.__setattr__(self, "_start", self._length_and_slope(0.0))
-
-    @cached_property
-    def _spline(self) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
-        """(interior knot angles, (x_k, c0, c1, c2, c3) per interval).
-
-        On interval k, L = c3 + c2*s + c1*s^2 + c0*s^3 with s = x - x_k, the
-        coefficients and the evaluation order of SciPy's CubicHermiteSpline.
-        """
-        xs = [x for x, _ in self.knots]
-        ls = [l for _, l in self.knots]
-        h = [b - a for a, b in zip(xs, xs[1:])]
-        m = [(b - a) / hk for a, b, hk in zip(ls, ls[1:], h)]
-        if len(m) == 1:
-            slopes = [m[0], m[0]]
-        else:
-            # Every secant is negative, so SciPy's zero slope where the
-            # secants change sign never applies: each interior slope is the
-            # Fritsch-Butland weighted harmonic mean of its two secants.
-            slopes = [_end_slope(h[0], h[1], m[0], m[1])]
-            for k in range(1, len(m)):
-                w1 = 2 * h[k] + h[k - 1]
-                w2 = h[k] + 2 * h[k - 1]
-                slopes.append(1.0 / ((w1 / m[k - 1] + w2 / m[k]) / (w1 + w2)))
-            slopes.append(_end_slope(h[-1], h[-2], m[-1], m[-2]))
-        segments = []
-        for k, (hk, mk) in enumerate(zip(h, m)):
-            t = (slopes[k] + slopes[k + 1] - 2 * mk) / hk
-            segments.append((xs[k], t / hk, (mk - slopes[k]) / hk - t, slopes[k], ls[k]))
-        return tuple(xs[1:-1]), tuple(segments)
 
     def length(self, x: float) -> float:
         return self._length_and_slope(x)[0]
@@ -173,6 +148,36 @@ class TabulatedPath:
         s = x - x0
         s2 = s * s
         return c3 + c2 * s + c1 * s2 + c0 * (s2 * s), c2 + 2.0 * c1 * s + 3.0 * c0 * s2
+
+
+def _pchip(
+    xs: list[float], ls: list[float]
+) -> tuple[tuple[float, ...], tuple[tuple[float, ...], ...]]:
+    """(interior knot angles, (x_k, c0, c1, c2, c3) per interval) of the
+    monotone cubic through knot angles ``xs`` and lengths ``ls``.
+
+    On interval k, L = c3 + c2*s + c1*s^2 + c0*s^3 with s = x - x_k, the
+    coefficients and the evaluation order of SciPy's CubicHermiteSpline.
+    """
+    h = [b - a for a, b in zip(xs, xs[1:])]
+    m = [(b - a) / hk for a, b, hk in zip(ls, ls[1:], h)]
+    if len(m) == 1:
+        slopes = [m[0], m[0]]
+    else:
+        # Every secant is negative, so SciPy's zero slope where the
+        # secants change sign never applies: each interior slope is the
+        # Fritsch-Butland weighted harmonic mean of its two secants.
+        slopes = [_end_slope(h[0], h[1], m[0], m[1])]
+        for k in range(1, len(m)):
+            w1 = 2 * h[k] + h[k - 1]
+            w2 = h[k] + 2 * h[k - 1]
+            slopes.append(1.0 / ((w1 / m[k - 1] + w2 / m[k]) / (w1 + w2)))
+        slopes.append(_end_slope(h[-1], h[-2], m[-1], m[-2]))
+    segments = []
+    for k, (hk, mk) in enumerate(zip(h, m)):
+        t = (slopes[k] + slopes[k + 1] - 2 * mk) / hk
+        segments.append((xs[k], t / hk, (mk - slopes[k]) / hk - t, slopes[k], ls[k]))
+    return tuple(xs[1:-1]), tuple(segments)
 
 
 def _end_slope(h0: float, h1: float, m0: float, m1: float) -> float:

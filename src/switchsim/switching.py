@@ -105,17 +105,27 @@ class TraversalModel:
     def __post_init__(self):
         if not (_in_range("carry_ratio", self.carry_ratio) >= 1.0):
             raise ValueError(f"carry_ratio must be >= 1, got {self.carry_ratio!r}")
-        if not (0.0 <= _in_range("slip", self.slip) < 1.0):
-            raise ValueError(f"slip must be in [0, 1), got {self.slip!r}")
+        _check_slip(self.slip)
 
     @property
     def effective_ratio(self) -> float:
         """Motor rotation per unit switch revolution, k_eff = k_kin/(1-s)."""
-        return self.carry_ratio / (1.0 - self.slip)
+        return _effective_ratio(self.carry_ratio, self.slip)
 
     def motor_travel(self, theta_track: float) -> float:
         """Output-shaft degrees that carry the switch across a ``theta_track`` rad track."""
         return math.degrees(self.effective_ratio * theta_track)
+
+
+def _check_slip(slip: float) -> None:
+    """The range rule on a slip: finite and in [0, 1)."""
+    if not (0.0 <= _in_range("slip", slip) < 1.0):
+        raise ValueError(f"slip must be in [0, 1), got {slip!r}")
+
+
+def _effective_ratio(carry_ratio: float, slip: float) -> float:
+    """k_eff = k_kin/(1-s) of a slip that passed ``_check_slip``; checks nothing."""
+    return carry_ratio / (1.0 - slip)
 
 
 def calibrate_slip(

@@ -24,6 +24,7 @@ and at least 1e-12.
 import copy
 import math
 
+import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
@@ -148,3 +149,21 @@ class SimulatorModel(RuleBasedStateMachine):
 
 TestSimulatorModel = SimulatorModel.TestCase
 TestSimulatorModel.settings = settings(max_examples=200, stateful_step_count=15, deadline=None)
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="the recorded run's per-step motor sums bring the switch within PSI_SNAP of "
+    "-psi* with 6.9e-8 deg of the move left, and that residual motor rotation winds the "
+    "minus spool: the joint ends at -4.0e-10 rad where the leaped run ends at 0.0",
+)
+def test_a_move_back_to_the_engaged_side_leaves_both_runs_at_rest():
+    # A case the state machine above draws only by chance.
+    plant = Config().plant()
+    sims = [Simulator(plant, Side.MINUS, record=record) for record in (True, False)]
+    for sim in sims:
+        sim.move_motor_to(8.966796875)
+        sim.move_motor_to(0.0)
+    recorded, leaped = sims
+    assert recorded.state.switch == leaped.state.switch
+    assert abs(recorded.state.joint_angle - leaped.state.joint_angle) <= 1e-12

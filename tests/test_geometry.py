@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from switchsim import (
+    EngagementSolution,
     GearSpec,
     MechanismLayout,
     NoEngagement,
@@ -18,6 +19,7 @@ from switchsim import (
     solve_engagement,
     validate_layout,
 )
+from switchsim import geometry
 from conftest import random_valid_layout
 
 
@@ -193,7 +195,19 @@ class TestValidateLayout:
         assert str(report) == "0 violations"
 
     def test_report_carries_the_engagement(self, ref_layout):
-        assert validate_layout(ref_layout).engagement == solve_engagement(ref_layout)
+        # Both wrap the plain triple of the core that optimize unpacks.
+        layout = ref_layout
+        core = geometry._solve(
+            layout.track_radius,
+            layout.driven_center_distance,
+            layout.driven_half_angle,
+            layout.mesh_distance,
+            layout.backlash_margin,
+        )
+        assert type(core) is tuple and len(core) == 3
+        for engagement in (solve_engagement(layout), validate_layout(layout).engagement):
+            assert type(engagement) is EngagementSolution
+            assert engagement == core
 
     def test_track_too_small_to_solve_is_degenerate(self):
         # 2*R*D underflows to zero for gears of module 1e-300.

@@ -111,6 +111,18 @@ def test_duration_and_plan_refuse_the_same_limits(max_speed, accel, message):
         assert str(duration.value) == str(plan.value) == message
 
 
+@pytest.mark.parametrize("distance", [-1.0, -5e-324, math.nan, math.inf, -math.inf])
+def test_duration_refuses_a_bad_distance(distance):
+    """The distance is checked after the limits; the unchecked core is never reached."""
+    message = f"distance must be finite and not negative, got {distance!r}"
+    with pytest.raises(ValueError) as refused:
+        trapezoid_duration(distance, 720.0, CAL_ACCEL)
+    assert str(refused.value) == message
+    with pytest.raises(ValueError) as limits_first:
+        trapezoid_duration(distance, 0.0, CAL_ACCEL)
+    assert str(limits_first.value) == "max_speed must be finite and positive, got 0.0"
+
+
 def test_profile_position_move_uses_motor_limits():
     motor = MotorModel(max_output_speed=720.0, profile_accel=CAL_ACCEL)
     p = TrapezoidalProfile.plan(122.6, motor.max_output_speed, motor.profile_accel)

@@ -8,12 +8,14 @@ from switchsim import (
     DesignConstraints,
     DesignSpace,
     EmptyFeasibleSet,
+    EngagementSolution,
     GearSpec,
     InvalidDesign,
     MechanismLayout,
     NoEngagement,
     SpaceTooLarge,
     TrackDegenerate,
+    TraversalModel,
     envelope_diameter,
     evaluate_design,
     optimize,
@@ -356,6 +358,53 @@ class TestOptimize:
             want = trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
             assert result.predicted_t_switch_ms == want * 1000.0
         assert len(checks) == len(ranked)
+
+    def test_builds_no_model_or_solution_per_candidate(self, motor, monkeypatch):
+        # Slip is checked once before the loop, each gear set's k_eff comes
+        # from the unchecked ratio core, the engagement core's plain triple is
+        # unpacked, and a motor travel is positive by construction.
+        built = {"TraversalModel": 0, "EngagementSolution": 0, "distance": 0}
+        post_init = TraversalModel.__post_init__
+        solution_new = EngagementSolution.__new__
+        in_range = motion._in_range
+
+        def counted_post_init(self):
+            built["TraversalModel"] += 1
+            post_init(self)
+
+        def counted_new(cls, *args):
+            built["EngagementSolution"] += 1
+            return solution_new(cls, *args)
+
+        def counted_in_range(name, value, *bound):
+            built["distance"] += name == "distance"
+            return in_range(name, value, *bound)
+
+        monkeypatch.setattr(TraversalModel, "__post_init__", counted_post_init)
+        monkeypatch.setattr(EngagementSolution, "__new__", counted_new)
+        monkeypatch.setattr(motion, "_in_range", counted_in_range)
+        space = singleton_space(
+            drive_teeth=(16, 20, 24), driven_teeth=(16, 20, 24), psi_star_targets=(0.1, PSI_REF)
+        )
+        ranked = optimize(space, DesignConstraints(), SLIP_REF, motor)
+        assert len({r.layout[:3] for r in ranked}) > 5
+        assert built == {"TraversalModel": 0, "EngagementSolution": 0, "distance": 0}
+        monkeypatch.undo()
+        assert ranked == evaluate_design_rescan(space, DesignConstraints(), motor)
+
+    @pytest.mark.parametrize("slip", [1.0, -0.1, math.nan])
+    @pytest.mark.parametrize(
+        "grid", [{}, {"psi_star_targets": None, "center_distances": (100.0,)}]
+    )
+    def test_refuses_a_bad_slip_before_any_candidate(self, motor, slip, grid):
+        # With the traversal model's wording, also on a space where no
+        # candidate is feasible.
+        space = singleton_space(**grid)
+        with pytest.raises(ValueError) as want:
+            TraversalModel(1.8, slip)
+        with pytest.raises(ValueError) as refused:
+            optimize(space, DesignConstraints(), slip, motor)
+        assert str(refused.value) == str(want.value)
 
     def test_negative_margin_solves_nothing(self, motor, monkeypatch):
         # A negative backlash margin fails every candidate's field checks.
