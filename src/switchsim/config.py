@@ -150,6 +150,14 @@ class Config:
 
     # -- builders ------------------------------------------------------------
 
+    def _traversal(self, layout: MechanismLayout) -> TraversalModel:
+        """The traversal model: the given slip, else the travel pair's, with
+        ``layout``'s carry ratio (SubKinematicRatio if the pair is below it)."""
+        carry = kinematic_carry_ratio(layout)
+        if self.slip is not None:
+            return TraversalModel(carry_ratio=carry, slip=self.slip)
+        return calibrate_slip(self.motor_travel_deg, self.revolution_travel_deg, carry)
+
     def layout(self) -> MechanismLayout:
         driving = GearSpec(self.drive_teeth, self.module)
         switch = GearSpec(self.switch_teeth, self.module)
@@ -157,11 +165,17 @@ class Config:
         if self.center_distance_mm is not None:
             d = self.center_distance_mm
         else:
-            d = solve_center_distance(
-                driving, switch, driven,
-                math.radians(self.driven_half_angle_deg),
-                math.radians(self.track_travel_deg / 2.0),
-            )
+            try:
+                d = solve_center_distance(
+                    driving, switch, driven,
+                    math.radians(self.driven_half_angle_deg),
+                    math.radians(self.track_travel_deg / 2.0),
+                )
+            except ValueError:  # the endpoint target is outside (0, phi_d]
+                raise ValueError(
+                    f"track_travel_deg must be in (0, {2.0 * self.driven_half_angle_deg!r}], "
+                    f"twice driven_half_angle_deg, got {self.track_travel_deg!r}"
+                ) from None
         return MechanismLayout(
             driving=driving,
             switch=switch,
@@ -183,11 +197,7 @@ class Config:
             raise InvalidDesign(report)
         path_plus = self.agonist.build()
         path_minus = self.antagonist.build()
-        carry = kinematic_carry_ratio(layout)
-        if self.slip is not None:
-            traversal = TraversalModel(carry_ratio=carry, slip=self.slip)
-        else:
-            traversal = calibrate_slip(self.motor_travel_deg, self.revolution_travel_deg, carry)
+        traversal = self._traversal(layout)
         accel = self.profile_accel
         if accel is None:
             accel = calibrate_profile_accel(
@@ -374,16 +384,32 @@ class _Parser:
         ]
         return min(lines, default=0)
 
-    def fail_paths(self, cfg: Config) -> bool:
-        """Report each side whose path alone raises at that side's first
-        ``[paths]`` line; whether any did."""
+    def fail_build(self, cfg: Config, exc: Exception) -> None:
+        """Report a plant build that raised ``exc`` at the first line of each
+        section at fault: the layout, each side's path (at that side's first
+        ``[paths]`` line) and, when the layout builds, the travel pair. Only
+        when no section is at fault is ``exc`` reported, at line 0."""
         known = len(self.errors)
+        layout = None
+        try:
+            layout = cfg.layout()
+            problems = validate_layout(layout).violations
+        except (SwitchSimError, ValueError) as layout_exc:
+            problems = (layout_exc,)
+        for problem in problems:
+            self.fail(self.first_line("layout"), str(problem))
         for prefix in _PATHS:
             try:
                 getattr(cfg, prefix).build()
             except ValueError as path_exc:
                 self.fail(self.first_line("paths", f"{prefix}_"), f"{prefix} path: {path_exc}")
-        return len(self.errors) > known
+        if layout is not None:
+            try:
+                cfg._traversal(layout)
+            except (SwitchSimError, ValueError) as traversal_exc:
+                self.fail(self.first_line("traversal"), str(traversal_exc))
+        if len(self.errors) == known:
+            self.fail(0, f"configuration cannot be instantiated: {exc}")
 
     def path_spec(self, prefix: str, default: PathSpec) -> PathSpec:
         kind = self.get("paths", f"{prefix}_kind", default.kind)
@@ -454,14 +480,8 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
             plant = cfg.plant()
             initial_state(plant)
             _traversal_time(plant)
-        except InvalidDesign as exc:
-            # The layout is checked before any path is built, so check the paths too.
-            for violation in exc.report.violations:
-                p.fail(p.first_line("layout"), str(violation))
-            p.fail_paths(cfg)
         except (SwitchSimError, ValueError) as exc:
-            if not p.fail_paths(cfg):
-                p.fail(0, f"configuration cannot be instantiated: {exc}")
+            p.fail_build(cfg, exc)
 
     if p.errors:
         raise ConfigError(sorted(p.errors))

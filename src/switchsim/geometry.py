@@ -239,8 +239,9 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
 
     Rules reported: invalid-parameter, module-mismatch, driving-driven
     interference, switch-driven interference (at the midline), no-engagement
-    and empty-neutral-band. The last three come from ``solve_engagement``'s
-    outcome, so a layout breaks at most one of them.
+    and empty-neutral-band. Once D and phi_d are usable, the last three come
+    from the one outcome of the engagement core ``_solve``, so a layout breaks
+    at most one of them.
     """
     violations: list[Violation] = []
 
@@ -255,11 +256,12 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
 
     d = layout.driven_center_distance
     phi = layout.driven_half_angle
-    if not (math.isfinite(d) and d > 0):
+    d_ok, phi_ok = math.isfinite(d) and d > 0, 0.0 < phi < math.pi / 2
+    if not d_ok:
         violations.append(
             Violation("invalid-parameter", f"driven_center_distance {d!r} not positive")
         )
-    if not (0.0 < phi < math.pi / 2):
+    if not phi_ok:
         violations.append(
             Violation("invalid-parameter", f"driven_half_angle {phi!r} outside (0, pi/2)")
         )
@@ -270,7 +272,7 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
 
     # Driven gear would mesh the driving gear directly.
     min_clear = layout.driving.pitch_radius + layout.driven.pitch_radius
-    if not (math.isfinite(d) and d > 0) or d < min_clear:
+    if not d_ok or d < min_clear:
         violations.append(
             Violation(
                 "driving-driven-interference",
@@ -279,22 +281,19 @@ def validate_layout(layout: MechanismLayout) -> ValidationReport:
         )
 
     sol = None
-    try:
-        sol = solve_engagement(layout)
-    except TrackDegenerate as exc:
-        violations.append(Violation("switch-driven-interference", str(exc)))
-    except NoEngagement as exc:
-        violations.append(Violation("no-engagement", str(exc)))
-    except ValueError:
-        pass  # its checks are the invalid-parameter rules above
-    else:
-        if sol.neutral_half_width <= 0.0:
-            violations.append(
-                Violation(
-                    "empty-neutral-band",
-                    "no track angle clears both driven gears by the backlash margin",
+    if d_ok and phi_ok:
+        solved = _solve(layout.track_radius, d, phi, layout.mesh_distance, layout.backlash_margin)
+        if type(solved) is Violation:
+            violations.append(solved)
+        else:
+            sol = EngagementSolution(*solved)
+            if sol.neutral_half_width <= 0.0:
+                violations.append(
+                    Violation(
+                        "empty-neutral-band",
+                        "no track angle clears both driven gears by the backlash margin",
+                    )
                 )
-            )
 
     return ValidationReport(tuple(violations), sol)
 

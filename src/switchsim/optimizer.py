@@ -132,13 +132,20 @@ def evaluate_design(layout: MechanismLayout, slip: float, motor: MotorModel) -> 
 
     Raises:
         InvalidDesign: the layout fails geometric validation (wraps the report).
+        ValueError: the motor travel k_eff * theta overflows, so no finite time exists.
     """
     report = validate_layout(layout)
     if not report.ok:
         raise InvalidDesign(report)
     k_eff = TraversalModel(kinematic_carry_ratio(layout), slip).effective_ratio
     theta, ratio = report.engagement.theta_track, layout.driven_speed_ratio
-    return _design_result(layout, theta, k_eff, ratio, motor, envelope_diameter(layout))
+    result = _design_result(layout, theta, k_eff, ratio, motor, envelope_diameter(layout))
+    if result is None:
+        raise ValueError(
+            f"motor travel k_eff * theta ({k_eff!r} * {theta!r} rad) overflows to inf deg: "
+            "no finite time ranks it"
+        )
+    return result
 
 
 def _design_result(
@@ -148,13 +155,14 @@ def _design_result(
     ratio: float,
     motor: MotorModel,
     envelope: float,
-) -> DesignResult:
+) -> DesignResult | None:
     """The prediction for a validated layout with track travel ``theta`` (rad),
     effective ratio ``k_eff``, driven ratio and envelope: the trapezoid time
-    of the motor travel ``TraversalModel.motor_travel`` gives."""
+    of the motor travel ``TraversalModel.motor_travel`` gives. None when that
+    travel overflows to inf, as no finite time ranks it."""
     travel = math.degrees(k_eff * theta)
-    if travel == math.inf:  # k_eff * theta overflowed; otherwise it is finite and positive
-        _in_range("distance", travel, "not negative")
+    if travel == math.inf:  # otherwise it is finite and positive
+        return None
     # MotorModel checked its limits when it was built.
     t_switch = _trapezoid_duration(travel, motor.max_output_speed, motor.profile_accel)
     return DesignResult(layout, t_switch * 1000.0, theta, k_eff, ratio, envelope)
@@ -203,8 +211,9 @@ def optimize(
     band, cheapest first. ``slip`` is checked once, by ``TraversalModel``'s
     rule, before any candidate; each gear set's k_eff then comes from the
     unchecked ratio core, so no traversal model is built, and each duration
-    from the unchecked trapezoid core, as its motor travel is positive (one
-    that overflows to inf is refused as before).
+    from the unchecked trapezoid core, as its motor travel is positive; a
+    candidate whose motor travel overflows to inf has no finite time and is
+    skipped.
 
     Raises:
         SpaceTooLarge: candidate count exceeds the cap.
@@ -254,6 +263,8 @@ def optimize(
             if k_eff is None:
                 k_eff = _effective_ratio(kinematic_carry_ratio(layout), slip)
             result = _design_result(layout, theta, k_eff, ratio, motor, envelope)
+            if result is None:
+                continue  # the motor travel overflows
             keyed.append((_rank_key(result.predicted_t_switch_ms, envelope, zd, zs, zg), result))
     if not keyed:
         raise EmptyFeasibleSet("no design in the space passed validation and constraints")

@@ -37,6 +37,8 @@ PULSE_MIN_GAP = 0.05  # s between disturbance pulses, lower bound
 PULSE_MAX_GAP = 0.25  # s between disturbance pulses, upper bound
 STEP_BUDGET = 10_000_000  # steps one command, or one switching-time run, may take
 DISTURBANCE_TARGETS = ("disengaged", "engaged", "plus", "minus")  # the first is the default
+_UNDISTURBED = (0.0, 0.0)  # the (plus, minus) pair of a step with no pulse on
+_Move = tuple[TrapezoidalProfile, float]  # a move's profile and start time, s
 
 
 @dataclass(frozen=True)
@@ -155,7 +157,7 @@ def initial_state(config: PlantConfig, engaged: Side | None = Side.PLUS) -> SimS
         switch = SwitchState.neutral()
     else:
         switch = SwitchState.engaged(engaged, config.engagement)
-    return _state(config, 0.0, 0.0, switch, 0.0, (0.0, 0.0))[0]
+    return _state(config, 0.0, 0.0, switch, 0.0, _UNDISTURBED)[0]
 
 
 def step_plant(
@@ -213,8 +215,8 @@ def _advance(
 ) -> tuple[SimState, list[Event], tuple[float, float] | None]:
     """``step_plant``'s step, with no check, once the switch step gave ``stepped``.
 
-    ``settled`` states that ``disturbances`` is bit for bit the pair that
-    made ``state``: a step that turns no spool then reuses ``state``'s joint,
+    ``settled`` states that ``disturbances`` equals the pair that made
+    ``state``: a step that turns no spool then reuses ``state``'s joint,
     payouts and tensions, unchecked. ``lengths`` are the undisturbed (plus,
     minus) cable lengths that ``_state`` computed at ``state.joint_angle``,
     or None. A driven step takes its old length from them, never from the
@@ -313,6 +315,18 @@ class InjectDisturbance:
 
 
 ScriptCommand = MoveMotorTo | SetVelocity | Wait | InjectDisturbance
+
+
+def _pulse_pair(target: str, value: float, sign: int) -> tuple[float, float]:
+    """The (plus, minus) payout a pulse of ``value`` mm on ``target`` adds while
+    the engaged side has ``sign`` (0 for none)."""
+    if value == 0.0:
+        return _UNDISTURBED
+    if target == "engaged":  # negative control
+        return (value if sign > 0 else 0.0), (value if sign < 0 else 0.0)
+    plus = value if sign <= 0 and target != "minus" else 0.0
+    minus = value if sign >= 0 and target != "plus" else 0.0
+    return plus, minus
 
 
 class _PulseState:
@@ -424,19 +438,21 @@ class Simulator:
     endpoint. A failure inside a leap is re-run step by step, so it keeps the
     timestamp of the grid step it happens in.
 
-    A step that turns no spool, with the same disturbance objects as the step
-    that made its state, is settled: its state reuses that state's joint,
-    payouts and tensions (``_advance``'s ``settled``). Identity, not ``==``,
-    decides, so a pair never stands in for one with other bits, such as
-    ``-0.0`` for ``0.0``. A step with the motor still keeps the motor angle's
+    A step that turns no spool, with a disturbance pair equal to the one of
+    the step that made its state, is settled: its state reuses that state's
+    joint, payouts and tensions (``_advance``'s ``settled``). Every path
+    length is positive, so ``L + 0.0`` and ``L + -0.0`` are the same bits and
+    ``==`` is safe. A step with the motor still keeps the motor angle's
     object, unless that angle is ``-0.0`` (``-0.0 + 0.0`` is ``0.0``), so
     ``Trace.to_csv`` reuses its cell.
 
     It reuses only the state it made (``_steps``): a new simulator's state,
     or one after ``state`` or ``config`` was replaced, goes through
-    ``step_plant``, which checks it and recomputes it. A run holds its step
-    index, profile position and state in locals: ``t``, ``state`` and the
-    trace's rows agree again once the run returns or raises.
+    ``step_plant``, which checks it and recomputes it. Between commands it
+    keeps only what outlives one: the step index, the state and its record,
+    the velocity and the pulses. A move's profile and position are arguments
+    of its run, so a move that raises leaves nothing for the next command to
+    replay.
     """
 
     def __init__(
@@ -450,9 +466,6 @@ class Simulator:
         self.record = record
         self.trace = Trace(rows=[self.state] if record else [], events=[])
         self._step_index = 0
-        self._profile: TrapezoidalProfile | None = None
-        self._profile_t0 = 0.0
-        self._covered = 0.0  # signed deg the active profile has moved by self.t
         self._velocity = 0.0
         self._pulses: _PulseState | None = None
         self._n_injections = 0
@@ -479,15 +492,11 @@ class Simulator:
             delta = 0.0
         motor = self.config.motor
         profile = TrapezoidalProfile.plan(delta, motor.max_output_speed, motor.profile_accel)
-        self._profile = profile
-        self._profile_t0, self._covered = t_cmd, 0.0
-        self._run(steps_to_cover(profile.duration, self.config.dt))
-        self._profile = None
+        self._run(steps_to_cover(profile.duration, self.config.dt), move=(profile, t_cmd))
         return t_cmd
 
     def set_velocity(self, rate: float) -> None:
         self._velocity = self.config.motor.check_speed(SetVelocity(rate).rate)
-        self._profile = None
 
     def wait(self, duration: float) -> None:
         """Run the active motion for ``duration`` s, rounded up to whole steps.
@@ -540,19 +549,21 @@ class Simulator:
 
     # -- stepping ----------------------------------------------------------
 
-    def _run(self, steps: int, until: Side | None = None) -> None:
-        """Take ``steps`` steps, none if fewer than one; stop once ``until`` is engaged."""
+    def _run(self, steps: int, until: Side | None = None, move: _Move | None = None) -> None:
+        """Take ``steps`` steps, none if fewer than one; stop once ``until`` is engaged.
+        Without a ``move`` the motor turns at the velocity."""
+        covered = 0.0  # signed deg the move has covered
         if not self.record and self._pulses is None:
             leap = self._leap(steps, until)
             if leap > 1:
                 try:
-                    self._steps(1, None, leap)
+                    covered = self._steps(1, None, leap, move, covered)
                 except SwitchSimError:
                     pass  # nothing changed before the leap raised: step to time the failure
                 else:
                     steps -= leap
         if steps >= 1:
-            self._steps(steps, until)
+            self._steps(steps, until, 1, move, covered)
 
     def _leap(self, steps: int, until: Side | None) -> int:
         """Steps of ``steps`` that one closed-form step may cover.
@@ -579,28 +590,12 @@ class Simulator:
         reach = gap_deg / toward  # steps until the snap window; inf for a subnormal delta
         return steps if not reach < steps + 1 else math.floor(reach) - 1
 
-    def _disturbances(self, value: float) -> tuple[float, float]:
-        """Map the signal value onto (plus, minus) per target and gating."""
-        if self._pulses is None or value == 0.0:
-            return 0.0, 0.0
-        target = self._pulses.profile.target
-        sign = self.state.switch.mode.sign  # the engaged side's, 0 for none
-        if target == "engaged":  # negative control
-            return (value if sign > 0 else 0.0), (value if sign < 0 else 0.0)
-        plus = value if sign <= 0 and target != "minus" else 0.0
-        minus = value if sign >= 0 and target != "plus" else 0.0
-        return plus, minus
-
-    def _event_time(self, t0: float, covered: float, motor_progress: float) -> float:
-        """When an event ``motor_progress`` rad into the step from ``t0`` happens; the
-        active profile, if any, had moved ``covered`` deg by ``t0``."""
-        progress_deg = abs(math.degrees(motor_progress))
-        if self._profile is not None:
-            return self._profile_t0 + self._profile.time_at_distance(abs(covered) + progress_deg)
-        return t0 + progress_deg / abs(self._velocity)  # an event needs motor motion
-
-    def _steps(self, count: int, until: Side | None, size: int = 1) -> None:
-        """Take ``count`` plant steps of ``size`` grid steps each; stop once ``until`` is engaged.
+    def _steps(
+        self, count: int, until: Side | None, size: int, move: _Move | None, covered: float
+    ) -> float:
+        """Take ``count`` plant steps of ``size`` grid steps each; stop once
+        ``until`` is engaged. Returns the signed deg ``move``'s profile has
+        covered, ``covered`` at the start.
 
         ``self._made`` is the (state, config, disturbance pair, lengths or None)
         that the last run ended with. A step on a state that its record or the
@@ -608,21 +603,21 @@ class Simulator:
         run's constants looked up once; any other state, or an end time or
         motor delta that ``step_plant`` refuses, goes through ``step_plant``.
 
-        The step index, the profile's covered distance, the state and the
-        last pair live in locals, and reach ``self`` once, as of the last
-        step that completed, also when a step raises. A run that raises keeps
-        the old record. ``_disturbances`` gates on ``self.state``, so a
-        step with a pulse on stores its start state there first.
+        The step index, the state and the last pair live in locals, and reach
+        ``self`` once, as of the last step that completed, also when a step
+        raises. A run that raises keeps the old record. A pulse is gated on
+        the engaged side at the start of its step.
         """
         config = self.config
         dt = config.dt
-        profile, profile_t0, pulses = self._profile, self._profile_t0, self._pulses
+        profile, profile_t0 = move or (None, 0.0)
+        pulses = self._pulses
         rows = self.trace.rows if self.record else None
         timed = self.trace.events
-        velocity_delta = self._velocity * dt * size
-        undisturbed = self._disturbances(0.0)
+        velocity = self._velocity
+        velocity_delta = velocity * dt * size
         made, made_config, last, lengths = self._made
-        index, covered, state = self._step_index, self._covered, self.state
+        index, state = self._step_index, self.state
         trusted = made is state and made_config is config
         engagement = config.engagement
         k_eff, spool_ratio = config.traversal.effective_ratio, config.layout.driven_speed_ratio
@@ -633,25 +628,25 @@ class Simulator:
                 if profile is not None:
                     reached = profile.position(t1 - profile_t0)
                     delta = reached - covered
-                disturbed = undisturbed
+                disturbed = _UNDISTURBED
                 if pulses is not None:
                     signal = pulses.step(dt)
                     if signal:  # a pulse that is off gives the undisturbed pair
-                        self.state = state
-                        disturbed = self._disturbances(signal)
+                        disturbed = _pulse_pair(pulses.profile.target, signal, state.switch.mode.sign)
                 if trusted and t1 > state.t and math.isfinite(delta):
-                    settled = disturbed is last or (
-                        disturbed[0] is last[0] and disturbed[1] is last[1]
-                    )
                     stepped = _switch(state.switch, engagement, k_eff, math.radians(delta), spool_ratio)
                     new, events, lengths = _advance(
-                        state, config, t1, delta, stepped, disturbed, settled, lengths
+                        state, config, t1, delta, stepped, disturbed, disturbed == last, lengths
                     )
                 else:
                     new, events = step_plant(state, config, t1, delta, *disturbed)
                     trusted, lengths = True, None
-                for event in events:
-                    at = self._event_time(index * dt, covered, event.motor_progress)
+                for event in events:  # timed by inverting the motion; an event needs motion
+                    progress_deg = abs(math.degrees(event.motor_progress))
+                    if profile is not None:
+                        at = profile_t0 + profile.time_at_distance(abs(covered) + progress_deg)
+                    else:
+                        at = index * dt + progress_deg / abs(velocity)
                     timed.append(TimedEvent(at, event.kind, event.side, event.psi))
                 # Only now: a failed leap re-steps from the old state and position.
                 state, last, covered, index = new, disturbed, reached, index + size
@@ -660,8 +655,9 @@ class Simulator:
                 if until is not None and state.switch.engaged_side is until:
                     break
         finally:
-            self.state, self._covered, self._step_index = state, covered, index
+            self.state, self._step_index = state, index
         self._made = (state, config, last, lengths)
+        return covered
 
 
 def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:

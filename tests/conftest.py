@@ -10,6 +10,7 @@ from switchsim import (
     solve_engagement,
     validate_layout,
 )
+from switchsim import geometry
 from switchsim.geometry import GearSpec
 
 
@@ -31,16 +32,18 @@ def ref_plant(ref_config):
 
 
 @pytest.fixture()
-def solve_engagement_calls(monkeypatch):
-    """Layouts passed to ``solve_engagement`` from any module, in call order."""
+def solve_calls(monkeypatch):
+    """Arguments passed to the engagement core ``geometry._solve`` from any
+    module, in call order."""
     calls = []
+    solve = geometry._solve
 
-    def counted(layout):
-        calls.append(layout)
-        return solve_engagement(layout)
+    def counted(*args):
+        calls.append(args)
+        return solve(*args)
 
-    for module in ("geometry", "config", "optimizer"):
-        monkeypatch.setattr(f"switchsim.{module}.solve_engagement", counted, raising=False)
+    for module in ("geometry", "optimizer"):
+        monkeypatch.setattr(f"switchsim.{module}._solve", counted)
     return calls
 
 

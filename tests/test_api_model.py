@@ -29,7 +29,7 @@ from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from switchsim import Config, DisturbancePulses, Side, Simulator, SwitchSimError
-from switchsim.plant import DISTURBANCE_TARGETS, step_plant
+from switchsim.plant import DISTURBANCE_TARGETS, _pulse_pair, step_plant
 from test_settled_steps import bits
 
 EXTREMES = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 1e308, -1e308, math.inf, -math.inf, math.nan)
@@ -112,7 +112,8 @@ class SimulatorModel(RuleBasedStateMachine):
         # The next step's motor delta and pair, as the simulator makes them.
         pulses = copy.deepcopy(recorded._pulses)
         signal = pulses.step(plant.dt) if pulses is not None else 0.0
-        pair = recorded._disturbances(signal)
+        switch = recorded.state.switch
+        pair = _pulse_pair(pulses.profile.target, signal, switch.mode.sign) if signal else (0.0, 0.0)
         delta = recorded._velocity * plant.dt
         self._command(lambda sim: sim.wait(plant.dt))
         try:

@@ -266,6 +266,21 @@ class TestLeapFailures:
         assert leaped[0] is RangeExceeded
         assert "at t=0.379000 s" in leaped[1]
 
+    @pytest.mark.parametrize("record", [True, False])
+    def test_a_failed_move_leaves_nothing_to_replay(self, ref_plant, record):
+        # The next command runs at the velocity a move sets, zero: it neither
+        # replays the move nor raises its error again.
+        sim = Simulator(ref_plant, record=record)
+        with pytest.raises(RangeExceeded, match=r"at t=0\.379000 s"):
+            sim.move_motor_to(5000.0)
+        angle, t = sim.state.motor_angle, sim.t
+        sim.wait(0.05)
+        assert sim.state.motor_angle == angle
+        assert sim.t == pytest.approx(t + 0.05)
+        with pytest.raises(NeverEngaged):
+            sim.run_until_engaged(Side.MINUS, 0.05)
+        assert sim.state.motor_angle == angle
+
     def test_slack_detected(self, ref_plant):
         # Zero spring wind-up 17.45 mm above the plus payout at +45 deg: the
         # 5 N*mm preload over 0.05 N*mm/deg runs out just past +45 deg.

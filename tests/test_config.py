@@ -97,9 +97,9 @@ class TestPlantValidates:
             outcomes.add(report.ok)
         assert outcomes == {True, False}
 
-    def test_parse_solves_the_engagement_once(self, solve_engagement_calls):
+    def test_parse_solves_the_engagement_once(self, solve_calls):
         assert parse_config("") == Config()
-        assert len(solve_engagement_calls) == 1
+        assert len(solve_calls) == 1
 
 
 class TestErrors:
@@ -269,6 +269,48 @@ class TestErrors:
         assert self.assert_errors(text, "no-engagement").errors == [
             (2, "no-engagement: switch track never comes within mesh distance of a driven gear"),
             (4, "agonist path: moment_arm must be finite and positive, got -1.0"),
+        ]
+
+    @pytest.mark.parametrize(
+        "text, line",
+        [
+            ("[layout]\ntrack_travel_deg = 80\n", 2),
+            ("[sim]\nseed = 3\n[layout]\ndriven_half_angle_deg = 25.0\ntrack_travel_deg = -2\n", 4),
+        ],
+        ids=["over", "negative-after-another-key"],
+    )
+    def test_a_track_travel_past_the_half_angles_names_its_key_in_degrees(self, text, line):
+        value = text.rsplit("= ", 1)[1].strip()
+        message = (
+            f"track_travel_deg must be in (0, 50.0], twice driven_half_angle_deg, got {float(value)!r}"
+        )
+        assert self.assert_errors(text, "track_travel_deg").errors == [(line, message)]
+
+    def test_a_sub_kinematic_travel_pair_names_the_first_traversal_line(self):
+        text = "[sim]\nseed = 3\n[traversal]\nrevolution_travel_deg = 19.8\nmotor_travel_deg = 5\n"
+        assert self.assert_errors(text, "below kinematic").errors == [
+            (4, "measured motor/revolution ratio 0.252525 below kinematic carry ratio 1.8")
+        ]
+
+    @pytest.mark.parametrize(
+        "section, error",
+        [
+            (
+                "[layout]\ntrack_travel_deg = 80\n",
+                "track_travel_deg must be in (0, 50.0], twice driven_half_angle_deg, got 80.0",
+            ),
+            (
+                "[traversal]\nmotor_travel_deg = 5\n",
+                "measured motor/revolution ratio 0.252525 below kinematic carry ratio 1.8",
+            ),
+        ],
+        ids=["layout", "traversal"],
+    )
+    def test_a_refused_path_does_not_hide_another_section(self, section, error):
+        text = f"{section}[paths]\nagonist_reference_length_mm = 10\n"
+        assert self.assert_errors(text, "agonist path").errors == [
+            (2, error),
+            (4, "agonist path: cable length must stay positive over the pull range"),
         ]
 
     def test_a_layout_violation_without_a_layout_key_names_no_line(self, monkeypatch):

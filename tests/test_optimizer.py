@@ -145,9 +145,18 @@ def evaluate_design_rescan(space, constraints, motor) -> list:
 
 
 class TestEvaluateDesign:
-    def test_solves_the_engagement_once(self, ref_layout, motor, solve_engagement_calls):
+    def test_solves_the_engagement_once(self, ref_layout, motor, solve_calls):
         evaluate_design(ref_layout, SLIP_REF, motor)
-        assert solve_engagement_calls == [ref_layout]
+        layout = ref_layout
+        assert solve_calls == [
+            (
+                layout.track_radius,
+                layout.driven_center_distance,
+                layout.driven_half_angle,
+                layout.mesh_distance,
+                layout.backlash_margin,
+            )
+        ]
 
     def test_reference_time(self, ref_layout, motor):
         result = evaluate_design(ref_layout, SLIP_REF, motor)
@@ -201,6 +210,43 @@ class TestEvaluateDesign:
         assert t[1.0][0] == pytest.approx(t[2.0][0], abs=1e-9)
         assert t[1.0][1] == pytest.approx(t[2.0][1], abs=1e-12)
         assert t[1.0][2] == pytest.approx(t[2.0][2], abs=1e-12)
+
+
+class TestOverflowingMotorTravel:
+    # 8-tooth gears and a 1e308-tooth switch of module 1e-300 validate at D = 9e7 mm,
+    # but k_eff = 1 + r_switch / r_drive is 1.25e307: k_eff * theta overflows in deg.
+    GEARS = (GearSpec(8, 1e-300), GearSpec(10**308, 1e-300), GearSpec(8, 1e-300))
+
+    def test_evaluate_design_names_the_motor_travel(self, motor):
+        layout = MechanismLayout(*self.GEARS, 9e7, 0.6)
+        assert validate_layout(layout).ok
+        with pytest.raises(ValueError, match=r"^motor travel k_eff \* theta \(1\.25e\+307 \* "):
+            evaluate_design(layout, 0.0, motor)
+
+    def test_optimize_skips_it(self, motor):
+        space = DesignSpace(
+            drive_teeth=(8,),
+            switch_teeth=(8, 10**308),
+            driven_teeth=(8,),
+            modules=(1e-300, 1.0),
+            half_angles=(0.6, 0.9),
+            center_distances=(9e7, 12.0),
+        )
+        ranked = optimize(space, DesignConstraints(), 0.0, motor)
+        assert [r.layout for r in ranked] == [
+            MechanismLayout(GearSpec(8, 1.0), GearSpec(8, 1.0), GearSpec(8, 1.0), 12.0, 0.9)
+        ]
+        with pytest.raises(EmptyFeasibleSet):
+            optimize(
+                singleton_space(
+                    drive_teeth=(8,), switch_teeth=(10**308,), driven_teeth=(8,),
+                    modules=(1e-300,), half_angles=(0.6,), psi_star_targets=None,
+                    center_distances=(9e7,),
+                ),
+                DesignConstraints(),
+                0.0,
+                motor,
+            )
 
 
 class TestOptimize:

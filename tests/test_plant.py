@@ -33,7 +33,14 @@ from switchsim import (
 )
 from switchsim.experiments import full_rom_script, motor_travel_per_traversal
 from switchsim.motion import TrapezoidalProfile
-from switchsim.plant import DISTURBANCE_TARGETS, PULSE_MIN_GAP, STEP_BUDGET, steps_to_cover
+from switchsim.plant import (
+    DISTURBANCE_TARGETS,
+    PULSE_MIN_GAP,
+    STEP_BUDGET,
+    _pulse_pair,
+    steps_to_cover,
+)
+from test_settled_steps import CountingPath
 
 COARSE_DT_MESSAGE = "disturbance pulses need dt of at most 0.05 s, got {!r} s"
 
@@ -276,15 +283,28 @@ class TestDisturbanceStep:
     @pytest.mark.parametrize("value", [0.0, 5.0])
     @pytest.mark.parametrize("mode_index", range(len(PULSE_MODES)))
     @pytest.mark.parametrize("target", DISTURBANCE_TARGETS)
-    def test_pulse_pair_by_target_and_mode(self, ref_plant, target, mode_index, value):
-        sim = Simulator(ref_plant)
-        sim.inject(DisturbancePulses(target, 5.0))
-        sim.state = sim.state._replace(switch=SwitchState(PULSE_MODES[mode_index], 0.0))
-        pair = sim._disturbances(value)
+    def test_pulse_pair_by_target_and_mode(self, target, mode_index, value):
+        pair = _pulse_pair(target, value, PULSE_MODES[mode_index].sign)
         assert pair == (PULSE_PAIRS[target][mode_index] if value else (0.0, 0.0))
-        # Zeros are one object from call to call, so a settled step stays settled.
-        again = sim._disturbances(value)
-        assert all(a is b for a, b in zip(pair, again) if a == 0.0)
+
+    def test_a_pulse_gated_to_zero_stays_settled(self, ref_plant, monkeypatch):
+        # With PLUS engaged a pulse on the plus cable gives (0.0, 0.0), so the
+        # still motor's steps settle while it is on: no path length is evaluated.
+        counting = CountingPath(ref_plant.path_plus), CountingPath(ref_plant.path_minus)
+        sim = Simulator(replace(ref_plant, path_plus=counting[0], path_minus=counting[1]))
+        sim.inject(DisturbancePulses("plus", 5.0))
+        sim.wait(0.001)  # a new simulator's first step recomputes its state
+        pairs = []
+
+        def recorded(target, value, sign):
+            pairs.append((value, _pulse_pair(target, value, sign)))
+            return pairs[-1][1]
+
+        monkeypatch.setattr("switchsim.plant._pulse_pair", recorded)
+        before = [path.lengths for path in counting]
+        sim.wait(1.0)
+        assert len(pairs) > 50 and set(pairs) == {(5.0, (0.0, 0.0))}
+        assert [path.lengths for path in counting] == before
 
     @pytest.mark.parametrize("dt", [0.05000000000000001, 1e8, 1e15])
     def test_inject_refuses_a_step_over_the_shortest_gap(self, ref_plant, dt):
