@@ -185,49 +185,71 @@ class Config:
             backlash_margin=self.backlash_margin_mm,
         )
 
-    def plant(self) -> PlantConfig:
-        """The runtime plant; the one place a config's layout is validated.
-
-        Raises:
-            InvalidDesign: the layout fails ``validate_layout`` (wraps the report).
-        """
+    def _engaging_layout(self) -> tuple:
+        """The layout and its engagement; InvalidDesign if ``validate_layout`` rejects it."""
         layout = self.layout()
         report = validate_layout(layout)
         if not report.ok:
             raise InvalidDesign(report)
-        path_plus = self.agonist.build()
-        path_minus = self.antagonist.build()
-        traversal = self._traversal(layout)
+        return layout, report.engagement
+
+    def _assemble(self, layout, engagement, traversal, *paths: CablePath) -> PlantConfig:
+        """The plant from its parts: the acceleration calibration, motor, spools, dt and seed."""
         accel = self.profile_accel
         if accel is None:
             accel = calibrate_profile_accel(
                 self.target_switch_time_ms / 1000.0,
-                traversal.motor_travel(report.engagement.theta_track),
+                traversal.motor_travel(engagement.theta_track),
                 self.max_output_speed,
             )
         motor = MotorModel(max_output_speed=self.max_output_speed, profile_accel=accel)
         zero = self.payout_at_zero_mm  # None: the fully wound end, spring taut over the RoM
-        spool_plus, spool_minus = (
+        spools = (
             SpoolModel(
                 spool_radius=self.spool_radius_mm,
                 spring_preload_torque=self.spring_preload_nmm,
                 spring_rate=self.spring_rate_nmm_per_deg,
                 payout_at_zero=path.length(X_MAX) if zero is None else zero,
             )
-            for path in (path_plus, path_minus)
+            for path in paths
         )
         return PlantConfig(
-            layout=layout,
-            engagement=report.engagement,
-            traversal=traversal,
-            motor=motor,
-            path_plus=path_plus,
-            path_minus=path_minus,
-            spool_plus=spool_plus,
-            spool_minus=spool_minus,
-            dt=self.dt_s,
-            seed=self.seed,
+            layout, engagement, traversal, motor, *paths, *spools, dt=self.dt_s, seed=self.seed
         )
+
+    def _build(self, report=None, bad=frozenset()) -> PlantConfig | None:
+        """The plant, built part by part in dependency order: the validated layout,
+        each side's path, the traversal, then the assembly. A part is skipped when
+        a section it reads is in ``bad`` (a path's is its side) or a part it needs
+        is missing. A part that fails raises, or with a ``report`` goes to
+        ``report(part, exc)``."""
+
+        def part(name, make, *args):
+            try:
+                return make(*args)
+            except (SwitchSimError, ValueError) as exc:
+                if report is None:
+                    raise
+                report(name, exc)
+
+        layout = engagement = traversal = None
+        if "layout" not in bad:
+            layout, engagement = part("layout", self._engaging_layout) or (None, None)
+        paths = [None if side in bad else part(side, getattr(self, side).build) for side in _PATHS]
+        if layout and "traversal" not in bad:
+            traversal = part("traversal", self._traversal, layout)
+        if traversal and all(paths) and bad.isdisjoint(("motor", "spools", "sim")):
+            return part("plant", self._assemble, layout, engagement, traversal, *paths)
+        return None
+
+    def plant(self) -> PlantConfig:
+        """The runtime plant; the one place a config's layout is validated.
+
+        Raises:
+            InvalidDesign: the layout fails ``validate_layout`` (wraps the report).
+            SwitchSimError, ValueError: the first other part that fails.
+        """
+        return self._build()
 
 
 # -----------------------------------------------------------------------------
@@ -308,6 +330,7 @@ def _serialize_script_command(cmd: ScriptCommand) -> str:
 class _Parser:
     def __init__(self, text: str):
         self.errors: list[tuple[int, str]] = []
+        self.parts: dict[int, str] = {}  # line: its section, a [paths] key's as its side
         self.values: dict[tuple[str, str], object] = {}
         self.lines: dict[tuple[str, str], int] = {}
         self.script: list[tuple[int, ScriptCommand]] = []  # (line, command)
@@ -338,6 +361,7 @@ class _Parser:
                     self.fail(line_no, str(exc))
                 continue
             key, sep, value = (part.strip() for part in line.partition("="))
+            self.parts[line_no] = key.partition("_")[0] if section == "paths" else section
             if not sep or not key:
                 self.fail(line_no, f"expected 'key = value', got {line!r}")
                 continue
@@ -384,31 +408,15 @@ class _Parser:
         ]
         return min(lines, default=0)
 
-    def fail_build(self, cfg: Config, exc: Exception) -> None:
-        """Report a plant build that raised ``exc`` at the first line of each
-        section at fault: the layout, each side's path (at that side's first
-        ``[paths]`` line) and, when the layout builds, the travel pair. Only
-        when no section is at fault is ``exc`` reported, at line 0."""
-        known = len(self.errors)
-        layout = None
-        try:
-            layout = cfg.layout()
-            problems = validate_layout(layout).violations
-        except (SwitchSimError, ValueError) as layout_exc:
-            problems = (layout_exc,)
-        for problem in problems:
-            self.fail(self.first_line("layout"), str(problem))
-        for prefix in _PATHS:
-            try:
-                getattr(cfg, prefix).build()
-            except ValueError as path_exc:
-                self.fail(self.first_line("paths", f"{prefix}_"), f"{prefix} path: {path_exc}")
-        if layout is not None:
-            try:
-                cfg._traversal(layout)
-            except (SwitchSimError, ValueError) as traversal_exc:
-                self.fail(self.first_line("traversal"), str(traversal_exc))
-        if len(self.errors) == known:
+    def fail_part(self, part: str, exc: Exception) -> None:
+        """Report the plant part that raised ``exc`` at its section's first line;
+        a layout's violations one each, the assembly's at line 0."""
+        if part in _PATHS:
+            self.fail(self.first_line("paths", f"{part}_"), f"{part} path: {exc}")
+        elif part in ("layout", "traversal"):
+            for problem in exc.report.violations if isinstance(exc, InvalidDesign) else (exc,):
+                self.fail(self.first_line(part), str(problem))
+        else:
             self.fail(0, f"configuration cannot be instantiated: {exc}")
 
     def path_spec(self, prefix: str, default: PathSpec) -> PathSpec:
@@ -429,7 +437,8 @@ class _Parser:
         if kind == "tabulated":
             knots, values["knots"] = values["knots"], None
             if knots is None:
-                self.fail(0, f"{prefix}_kind = tabulated requires {prefix}_knots")
+                message = f"{prefix}_kind = tabulated requires {prefix}_knots"
+                self.fail(self.line("paths", f"{prefix}_kind"), message)
             else:
                 try:
                     values["knots"] = _parse_knots(knots)
@@ -454,17 +463,18 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
 
     # Contradictory key combinations.
     for (section, key), spec in _SCHEMA.items():
-        if p.has(section, key) and any(p.has(section, k) for k in spec.replaces):
+        if spec.replaces and p.has(section, key) and any(p.has(section, k) for k in spec.replaces):
             other = spec.replaces[0]
             if len(spec.replaces) > 1:
                 other = f"the ({', '.join(spec.replaces)}) pair"
             p.fail(p.line(section, key), f"give either {key} or {other}, not both")
 
-    # Cross-field checks: script lines that the speed limit, ``Simulator.wait``
-    # and ``Simulator.inject`` accept, then the plant build (which validates the
-    # layout first), a taut rest state, and one switching trial (two
+    # Cross-field checks, each on sections with no failed line: script lines
+    # that the speed limit, ``Simulator.wait`` and ``Simulator.inject`` accept;
+    # the plant, part by part; a taut rest state; and one switching trial (two
     # traversals) within the step budget that ``run_switching_time`` applies.
-    if not p.errors:
+    bad = {p.parts.get(line_no) for line_no, _ in p.errors}
+    if bad.isdisjoint(("motor", "sim")):
         motor = MotorModel(cfg.max_output_speed)
         for line_no, cmd in p.script:
             try:
@@ -476,12 +486,13 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
                     _check_pulse_dt(cmd.profile, cfg.dt_s)
             except (SwitchSimError, ValueError) as exc:
                 p.fail(line_no, str(exc))
+    plant = cfg._build(p.fail_part, bad)
+    if plant is not None:
         try:
-            plant = cfg.plant()
             initial_state(plant)
             _traversal_time(plant)
         except (SwitchSimError, ValueError) as exc:
-            p.fail_build(cfg, exc)
+            p.fail_part("plant", exc)
 
     if p.errors:
         raise ConfigError(sorted(p.errors))

@@ -19,7 +19,7 @@ from switchsim.cli import (
     build_parser,
     main,
 )
-from switchsim.config import Config
+from switchsim.plant import PlantConfig
 
 SRC = os.path.dirname(os.path.dirname(os.path.abspath(switchsim.__file__)))
 
@@ -368,14 +368,15 @@ class TestSimulate:
     def test_builds_one_plant(self, capsys, tmp_path, monkeypatch):
         cfg = tmp_path / "run.cfg"
         cfg.write_text(self.SCRIPT_CFG)
+        # Every PlantConfig construction, whichever builder or copy makes it.
         calls = []
-        build = Config.plant
+        check = PlantConfig.__post_init__
 
-        def counted(config):
-            calls.append(config)
-            return build(config)
+        def counted(plant):
+            calls.append(plant)
+            check(plant)
 
-        monkeypatch.setattr(Config, "plant", counted)
+        monkeypatch.setattr(PlantConfig, "__post_init__", counted)
         out = tmp_path / "t.csv"
         code, _, _ = run_cli(capsys, "--config", str(cfg), "simulate", "--out", str(out))
         assert code == 0

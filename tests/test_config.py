@@ -1,10 +1,11 @@
+import itertools
 import math
 import random
 import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from switchsim import (
     Config,
@@ -100,6 +101,51 @@ class TestPlantValidates:
     def test_parse_solves_the_engagement_once(self, solve_calls):
         assert parse_config("") == Config()
         assert len(solve_calls) == 1
+
+
+# One problem per section: (section, key, bad value, the error, the sections
+# its rule reads). Each is reported at the line of its key, the first of its
+# section, or the first of its side's [paths] keys.
+_PROBES = [
+    (
+        "layout", "center_distance_mm", "100.0",
+        "no-engagement: switch track never comes within mesh distance of a driven gear",
+        {"layout"},
+    ),
+    ("traversal", "slip", "2", "slip must be in [0, 1), got 2.0", {"traversal"}),
+    (
+        "traversal", "motor_travel_deg", "5",
+        "measured motor/revolution ratio 0.252525 below kinematic carry ratio 1.8",
+        {"layout", "traversal"},
+    ),
+    (
+        "paths", "agonist_moment_arm_mm", "-1",
+        "agonist path: moment_arm must be finite and positive, got -1.0",
+        {"paths"},
+    ),
+    (
+        "motor", "max_output_speed_deg_s", "-5",
+        "max_output_speed_deg_s must be finite and positive, got -5.0",
+        {"motor"},
+    ),
+    (
+        "spools", "spool_radius_mm", "-1",
+        "spool_radius_mm must be finite and positive, got -1.0",
+        {"spools"},
+    ),
+    ("sim", "dt_s", "-1", "dt_s must be finite and positive, got -1.0", {"sim"}),
+    (
+        "script", "set_velocity", "1e9",
+        "speed 1000000000.0 deg/s exceeds max_output_speed 720.0 deg/s",
+        {"script", "motor", "sim"},
+    ),
+]
+
+
+def _probe_block(probe) -> str:
+    section, key, value = probe[:3]
+    line = f"{key} {value}" if section == "script" else f"{key} = {value}"
+    return f"[{section}]\n{line}\n"
 
 
 class TestErrors:
@@ -326,7 +372,7 @@ class TestErrors:
 
     def test_tabulated_kind_without_knots_rejected(self):
         err = self.assert_errors("[paths]\nantagonist_kind = tabulated\n", "requires")
-        assert err.errors == [(0, "antagonist_kind = tabulated requires antagonist_knots")]
+        assert err.errors == [(2, "antagonist_kind = tabulated requires antagonist_knots")]
 
     @pytest.mark.parametrize(
         "kind, message",
@@ -451,6 +497,18 @@ class TestErrors:
             "at t=0.000000 s",
         )
         assert [line for line, _ in err.errors] == [0]
+
+    @pytest.mark.parametrize(
+        "first, second",
+        [
+            pytest.param(a, b, id=f"{a[1]}-{b[1]}")
+            for a, b in itertools.permutations(_PROBES, 2)
+            if a[4].isdisjoint(b[4])
+        ],
+    )
+    def test_problems_in_disjoint_sections_are_each_reported_at_their_line(self, first, second):
+        text = "".join(_probe_block(probe) for probe in (first, second))
+        assert self.assert_errors(text).errors == [(2, first[3]), (4, second[3])]
 
 
 class TestScript:
@@ -712,6 +770,36 @@ class TestAcceptedConfigsRun:
         for row in trace.rows:
             values = [getattr(row, name) for name in row._fields if name != "switch"]
             assert all(math.isfinite(v) for v in (*values, row.switch.psi)), row
+
+
+_KEY_SPECS = {key: spec for (_, key), spec in _SCHEMA.items()}
+
+
+def _out_of_range(key):
+    """Values of ``key`` that the file rejects at its line."""
+    if key.endswith("_kind"):
+        return st.just("spiral")
+    if key.endswith("_knots"):
+        return st.just("-90:300, nan:280, 90:260")
+    if _KEY_SPECS[key].cast is int:
+        return st.just(str(10**400))
+    return st.sampled_from(["nan", "inf", "-inf"])
+
+
+@settings(deadline=None, max_examples=100)
+@given(text=_config_texts(), data=st.data())
+def test_an_out_of_range_key_is_reported_at_its_line(text, data):
+    # Every part that reads the key goes unbuilt, and no part is handed a
+    # missing one: parsing raises a ConfigError and nothing else.
+    lines = text.splitlines()
+    keyed = [n for n, line in enumerate(lines) if " = " in line]
+    assume(keyed)
+    n = data.draw(st.sampled_from(keyed))
+    key = lines[n].partition(" = ")[0]
+    lines[n] = f"{key} = {data.draw(_out_of_range(key))}"
+    with pytest.raises(ConfigError) as err:
+        parse_config("\n".join(lines))
+    assert n + 1 in [line for line, _ in err.value.errors]
 
 
 def test_readme_example_is_reference_config():

@@ -1,7 +1,7 @@
 """pyproject.toml declares exactly the third-party packages the package imports,
-each module uses every name it imports, every private name is used, importing
-the package loads no numerical library, and the test settings report a failing
-property test."""
+each module uses every name it imports, every private name is used, every
+public name is exported or used, importing the package loads no numerical
+library, and the test settings report a failing property test."""
 
 import ast
 import os
@@ -57,30 +57,40 @@ def test_every_import_is_used():
     assert unused == {}
 
 
-def private_definitions(tree: ast.Module):
-    """(name, node) of each module-level ``_name`` and each private method."""
-    private = lambda name: name.startswith("_") and not name.endswith("__")
+def module_definitions(tree: ast.Module):
+    """(name, node) of each module-level function, class and assigned name."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            if private(node.name):
-                yield node.name, node
-            if isinstance(node, ast.ClassDef):
-                for item in node.body:
-                    if isinstance(item, ast.FunctionDef) and private(item.name):
-                        yield item.name, item
+            yield node.name, node
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                if isinstance(target, ast.Name) and private(target.id):
+                if isinstance(target, ast.Name):
                     yield target.id, node
 
 
-def dead_private_names() -> list[str]:
-    """Private names of ``src/switchsim`` that nothing outside their own definition reads."""
-    trees = {
+def private_definitions(tree: ast.Module):
+    """(name, node) of each module-level ``_name`` and each private method."""
+    private = lambda name: name.startswith("_") and not name.endswith("__")
+    for name, node in module_definitions(tree):
+        if private(name):
+            yield name, node
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and private(item.name):
+                    yield item.name, item
+
+
+def source_trees() -> dict[str, ast.Module]:
+    return {
         path.name: ast.parse(path.read_text(), filename=str(path))
         for path in sorted((ROOT / "src" / "switchsim").glob("*.py"))
     }
+
+
+def unread(trees: dict[str, ast.Module], definitions) -> list[str]:
+    """``module:name`` of each (module, name, node) in ``definitions`` that
+    nothing in ``trees`` reads outside the definition itself."""
     reads = [
         (node.id if isinstance(node, ast.Name) else node.attr, node)
         for tree in trees.values()
@@ -88,16 +98,56 @@ def dead_private_names() -> list[str]:
         if isinstance(node, (ast.Name, ast.Attribute)) and isinstance(node.ctx, ast.Load)
     ]
     dead = []
-    for module, tree in trees.items():
-        for name, definition in private_definitions(tree):
-            own = {id(node) for node in ast.walk(definition)}
-            if not any(read == name and id(node) not in own for read, node in reads):
-                dead.append(f"{module}:{name}")
+    for module, name, definition in definitions:
+        own = {id(node) for node in ast.walk(definition)}
+        if not any(read == name and id(node) not in own for read, node in reads):
+            dead.append(f"{module}:{name}")
     return dead
+
+
+def dead_private_names() -> list[str]:
+    """Private names of ``src/switchsim`` that nothing outside their own definition reads."""
+    trees = source_trees()
+    return unread(
+        trees,
+        (
+            (module, name, node)
+            for module, tree in trees.items()
+            for name, node in private_definitions(tree)
+        ),
+    )
 
 
 def test_every_private_name_is_used():
     assert dead_private_names() == []
+
+
+def unused_public_names() -> list[str]:
+    """Module-level public names of ``src/switchsim`` that ``switchsim/__init__.py``
+    does not export and nothing else in ``src/`` reads."""
+    trees = source_trees()
+    exported = {
+        alias.asname or alias.name
+        for node in trees["__init__.py"].body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    return unread(
+        trees,
+        (
+            (module, name, node)
+            for module, tree in trees.items()
+            if module != "__init__.py"
+            for name, node in module_definitions(tree)
+            if not name.startswith("_") and name not in exported
+        ),
+    )
+
+
+def test_every_public_name_is_exported_or_used():
+    # enumerate_layouts is the reference path that tests compare optimize against.
+    allowed = "optimizer.py:enumerate_layouts"
+    assert [name for name in unused_public_names() if name != allowed] == []
 
 
 def test_import_loads_no_numerical_library():
