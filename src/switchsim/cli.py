@@ -55,24 +55,30 @@ def _write(path: str, text: str) -> None:
         fh.write(text)
 
 
-def _csv(header: tuple[str, ...], rows: list[tuple]) -> str:
-    lines = [",".join(header)]
+def _table(rows: list[dict]) -> str:
+    """CSV of ``rows``, each a column name -> value dict, headed by the first
+    row's names: a ``str`` cell as it is, any other in ``repr`` form."""
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(cell if isinstance(cell, str) else repr(cell) for cell in row))
+        lines.append(",".join(cell if isinstance(cell, str) else repr(cell) for cell in row.values()))
     return "\n".join(lines) + "\n"
 
 
 def _parse_int_range(text: str) -> range | tuple[int, ...]:
-    """'a:b' or 'a:b:step' (inclusive, either direction) or a comma list. A
-    range stays a ``range``, so a huge one meets the space cap without being built."""
+    """'a:b' or 'a:b:step' (inclusive, either direction; a bare 'a:b' with
+    b < a counts down) or a comma list. A range stays a ``range``, so a huge
+    one meets the space cap without being built."""
     try:
         if ":" in text:
             parts = [int(p) for p in text.split(":")]
             if len(parts) > 3:
                 raise ValueError(f"a tooth range is 'a:b' or 'a:b:step', got {text!r}")
             start, stop = parts[0], parts[1]
-            step = parts[2] if len(parts) > 2 else 1
-            return range(start, stop + (1 if step > 0 else -1), step)
+            step = parts[2] if len(parts) > 2 else (1 if stop >= start else -1)
+            teeth = range(start, stop + (1 if step > 0 else -1), step)
+            if not teeth:
+                raise ValueError(f"tooth range {text!r} holds no tooth count")
+            return teeth
         return tuple(int(p) for p in text.split(","))
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
@@ -202,27 +208,20 @@ def _cmd_switching_time(args, cfg: Config, plant: PlantConfig) -> int:
         jitter_sigma_ms=args.jitter_sigma_ms,
         seed=args.seed,
     )
-    _write(
-        args.out,
-        _csv(
-            ("n_trials", "mean_up_ms", "sigma_up_ms", "mean_down_ms", "sigma_down_ms"),
-            [
-                (
-                    stats.n_trials,
-                    stats.mean_up_ms,
-                    stats.sigma_up_ms,
-                    stats.mean_down_ms,
-                    stats.sigma_down_ms,
-                )
-            ],
-        ),
-    )
+    summary = {
+        "n_trials": stats.n_trials,
+        "mean_up_ms": stats.mean_up_ms,
+        "sigma_up_ms": stats.sigma_up_ms,
+        "mean_down_ms": stats.mean_down_ms,
+        "sigma_down_ms": stats.sigma_down_ms,
+    }
+    _write(args.out, _table([summary]))
     if args.per_trial:
         rows = [
-            (i, up, down)
+            {"trial": i, "up_ms": up, "down_ms": down}
             for i, (up, down) in enumerate(zip(stats.up_ms, stats.down_ms))
         ]
-        _write(args.per_trial, _csv(("trial", "up_ms", "down_ms"), rows))
+        _write(args.per_trial, _table(rows))
     if args.check:
         if not (lo <= stats.mean_up_ms <= hi and lo <= stats.mean_down_ms <= hi):
             print(
@@ -249,25 +248,13 @@ def _cmd_independence(args, cfg: Config, plant: PlantConfig) -> int:
     report = run_independence(
         plant, magnitude=args.magnitude, target=args.target, seed=args.seed
     )
-    _write(
-        args.out,
-        _csv(
-            (
-                "max_engaged_deviation_mm",
-                "disturbance_magnitude_mm",
-                "rom_min_deg",
-                "rom_max_deg",
-            ),
-            [
-                (
-                    report.max_engaged_deviation,
-                    report.disturbance_magnitude,
-                    math.degrees(report.rom_covered[0]),
-                    math.degrees(report.rom_covered[1]),
-                )
-            ],
-        ),
-    )
+    row = {
+        "max_engaged_deviation_mm": report.max_engaged_deviation,
+        "disturbance_magnitude_mm": report.disturbance_magnitude,
+        "rom_min_deg": math.degrees(report.rom_covered[0]),
+        "rom_max_deg": math.degrees(report.rom_covered[1]),
+    }
+    _write(args.out, _table([row]))
     if args.check_zero and report.max_engaged_deviation != 0.0:
         print(
             f"check failed: engaged payout deviated {report.max_engaged_deviation} mm",
@@ -292,23 +279,17 @@ def _cmd_sweep(args, cfg: Config, plant: PlantConfig) -> int:
     mode = ControlMode.PROFILE_POSITION if args.position_mode else ControlMode.PROFILE_VELOCITY
     curve = run_speed_sweep(plant, args.omegas, mode=mode)
     rows = [
-        (
-            p.omega,
-            p.t_switch_ms,
-            int(p.in_fit),
-            curve.fit_travel_deg,
-            curve.fit_offset_s,
-            curve.r_squared,
-        )
+        {
+            "omega_deg_s": p.omega,
+            "t_switch_ms": p.t_switch_ms,
+            "in_fit": int(p.in_fit),
+            "fit_travel_deg": curve.fit_travel_deg,
+            "fit_offset_s": curve.fit_offset_s,
+            "r_squared": curve.r_squared,
+        }
         for p in curve.points
     ]
-    _write(
-        args.out,
-        _csv(
-            ("omega_deg_s", "t_switch_ms", "in_fit", "fit_travel_deg", "fit_offset_s", "r_squared"),
-            rows,
-        ),
-    )
+    _write(args.out, _table(rows))
     return 0
 
 
@@ -349,44 +330,24 @@ def _cmd_optimize(args, cfg: Config, plant: PlantConfig) -> int:
         driven_ratio_min=args.ratio_min, driven_ratio_max=args.ratio_max, cap=args.cap
     )
     results = optimize(space, constraints, plant.traversal.slip, plant.motor)
-    results = results[: args.top]
     rows = [
-        (
-            rank,
-            r.predicted_t_switch_ms,
-            math.degrees(r.theta_track),
-            r.k_eff,
-            r.driven_ratio,
-            r.envelope,
-            r.layout.driving.tooth_count,
-            r.layout.switch.tooth_count,
-            r.layout.driven.tooth_count,
-            r.layout.driving.module,
-            math.degrees(r.layout.driven_half_angle),
-            r.layout.driven_center_distance,
-        )
-        for rank, r in enumerate(results, start=1)
+        {
+            "rank": rank,
+            "predicted_t_switch_ms": r.predicted_t_switch_ms,
+            "theta_deg": math.degrees(r.theta_track),
+            "k_eff": r.k_eff,
+            "driven_ratio": r.driven_ratio,
+            "envelope_mm": r.envelope,
+            "drive_teeth": r.layout.driving.tooth_count,
+            "switch_teeth": r.layout.switch.tooth_count,
+            "driven_teeth": r.layout.driven.tooth_count,
+            "module_mm": r.layout.driving.module,
+            "phi_d_deg": math.degrees(r.layout.driven_half_angle),
+            "center_distance_mm": r.layout.driven_center_distance,
+        }
+        for rank, r in enumerate(results[: args.top], start=1)
     ]
-    _write(
-        args.out,
-        _csv(
-            (
-                "rank",
-                "predicted_t_switch_ms",
-                "theta_deg",
-                "k_eff",
-                "driven_ratio",
-                "envelope_mm",
-                "drive_teeth",
-                "switch_teeth",
-                "driven_teeth",
-                "module_mm",
-                "phi_d_deg",
-                "center_distance_mm",
-            ),
-            rows,
-        ),
-    )
+    _write(args.out, _table(rows))
     return 0
 
 
@@ -403,15 +364,15 @@ def _cmd_calibrate(args, cfg: Config, plant: PlantConfig) -> int:
         if getattr(args, name) is not None
     }
     calibrated = replace(cfg, slip=None, profile_accel=None, **measured).plant()
-    accel, model = calibrated.motor.profile_accel, calibrated.traversal
-    check_ms = _traversal_time(calibrated) * 1000.0
-    _write(
-        args.out,
-        _csv(
-            ("profile_accel_deg_s2", "carry_ratio", "k_eff", "slip", "reproduced_time_ms"),
-            [(accel, model.carry_ratio, model.effective_ratio, model.slip, check_ms)],
-        ),
-    )
+    model = calibrated.traversal
+    row = {
+        "profile_accel_deg_s2": calibrated.motor.profile_accel,
+        "carry_ratio": model.carry_ratio,
+        "k_eff": model.effective_ratio,
+        "slip": model.slip,
+        "reproduced_time_ms": _traversal_time(calibrated) * 1000.0,
+    }
+    _write(args.out, _table([row]))
     return 0
 
 

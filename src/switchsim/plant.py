@@ -568,8 +568,8 @@ class Simulator:
     def _leap(self, steps: int, until: Side | None) -> int:
         """Steps of ``steps`` that one closed-form step may cover.
 
-        None if a velocity step's delta underflows to 0.0 rad, as each grid
-        step then halts the switch while the summed delta would move it. None
+        0 if a velocity step's delta underflows to 0.0 rad, as each grid
+        step then halts the switch while the summed delta would move it. 0
         if ``until`` is engaged and a step's motor delta is zero or toward it,
         as the run stops after one step. Else all of them, unless the delta
         is toward ``until``: then those that stay a step short of its

@@ -252,10 +252,29 @@ class TestOptimize:
 
     @pytest.mark.parametrize(
         "text, teeth",
-        [("16:24:2", [16, 18, 20, 22, 24]), ("24:16:-2", [24, 22, 20, 18, 16]), ("9:8:-1", [9, 8])],
+        [
+            ("16:24:2", [16, 18, 20, 22, 24]),
+            ("24:16:-2", [24, 22, 20, 18, 16]),
+            ("9:8:-1", [9, 8]),
+            ("24:20", [24, 23, 22, 21, 20]),
+            ("7:7", [7]),
+        ],
     )
     def test_tooth_range_includes_both_ends_either_way(self, text, teeth):
         assert list(_parse_int_range(text)) == teeth
+
+    def test_a_descending_tooth_range_writes_the_ascending_ones_csv(self, capsys):
+        flags = ("--switch-teeth", "8:12", "--driven-teeth", "16:18")
+        down = run_cli(capsys, "optimize", "--drive-teeth", "24:16", *flags)
+        up = run_cli(capsys, "optimize", "--drive-teeth", "16:24", *flags)
+        assert down == up
+        assert up[0] == 0 and len(parse_csv(up[1])) > 1
+
+    @pytest.mark.parametrize("text", ["16:24:-1", "24:16:2"])
+    def test_a_tooth_range_holding_no_count_exits_2(self, capsys, text):
+        code, out, err = run_cli(capsys, "optimize", "--drive-teeth", text)
+        assert (code, out) == (2, "")
+        assert f"argument --drive-teeth: tooth range '{text}' holds no tooth count" in err
 
     def test_tooth_range_of_more_than_three_parts_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "optimize", "--drive-teeth", "16:24:2:99")
