@@ -32,6 +32,13 @@ def _in_range(name: str, value, bound: str | None = None):
     return value
 
 
+def _integer(name: str, value):
+    """``value`` if it is an int, else a ValueError naming ``name``."""
+    if not isinstance(value, int):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 class SwitchSimError(Exception):
     """Base class for all mechanism and simulation errors."""
 

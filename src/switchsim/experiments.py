@@ -14,7 +14,7 @@ import random
 import statistics
 from dataclasses import dataclass, replace
 
-from .errors import BelowKinematicFloor, NeverEngaged, SwitchSimError, _in_range
+from .errors import BelowKinematicFloor, NeverEngaged, SwitchSimError, _in_range, _integer
 from .motion import trapezoid_duration
 from .plant import (
     DisturbancePulses,
@@ -104,12 +104,14 @@ def run_switching_time(
     measurement noise; per-trial seeds derive from the config seed.
 
     Raises:
+        ValueError: ``n_trials`` is not a positive int, or ``jitter_sigma_ms``
+            is negative or not finite.
         NeverEngaged: a move completed without reaching the far endpoint.
         SwitchSimError: the trials together cover more than ``STEP_BUDGET``
             steps, and nothing is stepped; or the jitter drives the
             durations, or their sum, past the float range.
     """
-    _in_range("n_trials", n_trials, "positive")
+    _in_range("n_trials", _integer("n_trials", n_trials), "positive")
     _in_range("jitter_sigma_ms", jitter_sigma_ms, "not negative")
     base_seed = config.seed if seed is None else seed
     _traversal_time(config, n_trials)
@@ -232,12 +234,16 @@ def run_speed_sweep(
 ) -> SweepCurve:
     """Switching time at each motor speed, with a least-squares 1/omega fit.
 
-    The default steady-speed mode measures the pure traversal t = travel/omega
-    (every point joins the fit). In Profile-Position mode each point is a
-    trapezoidal move whose cruise limit is omega; points in the triangular
-    regime (omega^2 > accel * travel) do not follow the t = A/omega + B
-    family at all and are flagged and excluded from the fit.
+    Each point is one move of one traversal from MINUS engaged, with omega
+    as its speed limit. In the default steady-speed mode the move has no
+    ramp, so it measures the pure traversal t = travel/omega (every point
+    joins the fit). In Profile-Position mode it is a trapezoidal move at the
+    motor's acceleration; points in the triangular regime
+    (omega^2 > accel * travel) do not follow the t = A/omega + B family at
+    all and are flagged and excluded from the fit. ``mode`` may be a
+    ``ControlMode`` or its value; any other is a ValueError.
     """
+    mode = ControlMode(mode)
     if not omegas:
         raise ValueError("omega list must be non-empty")
     for omega in omegas:
@@ -247,21 +253,13 @@ def run_speed_sweep(
     config.motor.check_speed(omegas[-1])
 
     travel = motor_travel_per_traversal(config)
-    accel = config.motor.profile_accel
+    accel = math.inf if mode is ControlMode.PROFILE_VELOCITY else config.motor.profile_accel
     points: list[SweepPoint] = []
     for omega in omegas:
-        if mode is ControlMode.PROFILE_VELOCITY:
-            sim = Simulator(config, engaged=Side.MINUS, record=False)
-            sim.set_velocity(omega)
-            t_event = sim.run_until_engaged(Side.PLUS, timeout=2.0 * travel / omega + 1.0)
-            points.append(SweepPoint(omega, _ms(t_event), True))
-        else:
-            motor = replace(config.motor, max_output_speed=omega)
-            trial = replace(config, motor=motor)
-            sim = Simulator(trial, engaged=Side.MINUS, record=False)
-            t_ms = _timed_move(sim, travel, Side.PLUS)
-            triangular = omega * omega > accel * travel
-            points.append(SweepPoint(omega, t_ms, not triangular))
+        motor = replace(config.motor, max_output_speed=omega, profile_accel=accel)
+        sim = Simulator(replace(config, motor=motor), engaged=Side.MINUS, record=False)
+        t_ms = _timed_move(sim, travel, Side.PLUS)
+        points.append(SweepPoint(omega, t_ms, omega * omega <= accel * travel))
 
     fitted = [(p.omega, p.t_switch_ms / 1000.0) for p in points if p.in_fit]
     if len(fitted) < 2:

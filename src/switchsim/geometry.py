@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import NoEngagement, TrackDegenerate, _in_range
+from .errors import NoEngagement, TrackDegenerate, _in_range, _integer
 
 # Undercut-avoidance proxy; keeps search spaces physical.
 MIN_TOOTH_COUNT = 8
@@ -40,9 +40,7 @@ class GearSpec:
     pitch_radius: float = field(init=False, repr=False, compare=False)  # r = m*z/2, mm
 
     def __post_init__(self):
-        if not isinstance(self.tooth_count, int):
-            raise ValueError(f"tooth_count must be an integer, got {self.tooth_count!r}")
-        if _in_range("tooth_count", self.tooth_count) < MIN_TOOTH_COUNT:
+        if _in_range("tooth_count", _integer("tooth_count", self.tooth_count)) < MIN_TOOTH_COUNT:
             raise ValueError(
                 f"tooth_count must be >= {MIN_TOOTH_COUNT}, got {self.tooth_count}"
             )

@@ -59,7 +59,8 @@ class DesignSpace:
     backlash_margin: float = DEFAULT_BACKLASH_MARGIN
 
     def __post_init__(self):
-        for name in ("drive_teeth", "switch_teeth", "driven_teeth", "modules", "half_angles"):
+        axes = ("drive_teeth", "switch_teeth", "driven_teeth", "modules", "half_angles")
+        for name in axes:
             if not getattr(self, name):
                 raise ValueError(f"{name} must be non-empty")
         for teeth in (self.drive_teeth, self.switch_teeth, self.driven_teeth):
@@ -75,6 +76,10 @@ class DesignSpace:
         for name in ("modules", "half_angles", "psi_star_targets", "center_distances"):
             for value in getattr(self, name) or ():
                 _in_range(name, value)
+        for name in (*axes, "psi_star_targets", "center_distances"):
+            values = getattr(self, name) or ()
+            if not isinstance(values, range) and len(set(values)) < len(values):  # a range never repeats
+                raise ValueError(f"{name} must not repeat a value, got {values!r}")
         _in_range("backlash_margin", self.backlash_margin)
         if self.envelope_max_diameter is not None:
             _in_range("envelope_max_diameter", self.envelope_max_diameter, "positive")

@@ -21,16 +21,7 @@ from .errors import NeverEngaged, RangeExceeded, SlackDetected, SwitchSimError, 
 from .geometry import EngagementSolution, MechanismLayout
 from .motion import TrapezoidalProfile
 from .paths import CablePath, OutOfRange
-from .switching import (
-    PSI_SNAP,
-    Event,
-    EventKind,
-    Side,
-    SwitchState,
-    TraversalModel,
-    _switch,
-    step_switch,
-)
+from .switching import Event, EventKind, Side, SwitchState, TraversalModel, _switch, step_switch
 
 DEFAULT_DT = 1e-3  # s; resolves 300 ms phenomena to 0.3 %
 PULSE_MIN_GAP = 0.05  # s between disturbance pulses, lower bound
@@ -434,9 +425,9 @@ class Simulator:
     undisturbed command takes one closed-form step over its whole span: the
     profile difference, or velocity*dt*steps, goes through the plant at once,
     which lands on the same grid point, events and state up to roundoff.
-    ``run_until_engaged`` leaps only over the steps that cannot reach its
-    endpoint. A failure inside a leap is re-run step by step, so it keeps the
-    timestamp of the grid step it happens in.
+    ``run_until_engaged`` steps every grid step, as a recorded run does. A
+    failure inside a leap is re-run step by step, so it keeps the timestamp
+    of the grid step it happens in.
 
     A step that turns no spool, with a disturbance pair equal to the one of
     the step that made its state, is settled: its state reuses that state's
@@ -551,51 +542,27 @@ class Simulator:
 
     def _run(self, steps: int, until: Side | None = None, move: _Move | None = None) -> None:
         """Take ``steps`` steps, none if fewer than one; stop once ``until`` is engaged.
-        Without a ``move`` the motor turns at the velocity."""
-        covered = 0.0  # signed deg the move has covered
-        if not self.record and self._pulses is None:
-            leap = self._leap(steps, until)
-            if leap > 1:
-                try:
-                    covered = self._steps(1, None, leap, move, covered)
-                except SwitchSimError:
-                    pass  # nothing changed before the leap raised: step to time the failure
-                else:
-                    steps -= leap
-        if steps >= 1:
-            self._steps(steps, until, 1, move, covered)
+        Without a ``move`` the motor turns at the velocity.
 
-    def _leap(self, steps: int, until: Side | None) -> int:
-        """Steps of ``steps`` that one closed-form step may cover.
-
-        0 if a velocity step's delta underflows to 0.0 rad, as each grid
-        step then halts the switch while the summed delta would move it. 0
-        if ``until`` is engaged and a step's motor delta is zero or toward it,
-        as the run stops after one step. Else all of them, unless the delta
-        is toward ``until``: then those that stay a step short of its
-        endpoint's snap window.
+        An unrecorded, undisturbed run without ``until`` leaps: one closed-form
+        step covers all of it. A velocity step's delta that underflows to 0.0
+        rad halts the switch at each grid step, while the summed delta would
+        move it, so that run steps the grid.
         """
-        if self._velocity != 0.0 and math.radians(self._velocity * self.config.dt) == 0.0:
-            return 0
-        if until is None:
-            return steps
-        toward = self._velocity * self.config.dt * until.sign  # one step's motor delta
-        switch = self.state.switch
-        if switch.engaged_side is until:
-            return steps if toward < 0.0 else 0
-        if toward <= 0.0:
-            return steps
-        gap = abs(until.sign * self.config.engagement.psi_star - switch.psi) - PSI_SNAP
-        gap_deg = self.config.traversal.motor_travel(gap)
-        reach = gap_deg / toward  # steps until the snap window; inf for a subnormal delta
-        return steps if not reach < steps + 1 else math.floor(reach) - 1
+        underflows = self._velocity != 0.0 and math.radians(self._velocity * self.config.dt) == 0.0
+        if steps > 1 and until is None and not self.record and self._pulses is None and not underflows:
+            try:
+                self._steps(1, None, steps, move)
+            except SwitchSimError:
+                pass  # nothing changed before the leap raised: step to time the failure
+            else:
+                return
+        if steps >= 1:
+            self._steps(steps, until, 1, move)
 
-    def _steps(
-        self, count: int, until: Side | None, size: int, move: _Move | None, covered: float
-    ) -> float:
-        """Take ``count`` plant steps of ``size`` grid steps each; stop once
-        ``until`` is engaged. Returns the signed deg ``move``'s profile has
-        covered, ``covered`` at the start.
+    def _steps(self, count: int, until: Side | None, size: int, move: _Move | None) -> None:
+        """Take ``count`` plant steps of ``size`` grid steps each, ``move``'s
+        profile from its start; stop once ``until`` is engaged.
 
         ``self._made`` is the (state, config, disturbance pair, lengths or None)
         that the last run ended with. A step on a state that its record or the
@@ -611,6 +578,7 @@ class Simulator:
         config = self.config
         dt = config.dt
         profile, profile_t0 = move or (None, 0.0)
+        covered = 0.0  # signed deg the profile has covered
         pulses = self._pulses
         rows = self.trace.rows if self.record else None
         timed = self.trace.events
@@ -657,7 +625,6 @@ class Simulator:
         finally:
             self.state, self._step_index = state, index
         self._made = (state, config, last, lengths)
-        return covered
 
 
 def steps_to_cover(duration: float, dt: float, runs: int = 1) -> int:

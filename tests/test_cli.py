@@ -201,6 +201,21 @@ class TestOptimize:
         times = [float(r["predicted_t_switch_ms"]) for r in rows]
         assert times == sorted(times)
 
+    @pytest.mark.parametrize(
+        "flag, values, axis",
+        [
+            ("--modules", "1.0,1.0", "modules"),
+            ("--phi-d-deg", "25,25", "half_angles"),
+            ("--psi-star-deg", "9.9,9.9", "psi_star_targets"),
+            ("--center-distance-mm", "30,30", "center_distances"),
+            ("--switch-teeth", "12,14,12", "switch_teeth"),
+        ],
+    )
+    def test_a_repeated_grid_value_exits_1(self, capsys, flag, values, axis):
+        code, out, err = run_cli(capsys, "optimize", flag, values, "--top", "2")
+        assert (code, out) == (1, "")
+        assert f"ValueError: {axis} must not repeat a value, got (" in err
+
     def test_uses_config_backlash_margin(self, capsys, tmp_path):
         cfg = tmp_path / "margin.cfg"
         cfg.write_text("[layout]\nbacklash_margin_mm = 1.5\n")

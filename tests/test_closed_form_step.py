@@ -3,7 +3,8 @@
 The recorded run, which steps every ``dt``, is the reference: the leaped run
 must land on the same grid point with the same events and state, its
 protocol times must equal the closed forms, and its failures and refusals
-must be those of the stepped run.
+must be those of the stepped run. A ``run_until_engaged`` steps the grid in
+both.
 """
 
 import math
@@ -159,8 +160,8 @@ class TestLeapMatchesTheGrid:
 
     def test_creep_into_the_snap_window(self, ref_plant):
         # At 1e-4 deg/s a step turns psi by less than the endpoint snap
-        # (1e-9 rad), so the stepped run engages a few steps before psi
-        # reaches the endpoint; the leap must stop short of that window.
+        # (1e-9 rad), so a run engages a few steps before psi reaches the
+        # endpoint; the unrecorded run must engage on the same grid step.
         travel = motor_travel_per_traversal(ref_plant)
         runs = []
         for record in (True, False):
@@ -184,23 +185,24 @@ class TestLeapMatchesTheGrid:
         assert len(step_plant_calls) == 3
         assert sim.t == pytest.approx(0.302 + 0.5 + 0.5)
 
-    def test_run_until_engaged_steps_only_near_the_endpoint(self, ref_plant, step_plant_calls):
+    def test_run_until_engaged_steps_every_grid_step(self, ref_plant, step_plant_calls):
+        # The traversal takes 681.1 ms at 180 deg/s: it engages in step 682.
         sim = Simulator(ref_plant, engaged=Side.MINUS, record=False)
         sim.set_velocity(180.0)
         sim.run_until_engaged(Side.PLUS, timeout=2.0)
-        assert 2 <= len(step_plant_calls) <= 4
+        assert len(step_plant_calls) == 682
         assert sim.state.switch.engaged_side is Side.PLUS
 
     @pytest.mark.parametrize("rate, t", [(-720.0, 0.3), (0.0, 0.001), (720.0, 0.001)])
     def test_run_until_engaged_from_the_engaged_side(self, ref_plant, step_plant_calls, rate, t):
         # Turning away disengages ``until`` in the first step, so the run
-        # takes its whole timeout in one step; standing still or turning
+        # steps its whole timeout, 300 steps; standing still or turning
         # toward it stops after one step.
         sim = Simulator(ref_plant, engaged=Side.PLUS, record=False)
         sim.set_velocity(rate)
         with pytest.raises(NeverEngaged):
             sim.run_until_engaged(Side.PLUS, timeout=0.3)
-        assert (len(step_plant_calls), sim.t) == (1, pytest.approx(t))
+        assert (len(step_plant_calls), sim.t) == (round(t / ref_plant.dt), pytest.approx(t))
 
     def test_recorded_and_disturbed_runs_step_every_dt(self, ref_plant, step_plant_calls):
         Simulator(ref_plant, record=True).wait(0.1)
@@ -246,6 +248,24 @@ class TestClosedFormTimes:
             assert [p.t_switch_ms for p in curve.points] == [
                 _ms(trapezoid_duration(travel, w, accel)) for w in omegas
             ]
+
+    def test_velocity_points_equal_the_closed_form_and_the_grid(self, ref_plant):
+        # A velocity point is a move with no ramp: its time is travel/omega at
+        # the 0.1 us floor, and a run_until_engaged on the grid gives it too.
+        rng = random.Random(11)
+        cases = [(ref_plant, sorted(rng.uniform(180.0, 720.0) for _ in range(300)))]
+        for _ in range(15):
+            plant = random_plant(rng, ref_plant)
+            speed = plant.motor.max_output_speed
+            cases.append((plant, sorted(rng.uniform(0.25 * speed, speed) for _ in range(2))))
+        for plant, omegas in cases:
+            travel = motor_travel_per_traversal(plant)
+            curve = run_speed_sweep(plant, omegas)
+            for point, omega in zip(curve.points, omegas, strict=True):
+                sim = Simulator(plant, engaged=Side.MINUS, record=False)
+                sim.set_velocity(omega)
+                t_grid = sim.run_until_engaged(Side.PLUS, timeout=2.0 * travel / omega)
+                assert point.t_switch_ms == _ms(travel / omega) == _ms(t_grid), omega
 
 
 class TestLeapFailures:
@@ -293,8 +313,7 @@ class TestLeapFailures:
 
     def test_subnormal_velocity_toward_the_endpoint(self, ref_plant):
         # One step's motor delta is subnormal and underflows to 0.0 rad, so
-        # each grid step halts the switch. A leap would sum the deltas into a
-        # nonzero travel that disengages; the unrecorded run must not leap.
+        # each grid step halts the switch, in either run.
         out = []
         for record in (True, False):
             sim = Simulator(ref_plant, record=record)
@@ -309,6 +328,19 @@ class TestLeapFailures:
         message, t, switch, kinds = leaped
         assert (message, t) == ("switch did not engage minus within 1.0 s", pytest.approx(1.0))
         assert (switch.mode, kinds) == (SwitchMode.ENGAGED_PLUS, [])
+
+    def test_subnormal_velocity_wait_steps_the_grid(self, ref_plant):
+        # A leap would sum the underflowing deltas into a nonzero travel that
+        # disengages; the unrecorded wait must not leap.
+        out = []
+        for record in (True, False):
+            sim = Simulator(ref_plant, record=record)
+            sim.set_velocity(-1e-320)
+            sim.wait(1.0)
+            out.append((sim.t, sim.state.switch, sim.trace.events))
+        stepped, leaped = out
+        assert leaped == stepped
+        assert (leaped[1].mode, leaped[2]) == (SwitchMode.ENGAGED_PLUS, [])
 
 
 class TestLeapBudget:

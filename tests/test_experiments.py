@@ -77,6 +77,13 @@ class TestSwitchingTime:
         summaries = (stats.mean_up_ms, stats.mean_down_ms, stats.sigma_up_ms, stats.sigma_down_ms)
         assert all(math.isfinite(v) for v in summaries)
 
+    @pytest.mark.parametrize("n_trials", [2.5, 2.0, "2", math.nan])
+    def test_non_integer_trials_refused_before_it_steps(self, ref_plant, monkeypatch, n_trials):
+        monkeypatch.setattr("switchsim.experiments.Simulator", None)
+        message = f"^n_trials must be an integer, got {re.escape(repr(n_trials))}$"
+        with pytest.raises(ValueError, match=message):
+            run_switching_time(ref_plant, n_trials=n_trials)
+
     def test_run_over_the_step_budget_refused_before_it_steps(self, ref_plant, monkeypatch):
         # At dt = 0.1 us one 302 ms move covers 3.02e6 steps: one trial of
         # two moves fits the budget, two trials do not.
@@ -233,6 +240,19 @@ class TestSpeedSweep:
             ValueError, match="^need at least two points in the trapezoidal regime to fit$"
         ):
             run_speed_sweep(plant, [180.0, 540.0], mode=ControlMode.PROFILE_POSITION)
+
+    def test_mode_by_value(self, ref_plant):
+        # A mode's value selects that mode, not the other one.
+        omegas = [180.0, 360.0]
+        for mode, t_180 in [("velocity", 681.1111), ("position", 714.0417)]:
+            curve = run_speed_sweep(ref_plant, omegas, mode=mode)
+            assert curve == run_speed_sweep(ref_plant, omegas, mode=ControlMode(mode))
+            assert curve.points[0].t_switch_ms == t_180
+
+    @pytest.mark.parametrize("mode", ["Velocity", "PROFILE_VELOCITY", None, 1])
+    def test_rejects_an_unknown_mode(self, ref_plant, mode):
+        with pytest.raises(ValueError, match=f"^{re.escape(repr(mode))} is not a valid ControlMode"):
+            run_speed_sweep(ref_plant, [180.0, 360.0], mode=mode)
 
     def test_rejects_bad_omegas(self, ref_plant):
         with pytest.raises(ValueError):

@@ -537,6 +537,27 @@ class TestDesignSpace:
         with pytest.raises(ValueError, match="backlash_margin must be finite"):
             singleton_space(backlash_margin=value)
 
+    @pytest.mark.parametrize(
+        "name, value",
+        [
+            ("drive_teeth", 20),
+            ("switch_teeth", 16),
+            ("driven_teeth", 20),
+            ("modules", 1.0),
+            ("half_angles", math.radians(25.0)),
+            ("psi_star_targets", PSI_REF),
+            ("center_distances", 34.76),
+        ],
+    )
+    def test_rejects_a_repeated_grid_value(self, name, value):
+        # A repeated value would rank the same design twice and count it
+        # twice against the cap.
+        overrides = {name: (value, value)}
+        if name == "center_distances":
+            overrides["psi_star_targets"] = None
+        with pytest.raises(ValueError, match=f"^{name} must not repeat a value, got "):
+            singleton_space(**overrides)
+
     def test_rejects_an_empty_distance_grid(self):
         with pytest.raises(ValueError, match="grid must be non-empty"):
             singleton_space(psi_star_targets=())

@@ -263,7 +263,7 @@ def test_step_plant_is_entered_once_per_foreign_state(monkeypatch, ref_plant, re
         (lambda: sim.wait(0.01), 0),
         (lambda: setattr(sim, "config", replace(sim.config)), 0),  # an equal config
         (lambda: sim.set_velocity(-360.0), 0),
-        (lambda: sim.run_until_engaged(Side.MINUS, 1.0), 1),  # leaped: a leap, then steps
+        (lambda: sim.run_until_engaged(Side.MINUS, 1.0), 1),  # steps the grid either way
         (lambda: sim.wait(0.01), 0),
     ]
     for command, want in commands:
