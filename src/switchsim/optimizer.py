@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from operator import itemgetter
 from typing import NamedTuple
 
-from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge, _in_range
+from .errors import EmptyFeasibleSet, InvalidDesign, NoEngagement, SpaceTooLarge, _in_range, _integer
 from .geometry import (
     GearSpec,
     MechanismLayout,
@@ -107,14 +107,19 @@ class DesignConstraints:
         for name in ("driven_ratio_min", "driven_ratio_max"):
             if getattr(self, name) is not None:
                 _in_range(name, getattr(self, name))
+        _in_range("cap", _integer("cap", self.cap), "positive")
 
 
 def _rank_key(t_switch_ms: float, envelope: float, zd: int, zs: int, zg: int) -> tuple:
-    """Rank by predicted time, then envelope, then tooth counts. Times and
-    envelopes are quantized below any physical resolution so designs that tie
-    in exact arithmetic (same endpoint target and ratios) tie here too instead
-    of ordering by trig roundoff."""
-    return (round(t_switch_ms, 9), round(envelope, 9), zd, zs, zg)
+    """Rank by predicted time, then envelope, then tooth counts. Times are
+    counted in integer ticks of 1 ns and envelopes in ticks of 1 nm, below
+    any physical resolution, so designs that tie in exact arithmetic (same
+    endpoint target and ratios) tie here too instead of ordering by trig
+    roundoff, unless their common value lies within roundoff of a tick
+    boundary. A value whose tick count overflows to inf keeps that inf, which
+    ranks after every tick."""
+    t, e = t_switch_ms * 1e6, envelope * 1e6
+    return (round(t) if t < math.inf else t, round(e) if e < math.inf else e, zd, zs, zg)
 
 
 class DesignResult(NamedTuple):
@@ -204,8 +209,9 @@ def optimize(
 ) -> list[DesignResult]:
     """Rank every feasible design by predicted switching time.
 
-    Ties break by smaller envelope diameter, then lexicographic tooth counts,
-    so the ranking is deterministic. The records equal ``evaluate_design``'s
+    Times are compared in 1 ns ticks; ties break by smaller envelope
+    diameter, in 1 nm ticks, then lexicographic tooth counts, so the ranking
+    is deterministic (``_rank_key``). The records equal ``evaluate_design``'s
     over ``enumerate_layouts``, but a candidate gets no layout until it
     passes ``validate_layout``'s rules on scalars, and a rejected one is
     skipped by a plain test, with nothing raised: the margin and each phi_d

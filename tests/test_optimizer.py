@@ -2,6 +2,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from switchsim import (
     Config,
@@ -25,7 +26,7 @@ from switchsim import (
     validate_layout,
 )
 from switchsim import geometry, motion
-from switchsim.optimizer import enumerate_layouts
+from switchsim.optimizer import _rank_key, enumerate_layouts
 
 SLIP_REF = 1.0 - 1.8 / (122.6 / 19.8)
 PSI_REF = math.radians(9.9)
@@ -277,8 +278,8 @@ class TestOptimize:
 
         assert len(ranked) == len(rescan) > 0
         assert [r.layout for r in ranked] == [r.layout for r in rescan]
-        best = round(ranked[0].predicted_t_switch_ms, 9)
-        assert all(best <= round(r.predicted_t_switch_ms, 9) for r in rescan)
+        best = ranked[0].sort_key[0]
+        assert all(best <= r.sort_key[0] for r in rescan)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_equals_the_evaluate_design_rescan(self, motor, seed):
@@ -478,6 +479,82 @@ class TestOptimize:
         )
         assert results[0].envelope < results[1].envelope
 
+    def test_a_roundoff_tie_ranks_by_envelope(self, motor):
+        # 24 designs share one psi* target and k_eff, so their times agree in
+        # exact arithmetic; roundoff spreads them over 285.0458200404995 to
+        # 285.0458200405011 ms, across a 1e-9 ms boundary but inside one 1 ns tick.
+        space = DesignSpace(
+            drive_teeth=(18,),
+            switch_teeth=(10,),
+            driven_teeth=tuple(range(16, 22)),
+            modules=(0.8, 1.25),
+            half_angles=(0.35317424438615463, 0.5529206251967491),
+            psi_star_targets=(0.18003235766510858,),
+        )
+        ranked = optimize(space, DesignConstraints(), SLIP_REF, motor)
+        assert len(ranked) == 24
+        assert {r.k_eff for r in ranked} == {5.351041276967203}
+        times = [r.predicted_t_switch_ms for r in ranked]
+        assert 285.0458200404995 <= min(times) < max(times) <= 285.0458200405011
+        envelopes = [r.envelope for r in ranked]
+        assert envelopes[0] == min(envelopes) == pytest.approx(52.793, abs=1e-3)
+        assert envelopes == sorted(envelopes)
+
+    def test_a_time_past_the_tick_range_ranks_last(self, motor):
+        # A 1e306-tooth switch of module 1e-300 gives a carry ratio of 1.25e305:
+        # the predicted time is finite, but its count of 1 ns ticks overflows.
+        space = DesignSpace(
+            drive_teeth=(8,),
+            switch_teeth=(8, 10**306),
+            driven_teeth=(8,),
+            modules=(1e-300, 1.0),
+            half_angles=(0.6, 0.9),
+            center_distances=(9e5, 12.0),
+        )
+        ranked = optimize(space, DesignConstraints(), SLIP_REF, motor)
+        times = [r.predicted_t_switch_ms for r in ranked]
+        assert len(times) == 3 and times == sorted(times)
+        assert 1e302 < times[1] < math.inf
+        assert ranked == evaluate_design_rescan(space, DesignConstraints(), motor)
+
+
+POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_nan=False, allow_infinity=False)
+TEETH = st.tuples(*[st.integers(min_value=7, max_value=200)] * 3)
+
+
+class TestRankKey:
+    @settings(deadline=None, max_examples=300)
+    @given(POSITIVE, POSITIVE, POSITIVE, TEETH)
+    def test_non_decreasing_in_time(self, t1, t2, envelope, teeth):
+        t1, t2 = sorted((t1, t2))
+        assert _rank_key(t1, envelope, *teeth) <= _rank_key(t2, envelope, *teeth)
+
+    @settings(deadline=None, max_examples=300)
+    @given(POSITIVE, POSITIVE, POSITIVE, TEETH)
+    def test_non_decreasing_in_envelope(self, t, e1, e2, teeth):
+        e1, e2 = sorted((e1, e2))
+        assert _rank_key(t, e1, *teeth) <= _rank_key(t, e2, *teeth)
+
+    @settings(deadline=None, max_examples=300)
+    @given(POSITIVE, POSITIVE, POSITIVE, POSITIVE, TEETH, TEETH)
+    def test_a_time_tick_tie_orders_by_envelope_then_teeth(self, t1, t2, e1, e2, teeth1, teeth2):
+        k1, k2 = _rank_key(t1, e1, *teeth1), _rank_key(t2, e2, *teeth2)
+        if k1[0] != k2[0]:
+            assert (k1 < k2) == (t1 < t2)
+        elif k1[1] != k2[1]:
+            assert (k1 < k2) == (e1 < e2)
+        else:
+            assert (k1 < k2) == (teeth1 < teeth2)
+
+    @settings(deadline=None, max_examples=300)
+    @given(POSITIVE, POSITIVE)
+    def test_ticks_are_1_ns_and_1_nm(self, t, envelope):
+        for value, tick in zip((t, envelope), _rank_key(t, envelope, 8, 8, 8)):
+            if value * 1e6 < math.inf:
+                assert type(tick) is int and abs(tick - value * 1e6) <= 0.5
+            else:  # past the tick range
+                assert tick == math.inf
+
 
 class TestDesignSpace:
     def test_size(self):
@@ -557,6 +634,20 @@ class TestDesignSpace:
             overrides["psi_star_targets"] = None
         with pytest.raises(ValueError, match=f"^{name} must not repeat a value, got "):
             singleton_space(**overrides)
+
+    @pytest.mark.parametrize(
+        "cap, rule",
+        [
+            (math.nan, "an integer"),  # space.size > nan is false: the cap would be off
+            (2.5, "an integer"),
+            (10.0, "an integer"),
+            (0, "finite and positive"),
+            (-5, "finite and positive"),
+        ],
+    )
+    def test_constraints_reject_a_cap_that_is_not_a_positive_integer(self, cap, rule):
+        with pytest.raises(ValueError, match=rf"^cap must be {rule}, got {cap!r}$"):
+            DesignConstraints(cap=cap)
 
     def test_rejects_an_empty_distance_grid(self):
         with pytest.raises(ValueError, match="grid must be non-empty"):
