@@ -194,7 +194,8 @@ class Config:
         return layout, report.engagement
 
     def _assemble(self, layout, engagement, traversal, *paths: CablePath) -> PlantConfig:
-        """The plant from its parts: the acceleration calibration, motor, spools, dt and seed."""
+        """The plant from its parts: the acceleration calibration, motor, spools, dt and seed.
+        Its rest state is taut and one switching trial (two traversals) fits ``STEP_BUDGET``."""
         accel = self.profile_accel
         if accel is None:
             accel = calibrate_profile_accel(
@@ -213,16 +214,29 @@ class Config:
             )
             for path in paths
         )
-        return PlantConfig(
+        plant = PlantConfig(
             layout, engagement, traversal, motor, *paths, *spools, dt=self.dt_s, seed=self.seed
         )
+        initial_state(plant)
+        _traversal_time(plant)
+        return plant
+
+    def _check_command(self, cmd: ScriptCommand) -> None:
+        """Raise the refusal ``Simulator.execute`` makes of ``cmd`` under this speed and dt."""
+        if isinstance(cmd, SetVelocity):
+            MotorModel(self.max_output_speed).check_speed(cmd.rate)
+        elif isinstance(cmd, Wait):
+            _command_steps("wait", cmd.duration, self.dt_s)
+        elif isinstance(cmd, InjectDisturbance) and cmd.profile is not None:
+            _check_pulse_dt(cmd.profile, self.dt_s)
 
     def _build(self, report=None, bad=frozenset()) -> PlantConfig | None:
         """The plant, built part by part in dependency order: the validated layout,
-        each side's path, the traversal, then the assembly. A part is skipped when
-        a section it reads is in ``bad`` (a path's is its side) or a part it needs
-        is missing. A part that fails raises, or with a ``report`` goes to
-        ``report(part, exc)``."""
+        each side's path, the traversal, the assembly, then each script command
+        (a part named by its index). A part is skipped when a section it reads is in
+        ``bad`` (a path's is its side, a command's [motor] and [sim]) or a part it
+        needs is missing. A part that fails raises, or with a ``report`` goes to
+        ``report(part, exc)``. This alone decides that a config is valid."""
 
         def part(name, make, *args):
             try:
@@ -238,16 +252,20 @@ class Config:
         paths = [None if side in bad else part(side, getattr(self, side).build) for side in _PATHS]
         if layout and "traversal" not in bad:
             traversal = part("traversal", self._traversal, layout)
+        plant = None
         if traversal and all(paths) and bad.isdisjoint(("motor", "spools", "sim")):
-            return part("plant", self._assemble, layout, engagement, traversal, *paths)
-        return None
+            plant = part("plant", self._assemble, layout, engagement, traversal, *paths)
+        if bad.isdisjoint(("motor", "sim")):
+            for index, cmd in enumerate(self.script):
+                part(index, self._check_command, cmd)
+        return plant
 
     def plant(self) -> PlantConfig:
-        """The runtime plant; the one place a config's layout is validated.
+        """The runtime plant; refused for what a file with these values is refused for.
 
         Raises:
             InvalidDesign: the layout fails ``validate_layout`` (wraps the report).
-            SwitchSimError, ValueError: the first other part that fails.
+            SwitchSimError, ValueError: the first other part that fails, as parsed.
         """
         return self._build()
 
@@ -300,8 +318,8 @@ _ONE_NUMBER = {"move_to": MoveMotorTo, "set_velocity": SetVelocity, "wait": Wait
 
 
 def _parse_script_line(line: str) -> ScriptCommand:
-    """The command of a ``[script]`` line; the command checks its numbers, and a
-    ``wait`` meets the run-length rule in the cross-field checks."""
+    """The command of a ``[script]`` line; the command checks its numbers, and
+    ``Config._build`` checks it against the speed limit and dt."""
     name, *args = line.split()
     if name in _ONE_NUMBER and len(args) == 1:
         return _ONE_NUMBER[name](float(args[0]))
@@ -408,10 +426,12 @@ class _Parser:
         ]
         return min(lines, default=0)
 
-    def fail_part(self, part: str, exc: Exception) -> None:
-        """Report the plant part that raised ``exc`` at its section's first line;
-        a layout's violations one each, the assembly's at line 0."""
-        if part in _PATHS:
+    def fail_part(self, part: str | int, exc: Exception) -> None:
+        """Report the plant part that raised ``exc`` at its section's first line; a
+        layout's violations one each, the assembly's at line 0, a command's at its own."""
+        if isinstance(part, int):
+            self.fail(self.script[part][0], str(exc))
+        elif part in _PATHS:
             self.fail(self.first_line("paths", f"{part}_"), f"{part} path: {exc}")
         elif part in ("layout", "traversal"):
             for problem in exc.report.violations if isinstance(exc, InvalidDesign) else (exc,):
@@ -448,7 +468,7 @@ class _Parser:
 
 
 def _parse(text: str) -> tuple[Config, PlantConfig]:
-    """``parse_config``, returning the plant its cross-field check built as well."""
+    """``parse_config``, returning the plant that ``Config._build`` checked as well."""
     p = _Parser(text)
     defaults = Config()
 
@@ -469,31 +489,7 @@ def _parse(text: str) -> tuple[Config, PlantConfig]:
                 other = f"the ({', '.join(spec.replaces)}) pair"
             p.fail(p.line(section, key), f"give either {key} or {other}, not both")
 
-    # Cross-field checks, each on sections with no failed line: script lines
-    # that the speed limit, ``Simulator.wait`` and ``Simulator.inject`` accept;
-    # the plant, part by part; a taut rest state; and one switching trial (two
-    # traversals) within the step budget that ``run_switching_time`` applies.
-    bad = {p.parts.get(line_no) for line_no, _ in p.errors}
-    if bad.isdisjoint(("motor", "sim")):
-        motor = MotorModel(cfg.max_output_speed)
-        for line_no, cmd in p.script:
-            try:
-                if isinstance(cmd, SetVelocity):
-                    motor.check_speed(cmd.rate)
-                if isinstance(cmd, Wait):
-                    _command_steps("wait", cmd.duration, cfg.dt_s)
-                if isinstance(cmd, InjectDisturbance) and cmd.profile is not None:
-                    _check_pulse_dt(cmd.profile, cfg.dt_s)
-            except (SwitchSimError, ValueError) as exc:
-                p.fail(line_no, str(exc))
-    plant = cfg._build(p.fail_part, bad)
-    if plant is not None:
-        try:
-            initial_state(plant)
-            _traversal_time(plant)
-        except (SwitchSimError, ValueError) as exc:
-            p.fail_part("plant", exc)
-
+    plant = cfg._build(p.fail_part, {p.parts.get(line_no) for line_no, _ in p.errors})
     if p.errors:
         raise ConfigError(sorted(p.errors))
     return cfg, plant

@@ -33,8 +33,8 @@ def _in_range(name: str, value, bound: str | None = None):
 
 
 def _integer(name: str, value):
-    """``value`` if it is an int, else a ValueError naming ``name``."""
-    if not isinstance(value, int):
+    """``value`` if it is an int and not a bool, else a ValueError naming ``name``."""
+    if not isinstance(value, int) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return value
 

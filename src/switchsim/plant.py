@@ -175,7 +175,8 @@ def step_plant(
     ``_advance``, which checks nothing, and it recomputes the new state.
 
     Raises:
-        ValueError: ``t`` is not after ``state.t``, or ``motor_delta`` is not finite.
+        ValueError: ``t`` is not after ``state.t``, or ``motor_delta`` or a
+            disturbance is not finite (checked in that order).
         InvalidState: ``state.switch`` violates its mode/position invariants.
         RangeExceeded: joint driven outside [-pi/2, +pi/2] (timestamped).
         SlackDetected: a tension is not positive (timestamped).
@@ -190,7 +191,10 @@ def step_plant(
         math.radians(motor_delta),
         spool_ratio=config.layout.driven_speed_ratio,
     )
-    disturbances = (disturbance_plus, disturbance_minus)
+    disturbances = (
+        _in_range("disturbance_plus", disturbance_plus),
+        _in_range("disturbance_minus", disturbance_minus),
+    )
     return _advance(state, config, t, motor_delta, stepped, disturbances, False, None)[:2]
 
 
@@ -271,7 +275,7 @@ class Wait:
     """Let the simulation run for ``duration`` seconds.
 
     The duration meets the run-length rule (``_command_steps``) when it runs,
-    or when a config reads it: the rule needs ``dt``.
+    or when ``Config.plant()`` or a config file checks it: the rule needs ``dt``.
     """
 
     duration: float
@@ -553,7 +557,7 @@ class Simulator:
         if steps > 1 and until is None and not self.record and self._pulses is None and not underflows:
             try:
                 self._steps(1, None, steps, move)
-            except SwitchSimError:
+            except (SwitchSimError, ValueError):  # ValueError: the summed delta overflowed
                 pass  # nothing changed before the leap raised: step to time the failure
             else:
                 return

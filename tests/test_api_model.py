@@ -104,8 +104,8 @@ class SimulatorModel(RuleBasedStateMachine):
         plant, state = recorded.config, recorded.state
         try:
             stepped, _ = step_plant(state, plant, state.t + plant.dt, 0.0, plus, minus)
-        except SwitchSimError:
-            return  # the pair leaves a tension that is not positive and finite
+        except (SwitchSimError, ValueError):
+            return  # the pair is not finite, or leaves a tension that is not positive and finite
         foreign = stepped._replace(t=state.t)
         for sim in self.sims:
             sim.state = foreign

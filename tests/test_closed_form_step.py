@@ -311,6 +311,22 @@ class TestLeapFailures:
         assert leaped[0] is SlackDetected
         assert "plus cable tension" in leaped[1] and "at t=0.223000 s" in leaped[1]
 
+    def test_overflowing_velocity_leap(self):
+        # The leap's summed delta, 1e308 deg/s over 100 s, overflows to inf, which
+        # step_plant refuses; the grid's first step leaves the range of motion.
+        plant = Config(max_output_speed=1e308, profile_accel=1000.0).plant()
+        out = []
+        for record in (True, False):
+            sim = Simulator(plant, record=record)
+            sim.set_velocity(1e308)
+            with pytest.raises(SwitchSimError) as info:
+                sim.wait(100.0)
+            out.append((info.type, str(info.value), sim.t, sim.state, sim.trace.events))
+        stepped, leaped = out
+        assert leaped == stepped
+        assert leaped[0] is RangeExceeded
+        assert "at t=0.001000 s" in leaped[1] and leaped[2] == 0.0
+
     def test_subnormal_velocity_toward_the_endpoint(self, ref_plant):
         # One step's motor delta is subnormal and underflows to 0.0 rad, so
         # each grid step halts the switch, in either run.

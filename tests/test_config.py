@@ -16,6 +16,7 @@ from switchsim import (
     MoveMotorTo,
     PathSpec,
     SetVelocity,
+    SlackDetected,
     SwitchSimError,
     Wait,
     load_config,
@@ -101,6 +102,36 @@ class TestPlantValidates:
     def test_parse_solves_the_engagement_once(self, solve_calls):
         assert parse_config("") == Config()
         assert len(solve_calls) == 1
+
+    # Refused after the plant's parts are built: the rest state, the step budget
+    # for one switching trial, and each script command against the speed limit and dt.
+    @pytest.mark.parametrize(
+        "overrides, kind, fragment",
+        [
+            ({"payout_at_zero_mm": 1000.0}, SlackDetected, "tension -19.5535"),
+            ({"spool_radius_mm": 3e-208}, SwitchSimError, "tension inf N is not finite"),
+            ({"dt_s": 1e-9}, SwitchSimError, "over the budget"),
+            ({"script": (SetVelocity(800.0),)}, ValueError, "exceeds max_output_speed"),
+            ({"script": (Wait(0.0),)}, SwitchSimError, "covers no step"),
+            (
+                {"script": (InjectDisturbance(DisturbancePulses(width=1e-6)),)},
+                SwitchSimError, "under one step",
+            ),
+        ],
+    )
+    def test_refuses_what_its_file_is_refused_for(self, overrides, kind, fragment):
+        cfg = Config(**overrides)
+        text = serialize_config(cfg)
+        with pytest.raises(ConfigError) as parsed:
+            parse_config(text)
+        with pytest.raises(kind, match=fragment) as built:
+            cfg.plant()
+        assert type(built.value) is kind
+        if cfg.script:  # at the command's line, the file's last
+            expected = (len(text.splitlines()), str(built.value))
+        else:
+            expected = (0, f"configuration cannot be instantiated: {built.value}")
+        assert parsed.value.errors == [expected]
 
 
 # One problem per section: (section, key, bad value, the error, the sections

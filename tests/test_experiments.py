@@ -77,7 +77,7 @@ class TestSwitchingTime:
         summaries = (stats.mean_up_ms, stats.mean_down_ms, stats.sigma_up_ms, stats.sigma_down_ms)
         assert all(math.isfinite(v) for v in summaries)
 
-    @pytest.mark.parametrize("n_trials", [2.5, 2.0, "2", math.nan])
+    @pytest.mark.parametrize("n_trials", [2.5, 2.0, "2", math.nan, True])
     def test_non_integer_trials_refused_before_it_steps(self, ref_plant, monkeypatch, n_trials):
         monkeypatch.setattr("switchsim.experiments.Simulator", None)
         message = f"^n_trials must be an integer, got {re.escape(repr(n_trials))}$"

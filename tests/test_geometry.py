@@ -64,6 +64,8 @@ class TestPitchRadius:
             GearSpec(7, 1.0)
         with pytest.raises(ValueError, match=r"^tooth_count must be finite, got 10{400}$"):
             GearSpec(10**400, 1.0)  # beyond the float range: no float pitch radius
+        with pytest.raises(ValueError, match=r"^tooth_count must be an integer, got True$"):
+            GearSpec(True, 1.0)
 
     def test_stored_radius_keeps_the_dataclass_contract(self):
         gear = GearSpec(20, 1.0)

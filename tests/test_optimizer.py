@@ -641,6 +641,7 @@ class TestDesignSpace:
             (math.nan, "an integer"),  # space.size > nan is false: the cap would be off
             (2.5, "an integer"),
             (10.0, "an integer"),
+            (True, "an integer"),  # a bool is an int to isinstance, and acted as a cap of 1
             (0, "finite and positive"),
             (-5, "finite and positive"),
         ],

@@ -102,13 +102,16 @@ class TestStepPlant:
         with pytest.raises(SlackDetected):
             step_plant(initial_state(linear_plant), bad, t=1e-3, motor_delta=0.0)
 
+    # A config refuses these rest states, so each plant is built around it.
     def test_slack_rest_state_detected(self):
-        plant = Config(payout_at_zero_mm=1000.0).plant()
+        plant = Config().plant()
+        plant = replace(plant, spool_plus=replace(plant.spool_plus, payout_at_zero=1000.0))
         with pytest.raises(SlackDetected, match=r"plus cable .* at t=0\.000000 s"):
             run_script(plant, [])
 
     def test_infinite_rest_tension_detected(self):
-        plant = Config(spool_radius_mm=3e-208).plant()
+        plant = Config().plant()
+        plant = replace(plant, spool_plus=replace(plant.spool_plus, spool_radius=3e-208))
         with pytest.raises(SwitchSimError, match=r"plus cable tension inf N is not finite"):
             initial_state(plant)
 
@@ -172,6 +175,13 @@ class TestNonFiniteApiInput:
     def test_plant_dt(self, ref_plant, dt):
         with pytest.raises(ValueError, match="dt must be finite and positive"):
             replace(ref_plant, dt=dt)
+
+    @pytest.mark.parametrize("side", ["plus", "minus"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf])
+    def test_step_plant_disturbance(self, ref_plant, side, value):
+        name = f"disturbance_{side}"
+        with pytest.raises(ValueError, match=f"^{name} must be finite, got {value!r}$"):
+            step_plant(initial_state(ref_plant), ref_plant, 1e-3, 0.0, **{name: value})
 
     def test_config_nan_spring_rate(self):
         with pytest.raises(ValueError, match="spring_rate must be finite"):
