@@ -104,8 +104,8 @@ def run_switching_time(
     measurement noise; per-trial seeds derive from the config seed.
 
     Raises:
-        ValueError: ``n_trials`` is not a positive int, or ``jitter_sigma_ms``
-            is negative or not finite.
+        ValueError: ``n_trials`` is not a positive int, ``seed`` is neither
+            None nor an int, or ``jitter_sigma_ms`` is negative or not finite.
         NeverEngaged: a move completed without reaching the far endpoint.
         SwitchSimError: the trials together cover more than ``STEP_BUDGET``
             steps, and nothing is stepped; or the jitter drives the
@@ -113,7 +113,7 @@ def run_switching_time(
     """
     _in_range("n_trials", _integer("n_trials", n_trials), "positive")
     _in_range("jitter_sigma_ms", jitter_sigma_ms, "not negative")
-    base_seed = config.seed if seed is None else seed
+    base_seed = config.seed if seed is None else _integer("seed", seed)
     _traversal_time(config, n_trials)
     travel = motor_travel_per_traversal(config)
     sim = Simulator(config, engaged=Side.MINUS, record=False)
@@ -133,10 +133,16 @@ def run_switching_time(
     return SwitchingTimeStats(tuple(up), tuple(down))
 
 
-def _timed_move(sim: Simulator, target: float, side: Side) -> float:
-    """Command a move and return ms from command to the Engaged(side) event."""
+def _timed_move(
+    sim: Simulator, target: float, side: Side, limits: tuple[float, float] | None = None
+) -> float:
+    """Command a move and return ms from command to the Engaged(side) event.
+
+    The move's limits are ``limits``, (max speed deg/s, accel deg/s^2), passed
+    to ``Simulator._move``; None moves at the config motor's.
+    """
     n_before = len(sim.trace.events)
-    t_cmd = sim.move_motor_to(target)
+    t_cmd = sim.move_motor_to(target) if limits is None else sim._move(target, *limits)
     for event in sim.trace.events[n_before:]:
         if event.kind is EventKind.ENGAGED and event.side is side:
             return _ms(event.t - t_cmd)
@@ -182,7 +188,8 @@ def run_independence(
     With ``target='disengaged'`` (the protocol) random pulses of extra payout
     hit only slack cables and the engaged-payout traces of the two runs must
     match sample-for-sample. ``target='engaged'`` is the negative control: it
-    corrupts the engaged reading and must produce a nonzero deviation.
+    corrupts the engaged reading and must produce a nonzero deviation. A
+    ``seed`` that is not None replaces the config's, and must be an int.
     """
     if seed is not None:
         config = replace(config, seed=seed)
@@ -234,10 +241,12 @@ def run_speed_sweep(
 ) -> SweepCurve:
     """Switching time at each motor speed, with a least-squares 1/omega fit.
 
-    Each point is one move of one traversal from MINUS engaged, with omega
-    as its speed limit. In the default steady-speed mode the move has no
-    ramp, so it measures the pure traversal t = travel/omega (every point
-    joins the fit). In Profile-Position mode it is a trapezoidal move at the
+    Each point is one move of one traversal from MINUS engaged, on a new
+    simulator of ``config`` itself. The move's limits are its arguments, with
+    omega as its speed limit, so no config is rebuilt per point. In the
+    default steady-speed mode the move has no ramp (infinite acceleration),
+    so it measures the pure traversal t = travel/omega (every point joins
+    the fit). In Profile-Position mode it is a trapezoidal move at the
     motor's acceleration; points in the triangular regime
     (omega^2 > accel * travel) do not follow the t = A/omega + B family at
     all and are flagged and excluded from the fit. ``mode`` may be a
@@ -256,9 +265,8 @@ def run_speed_sweep(
     accel = math.inf if mode is ControlMode.PROFILE_VELOCITY else config.motor.profile_accel
     points: list[SweepPoint] = []
     for omega in omegas:
-        motor = replace(config.motor, max_output_speed=omega, profile_accel=accel)
-        sim = Simulator(replace(config, motor=motor), engaged=Side.MINUS, record=False)
-        t_ms = _timed_move(sim, travel, Side.PLUS)
+        sim = Simulator(config, engaged=Side.MINUS, record=False)
+        t_ms = _timed_move(sim, travel, Side.PLUS, (omega, accel))
         points.append(SweepPoint(omega, t_ms, omega * omega <= accel * travel))
 
     fitted = [(p.omega, p.t_switch_ms / 1000.0) for p in points if p.in_fit]

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import NeverEngaged, RangeExceeded, SlackDetected, SwitchSimError, _in_range
+from .errors import NeverEngaged, RangeExceeded, SlackDetected, SwitchSimError, _in_range, _integer
 from .geometry import EngagementSolution, MechanismLayout
 from .motion import TrapezoidalProfile
 from .paths import CablePath, OutOfRange
@@ -90,6 +90,7 @@ class PlantConfig:
 
     def __post_init__(self):
         _in_range("dt", self.dt, "positive")
+        _integer("seed", self.seed)  # random.Random(nan) would differ from run to run
 
 
 class SimState(NamedTuple):
@@ -447,7 +448,9 @@ class Simulator:
     keeps only what outlives one: the step index, the state and its record,
     the velocity and the pulses. A move's profile and position are arguments
     of its run, so a move that raises leaves nothing for the next command to
-    replay.
+    replay. Its speed and acceleration limits are arguments of ``_move``:
+    ``move_motor_to`` passes the config motor's, and a speed-sweep point its
+    own, on the config it was given.
     """
 
     def __init__(
@@ -473,7 +476,15 @@ class Simulator:
     # -- commands ----------------------------------------------------------
 
     def move_motor_to(self, target: float) -> float:
-        """Run a Profile-Position move to ``target`` deg; returns the command time.
+        """Run a Profile-Position move to ``target`` deg at the config motor's
+        speed and acceleration limits; returns the command time (see ``_move``)."""
+        motor = self.config.motor
+        return self._move(target, motor.max_output_speed, motor.profile_accel)
+
+    def _move(self, target: float, max_speed: float, accel: float) -> float:
+        """Run a Profile-Position move to ``target`` deg whose limits are the
+        arguments: ``max_speed`` deg/s and ``accel`` deg/s^2, which the profile
+        checks; returns the command time.
 
         A move within 1e-9 of max(1, |target|) deg takes no step: a recorded
         run's motor angle carries a roundoff that a leaped run's does not, and
@@ -485,8 +496,7 @@ class Simulator:
         delta = target - self.state.motor_angle
         if abs(delta) <= 1e-9 * max(1.0, abs(target)):
             delta = 0.0
-        motor = self.config.motor
-        profile = TrapezoidalProfile.plan(delta, motor.max_output_speed, motor.profile_accel)
+        profile = TrapezoidalProfile.plan(delta, max_speed, accel)
         self._run(steps_to_cover(profile.duration, self.config.dt), move=(profile, t_cmd))
         return t_cmd
 

@@ -33,7 +33,13 @@ from switchsim import (
     trapezoid_duration,
 )
 from switchsim import plant as plant_module
-from switchsim.experiments import _ms, full_rom_script, motor_travel_per_traversal
+from switchsim.experiments import (
+    SweepPoint,
+    _ms,
+    _timed_move,
+    full_rom_script,
+    motor_travel_per_traversal,
+)
 from switchsim.geometry import kinematic_carry_ratio, validate_layout
 from switchsim.plant import STEP_BUDGET
 from switchsim.switching import TraversalModel
@@ -266,6 +272,44 @@ class TestClosedFormTimes:
                 sim.set_velocity(omega)
                 t_grid = sim.run_until_engaged(Side.PLUS, timeout=2.0 * travel / omega)
                 assert point.t_switch_ms == _ms(travel / omega) == _ms(t_grid), omega
+
+
+class TestSweepPointIsAMove:
+    """A sweep point is the move that a config with the point's limits makes:
+    the same point to the bit, and the same events."""
+
+    @staticmethod
+    def reference(plant, travel, omega, accel):
+        motor = replace(plant.motor, max_output_speed=omega, profile_accel=accel)
+        sim = Simulator(replace(plant, motor=motor), engaged=Side.MINUS, record=False)
+        t_ms = _timed_move(sim, travel, Side.PLUS)
+        return SweepPoint(omega, t_ms, omega * omega <= accel * travel), sim
+
+    def test_points_and_events_equal_the_rebuilt_config(self, ref_plant):
+        rng = random.Random(37)
+        plants = [ref_plant] + [random_plant(rng, ref_plant) for _ in range(15)]
+        for plant in plants:
+            travel = motor_travel_per_traversal(plant)
+            # Raise the speed limit past the triangular threshold, so that
+            # position-mode points fall on both sides of it.
+            threshold = math.sqrt(plant.motor.profile_accel * travel)
+            plant = replace(plant, motor=replace(plant.motor, max_output_speed=2.0 * threshold))
+            omegas = sorted(
+                [rng.uniform(0.25 * threshold, threshold) for _ in range(3)]
+                + [rng.uniform(threshold, 2.0 * threshold) for _ in range(2)]
+            )
+            for mode in ControlMode:
+                accel = math.inf if mode is ControlMode.PROFILE_VELOCITY else plant.motor.profile_accel
+                curve = run_speed_sweep(plant, omegas, mode=mode)
+                for point, omega in zip(curve.points, omegas, strict=True):
+                    want, ref_sim = self.reference(plant, travel, omega, accel)
+                    assert repr(point) == repr(want)  # repr round-trips every float
+                    sim = Simulator(plant, engaged=Side.MINUS, record=False)
+                    assert _timed_move(sim, travel, Side.PLUS, (omega, accel)) == point.t_switch_ms
+                    assert sim.trace.events == ref_sim.trace.events
+                    assert sim.state == ref_sim.state
+                if mode is ControlMode.PROFILE_POSITION:
+                    assert [p.in_fit for p in curve.points] == [True] * 3 + [False] * 2
 
 
 class TestLeapFailures:

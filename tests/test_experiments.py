@@ -10,7 +10,9 @@ from switchsim import (
     BelowKinematicFloor,
     Config,
     ControlMode,
+    MotorModel,
     NeverEngaged,
+    PlantConfig,
     SwitchSimError,
     calibrate_profile_accel,
     motor_travel_per_traversal,
@@ -112,6 +114,38 @@ class TestSwitchingTime:
         sim.set_velocity(180.0)
         with pytest.raises(NeverEngaged):
             sim.run_until_engaged(Side.PLUS, timeout=0.01)
+
+
+BAD_SEEDS = [math.nan, 1.5, True, "a"]
+
+
+class TestSeedIsAnInteger:
+    """``random.Random(nan)`` seeds from an identity hash, so a seed that is not
+    an int would make reruns differ: each entry point refuses it by name."""
+
+    @staticmethod
+    def message(seed) -> str:
+        return f"^seed must be an integer, got {re.escape(repr(seed))}$"
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_plant_config(self, ref_plant, seed):
+        with pytest.raises(ValueError, match=self.message(seed)):
+            replace(ref_plant, seed=seed)
+        with pytest.raises(ValueError, match=self.message(seed)):
+            Config(seed=seed).plant()
+
+    @pytest.mark.parametrize("jitter", [True, False])
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_switching_time_refuses_before_it_steps(self, ref_plant, monkeypatch, seed, jitter):
+        monkeypatch.setattr("switchsim.experiments.Simulator", None)
+        with pytest.raises(ValueError, match=self.message(seed)):
+            run_switching_time(ref_plant, n_trials=1, jitter=jitter, seed=seed)
+
+    @pytest.mark.parametrize("seed", BAD_SEEDS)
+    def test_independence_refuses_before_it_steps(self, ref_plant, monkeypatch, seed):
+        monkeypatch.setattr("switchsim.experiments.run_script", None)
+        with pytest.raises(ValueError, match=self.message(seed)):
+            run_independence(ref_plant, seed=seed)
 
 
 class TestJitterPinned:
@@ -253,6 +287,23 @@ class TestSpeedSweep:
     def test_rejects_an_unknown_mode(self, ref_plant, mode):
         with pytest.raises(ValueError, match=f"^{re.escape(repr(mode))} is not a valid ControlMode"):
             run_speed_sweep(ref_plant, [180.0, 360.0], mode=mode)
+
+    @pytest.mark.parametrize("mode", list(ControlMode))
+    def test_builds_no_config(self, ref_plant, monkeypatch, mode):
+        # Each point moves at its own limits on the plant it was given.
+        built = []
+        for cls in (PlantConfig, MotorModel):
+            check = cls.__post_init__
+
+            def counted(self, check=check):
+                built.append(type(self))
+                check(self)
+
+            monkeypatch.setattr(cls, "__post_init__", counted)
+        omegas = [180.0, 270.0, 360.0, 450.0, 540.0, 630.0, 720.0]
+        curve = run_speed_sweep(ref_plant, omegas, mode=mode)
+        assert len(curve.points) == 7
+        assert built == []
 
     def test_rejects_bad_omegas(self, ref_plant):
         with pytest.raises(ValueError):
